@@ -5,7 +5,8 @@ The selection pipeline per side is:
     pilot bandwidth b (rule of thumb, clamped)
       -> pilot fit of order (p+1, s+1) at b, giving the curvature
          coefficients that enter the bias formula
-      -> Gram and kernel moment vectors of the main-order basis at b
+      -> Gram and kernel moment vectors of the main-order basis at b, read
+         off as blocks of the pilot Gram
       -> bias constants (two channels: running-variable curvature and
          covariate-coefficient curvature)
       -> variance constants: sandwich contraction of the main-order fit
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import design_rows, extractor_vector, n_params, scaling_diag
+from .basis import extractor_vector, n_params
 from .errors import BiasDegenerate, TooFewObservations
 from .fitting import SideFit, fit_side, side_design
 from .model import Common, Fixed, FitSpec, RdSample, Select
@@ -121,12 +122,14 @@ class BiasConstants:
     the top-degree coefficients of the higher-order pilot fit (t0 estimates
     the (p+1)-th derivative of the main regression function over (p+1)!,
     t1 the (s+1)-th derivatives of the covariate coefficient functions over
-    (s+1)!). The contraction combines the channels with the order
-    indicators: the p<=s channel and the p>=s channel both fire at p=s.
+    (s+1)!). Gram, zeta and phi are the main-order quantities at the pilot
+    bandwidth; all three are blocks of pilot_fit.gram. The contraction
+    combines the channels with the order indicators: the p<=s channel and
+    the p>=s channel both fire at p=s.
     """
 
     side: str
-    pilot_b: float
+    pilot_fit: SideFit
     b0: np.ndarray
     b1: np.ndarray
     zeta_route: np.ndarray
@@ -173,8 +176,11 @@ def bias_constants(
     """Estimate the smoothing-bias constants for one side.
 
     A pilot fit of order (p+1, s+1) at the pilot bandwidth supplies the
-    curvature coefficients; the Gram and moment vectors of the main-order
-    basis are evaluated at the same bandwidth.
+    curvature coefficients. The main-order basis is a subset of the pilot
+    basis on the same window, so the main-order Gram and the moment vectors
+    of moment_vectors (zeta at a=p, phi at a=s) are blocks of the pilot
+    Gram: zeta is its u^(p+1) column and phi its W_l u^(s+1) columns,
+    restricted to the main-order rows. No main-order fit is run.
 
     Parameters
     ----------
@@ -184,43 +190,33 @@ def bias_constants(
     Raises
     ------
     SingularGram
-        If the pilot fit or main-order Gram at pilot_b is singular.
+        If the pilot fit at pilot_b is singular (the main-order Gram, a
+        principal block of the pilot Gram, is then no worse conditioned).
     """
     d = sample.d
     if pilot_fit is None:
         pilot_fit = fit_side(sample, side, pilot_b, p + 1, s + 1, kernel)
-    if pilot_fit.p != p + 1 or pilot_fit.s != s + 1:
-        raise ValueError("pilot fit must have orders (p+1, s+1)")
+    if pilot_fit.p != p + 1 or pilot_fit.s != s + 1 or pilot_fit.h != pilot_b:
+        raise ValueError("pilot fit must have orders (p+1, s+1) at pilot_b")
 
-    # top-degree pilot coefficients, unscaled (raw (x-c) powers)
+    # positions in the pilot basis: the main-order basis, the top main
+    # power u^(p+1), and the top covariate powers W_l u^(s+1)
+    cov_start = (p + 2) + (s + 2) * np.arange(d)
+    main = np.concatenate(
+        [np.arange(p + 1)] + [start + np.arange(s + 1) for start in cov_start]
+    )
+    top_cov = cov_start + (s + 1)
+
     t0 = float(pilot_fit.theta[p + 1])
-    t1 = np.array(
-        [
-            pilot_fit.theta[(p + 2) + ell * (s + 2) + (s + 1)]
-            for ell in range(d)
-        ],
-        dtype=float,
-    )
-
-    main_fit_gram = fit_side(sample, side, pilot_b, p, s, kernel).gram
-    # the running-variable channel needs the a=p moment, the covariate
-    # channel the a=s moment; one call covers both when p == s
-    zeta, phi_s = moment_vectors(sample, side, pilot_b, p, s, p, kernel)
-    if s != p:
-        _, phi_s = moment_vectors(sample, side, pilot_b, p, s, s, kernel)
-    zeta_route = np.linalg.solve(main_fit_gram, zeta)
-    phi_route = (
-        np.linalg.solve(main_fit_gram, phi_s)
-        if d > 0
-        else np.zeros((n_params(p, s, d), 0))
-    )
-    b0 = zeta_route * t0
-    b1 = phi_route @ t1 if d > 0 else np.zeros_like(zeta_route)
+    t1 = pilot_fit.theta[top_cov]
+    gram = pilot_fit.gram[np.ix_(main, main)]
+    zeta_route = np.linalg.solve(gram, pilot_fit.gram[main, p + 1])
+    phi_route = np.linalg.solve(gram, pilot_fit.gram[np.ix_(main, top_cov)])
     return BiasConstants(
         side=side,
-        pilot_b=float(pilot_b),
-        b0=b0,
-        b1=b1,
+        pilot_fit=pilot_fit,
+        b0=zeta_route * t0,
+        b1=phi_route @ t1,
         zeta_route=zeta_route,
         phi_route=phi_route,
         t0=t0,
@@ -280,9 +276,10 @@ def variance_constants(
 class BandwidthSelection:
     """Outcome of MSE-optimal bandwidth selection.
 
-    Carries the selected bandwidths, the pilot bandwidths and fits they
-    were derived from, the estimated constants, and a degeneracy flag set
-    when the bias denominator needed regularization.
+    Carries the selected bandwidths, the pilot bandwidths they were derived
+    from, the estimated constants (whose bias constants hold the pilot
+    fits), and a degeneracy flag set when the bias denominator needed
+    regularization.
     """
 
     mode: str
@@ -295,8 +292,6 @@ class BandwidthSelection:
     b_left: float
     b_right: float
     bias_degenerate: bool
-    pilot_fit_left: SideFit
-    pilot_fit_right: SideFit
     bias_const_left: BiasConstants
     bias_const_right: BiasConstants
 
@@ -354,14 +349,11 @@ def mse_bandwidth(
     n = sample.n
     q = min(p, s)
     sides = ("left", "right")
-    pilots, pfits, bconsts, vconsts = {}, {}, {}, {}
+    pilots, bconsts, vconsts = {}, {}, {}
     for side in sides:
         b = pilot_bandwidth(sample, side, p, s)
         pilots[side] = b
-        pfits[side] = fit_side(sample, side, b, p + 1, s + 1, kernel)
-        bconsts[side] = bias_constants(
-            sample, side, p, s, nu, kernel, b, pilot_fit=pfits[side]
-        )
+        bconsts[side] = bias_constants(sample, side, p, s, nu, kernel, b)
         vconsts[side] = variance_constants(
             sample, side, b, p, s, nu, kernel, spec.vce
         )
@@ -420,8 +412,6 @@ def mse_bandwidth(
         b_left=b_val["left"],
         b_right=b_val["right"],
         bias_degenerate=degen,
-        pilot_fit_left=pfits["left"],
-        pilot_fit_right=pfits["right"],
         bias_const_left=bconsts["left"],
         bias_const_right=bconsts["right"],
     )

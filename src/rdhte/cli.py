@@ -29,6 +29,7 @@ from .model import (
     FitSpec,
     Select,
     expand_covariates,
+    is_binary,
     validate_sample,
 )
 from .render import render_csv, render_json, render_table
@@ -224,7 +225,8 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
     ------
     MissingColumn
     InputError
-        If the file has no header row.
+        If the file has no header row, or a requested column appears more
+        than once in it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -238,6 +240,11 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
         for name in columns:
             if name not in index:
                 raise MissingColumn(name)
+            if header.count(name) > 1:
+                raise InputError(
+                    f"{path}: column {name!r} appears more than once in "
+                    "the header"
+                )
         out: dict[str, list[str]] = {name: [] for name in columns}
         want = [(name, index[name]) for name in columns]
         for row_no, row in enumerate(reader, start=1):
@@ -275,11 +282,7 @@ def build_result(config: RunConfig):
             except ParseError:
                 spec = ColumnSpec(name, "categorical")
             else:
-                kind = (
-                    "binary"
-                    if np.isin(np.unique(vals), (0.0, 1.0)).all()
-                    else "continuous"
-                )
+                kind = "binary" if is_binary(vals) else "continuous"
                 spec = ColumnSpec(name, kind)
         col_specs.append(spec)
     expand_raw = {}

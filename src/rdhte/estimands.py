@@ -18,6 +18,7 @@ import numpy as np
 from .bandwidth import (
     BandwidthSelection,
     BiasConstants,
+    bias_constants,
     mse_bandwidth,
     pilot_bandwidth,
 )
@@ -25,7 +26,7 @@ from .basis import extractor_vector
 from .errors import DimensionMismatch
 from .fitting import SideFit, fit_side
 from .inference import ci_pvalue, coef_variance, rbc_variance
-from .model import FitSpec, RdSample, Select
+from .model import FitSpec, RdSample, Select, is_binary
 
 __all__ = [
     "Selector",
@@ -123,15 +124,14 @@ class HteResult:
 
     varsigma stacks the baseline jump and the covariate-coefficient jumps
     at the requested derivative order; records hold the default report set
-    plus any requested evaluation points.
+    plus any requested evaluation points. The pilot fits are those of the
+    bias constants.
     """
 
     sample: RdSample
     spec: FitSpec
     left: SideFit
     right: SideFit
-    pilot_left: SideFit
-    pilot_right: SideFit
     bias_left: BiasConstants
     bias_right: BiasConstants
     selection: Optional[BandwidthSelection]
@@ -139,6 +139,14 @@ class HteResult:
     records: tuple[EstimandRecord, ...] = field(default_factory=tuple)
     labels: tuple[str, ...] = ()
     kinds: tuple[str, ...] = ()
+
+    @property
+    def pilot_left(self) -> SideFit:
+        return self.bias_left.pilot_fit
+
+    @property
+    def pilot_right(self) -> SideFit:
+        return self.bias_right.pilot_fit
 
     @property
     def h_left(self) -> float:
@@ -161,13 +169,10 @@ class HteResult:
 
 
 def _infer_kinds(w: np.ndarray) -> tuple[str, ...]:
-    kinds = []
-    for ell in range(w.shape[1]):
-        vals = np.unique(w[:, ell])
-        kinds.append(
-            "indicator" if np.all(np.isin(vals, (0.0, 1.0))) else "continuous"
-        )
-    return tuple(kinds)
+    return tuple(
+        "indicator" if is_binary(w[:, ell]) else "continuous"
+        for ell in range(w.shape[1])
+    )
 
 
 def _make_record(
@@ -175,8 +180,6 @@ def _make_record(
     spec: FitSpec,
     left: SideFit,
     right: SideFit,
-    pilot_left: SideFit,
-    pilot_right: SideFit,
     bias_left: BiasConstants,
     bias_right: BiasConstants,
     label: str,
@@ -200,8 +203,8 @@ def _make_record(
         sample,
         left,
         right,
-        pilot_left,
-        pilot_right,
+        bias_left.pilot_fit,
+        bias_right.pilot_fit,
         bias_left,
         bias_right,
         evec,
@@ -316,29 +319,16 @@ def fit_hte(
     if isinstance(spec.bandwidth, Select):
         selection = mse_bandwidth(sample, spec)
         h_left, h_right = selection.h_left, selection.h_right
-        pilot_left = selection.pilot_fit_left
-        pilot_right = selection.pilot_fit_right
         bias_left = selection.bias_const_left
         bias_right = selection.bias_const_right
     else:
         h_left, h_right = spec.resolved_bandwidths()
-        pilot_left = fit_side(
-            sample, "left", pilot_bandwidth(sample, "left", p, s),
-            p + 1, s + 1, kernel,
-        )
-        pilot_right = fit_side(
-            sample, "right", pilot_bandwidth(sample, "right", p, s),
-            p + 1, s + 1, kernel,
-        )
-        from .bandwidth import bias_constants
-
-        bias_left = bias_constants(
-            sample, "left", p, s, nu, kernel, pilot_left.h,
-            pilot_fit=pilot_left,
-        )
-        bias_right = bias_constants(
-            sample, "right", p, s, nu, kernel, pilot_right.h,
-            pilot_fit=pilot_right,
+        bias_left, bias_right = (
+            bias_constants(
+                sample, side, p, s, nu, kernel,
+                pilot_bandwidth(sample, side, p, s),
+            )
+            for side in ("left", "right")
         )
 
     left = fit_side(sample, "left", h_left, p, s, kernel)
@@ -365,8 +355,8 @@ def fit_hte(
 
     records = tuple(
         _make_record(
-            sample, spec, left, right, pilot_left, pilot_right,
-            bias_left, bias_right, label, lead, w, nu, extrap,
+            sample, spec, left, right, bias_left, bias_right,
+            label, lead, w, nu, extrap,
         )
         for label, lead, w, extrap in plan
     )
@@ -375,8 +365,6 @@ def fit_hte(
         spec=spec,
         left=left,
         right=right,
-        pilot_left=pilot_left,
-        pilot_right=pilot_right,
         bias_left=bias_left,
         bias_right=bias_right,
         selection=selection,
@@ -407,8 +395,6 @@ def cate_at(result: HteResult, w) -> EstimandRecord:
         result.spec,
         result.left,
         result.right,
-        result.pilot_left,
-        result.pilot_right,
         result.bias_left,
         result.bias_right,
         f"CATE at w=({pretty})",
@@ -438,8 +424,6 @@ def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
         result.spec,
         result.left,
         result.right,
-        result.pilot_left,
-        result.pilot_right,
         result.bias_left,
         result.bias_right,
         selector.label,

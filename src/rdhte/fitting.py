@@ -7,9 +7,13 @@ Conventions shared by every formula downstream:
     score= (1/(n h)) sum_i 1(side) K(u_i) r(u_i, W_i) y_i
 
 with n the TOTAL sample size (both sides), so constants match across the
-bias, variance, and bandwidth formulas. Coefficients are solved from an
-orthogonal decomposition of the square-root-weighted design, never by
-inverting the Gram; the Gram is still materialized for sandwich formulas.
+bias, variance, and bandwidth formulas. Each side fit factors the
+square-root-weighted design sqrt(K(u_i)/(n h)) r(u_i, W_i) once by a thin
+QR, A = QR. That one factorization gives the coefficients R^-1 Q' sqrt(w) y,
+the Gram's reciprocal condition number (sigma_min/sigma_max of R, squared),
+and the leverages as the squared row norms of Q. The Gram itself is summed
+directly, never inverted, so the Gram of a sub-basis on the same window is
+an exact block of it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .basis import design_rows, n_params, scaling_diag
+from .basis import design_rows, scaling_diag
 from .errors import SingularGram
 from .kernels import kernel_eval
 from .model import RdSample
@@ -46,7 +51,8 @@ class SideFit:
     h : float
         Bandwidth used.
     gram : ndarray (k, k)
-        Scaled Gram matrix (see module docstring).
+        Scaled Gram matrix (see module docstring); equal to R'R for the
+        thin QR factor R of the square-root-weighted design.
     score : ndarray (k,)
         Scaled score vector.
     theta : ndarray (k,)
@@ -58,7 +64,8 @@ class SideFit:
     residuals : ndarray (m,)
         In-window residuals y_i - r(x_i - c, W_i)' theta.
     leverages : ndarray (m,)
-        Diagonal of the weighted projection matrix for in-window rows.
+        Diagonal of the weighted projection matrix for in-window rows: the
+        squared row norms of the QR factor Q.
     eff_n : int
         Number of observations with positive kernel weight.
     idx : ndarray (m,)
@@ -163,41 +170,39 @@ def fit_side(
     Raises
     ------
     SingularGram
-        If the Gram's reciprocal condition estimate falls below 1e-12
-        (too few effective observations or collinear covariates within
-        the window).
+        If the window holds fewer observations than coefficients, or the
+        Gram's reciprocal condition number falls below 1e-12 (collinear
+        covariates within the window).
     """
     rows, weights, idx = side_design(sample, side, h, p, s, kernel)
     n = sample.n
+    if idx.size < rows.shape[1]:
+        raise SingularGram(side, 0.0)
     kv = weights * h  # K(u_i) without the 1/h
     u = (sample.x[idx] - sample.cutoff) / h
 
-    k_dim = n_params(p, s, sample.d)
-    gram = (rows * (kv / (n * h))[:, None]).T @ rows
-    score = rows.T @ (kv / (n * h) * sample.y[idx])
-
-    sv = np.linalg.svd(gram, compute_uv=False) if k_dim else np.array([1.0])
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    wts = kv / (n * h)
+    sqw = np.sqrt(wts)
+    q, r = scipy.linalg.qr(rows * sqw[:, None], mode="economic")
+    sv = np.linalg.svd(r, compute_uv=False)
+    rcond = float(sv[-1] / sv[0]) ** 2 if sv[0] > 0 else 0.0
     if rcond < RCOND_MIN:
         raise SingularGram(side, rcond)
 
-    sqw = np.sqrt(kv)
-    beta, *_ = np.linalg.lstsq(rows * sqw[:, None], sample.y[idx] * sqw, rcond=None)
-
+    qty = q.T @ (sqw * sample.y[idx])
+    beta = scipy.linalg.solve_triangular(r, qty)
     theta = beta / scaling_diag(h, p, s, sample.d)
     resid = sample.y[idx] - rows @ beta
-    ginv_rt = np.linalg.solve(gram, rows.T)
-    leverages = np.einsum("ij,ji->i", rows, ginv_rt) * kv / (n * h)
 
     return SideFit(
         side=side,
         h=float(h),
-        gram=gram,
-        score=score,
+        gram=(rows * wts[:, None]).T @ rows,
+        score=rows.T @ (wts * sample.y[idx]),
         theta=theta,
         theta_norm=beta,
         residuals=resid,
-        leverages=leverages,
+        leverages=np.einsum("ij,ij->i", q, q),
         eff_n=int(idx.size),
         idx=idx,
         u=u,

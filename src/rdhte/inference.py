@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .bandwidth import BiasConstants
 from .basis import design_rows, scaling_diag
@@ -49,27 +49,28 @@ def hc_weights(kind: str, fit: SideFit) -> np.ndarray:
     """Per-observation heteroskedasticity weights for one side's window.
 
     HC0: 1. HC1: the scalar N/(N - 2 tr(Q) + tr(QQ)) with N the effective
-    (kernel-positive) count and Q the weighted projection matrix. HC2:
-    1/(1 - L_i). HC3: 1/(1 - L_i)^2.
+    (kernel-positive) count and Q the weighted projection matrix; Q is
+    idempotent with trace k, the number of coefficients, so this is
+    N/(N - k) and no N x N matrix is formed. HC2: 1/(1 - L_i). HC3:
+    1/(1 - L_i)^2.
 
     Raises
     ------
     LeverageOne
-        For HC2/HC3 when some leverage reaches 1 (exact-fit observation).
+        For HC2/HC3 when some leverage reaches 1 (exact-fit observation),
+        and for HC1 when the window holds no more observations than
+        coefficients (every leverage is then 1).
     """
     m = fit.eff_n
     if kind == "hc0":
         return np.ones(m)
     if kind == "hc1":
-        tr_q = float(np.sum(fit.leverages))
-        q_full = (
-            fit.design
-            @ fit.solve_gram(fit.design.T)
-            * fit.kvals[None, :]
-            / (fit.n_total * fit.h)
-        )
-        tr_qq = float(np.sum(q_full * q_full.T))
-        return np.full(m, m / (m - 2.0 * tr_q + tr_qq))
+        if m <= fit.n_coef:
+            raise LeverageOne(
+                f"{fit.side} side has no residual degrees of freedom; "
+                "HC1 undefined"
+            )
+        return np.full(m, m / (m - fit.n_coef))
     if kind in ("hc2", "hc3"):
         lev = fit.leverages
         if np.any(lev >= 1.0 - LEVERAGE_TOL):
@@ -111,22 +112,44 @@ def cluster_meat(fit: SideFit, cluster: Optional[np.ndarray]):
         If cluster labels are missing or the side's window holds
         observations from fewer than 2 distinct clusters.
     """
-    if cluster is None:
-        raise TooFewClusters("cluster variance requested without labels")
-    g_total = int(np.unique(cluster).size)
-    labels = cluster[fit.idx]
-    uniq = np.unique(labels)
-    if uniq.size < 2:
-        raise TooFewClusters(
-            f"{fit.side} side window has {uniq.size} cluster(s); need >= 2"
-        )
     scores = fit.design * (fit.kvals * fit.residuals)[:, None]
-    k_dim = scores.shape[1]
-    codes = np.searchsorted(uniq, labels)
-    sums = np.zeros((uniq.size, k_dim))
-    np.add.at(sums, codes, scores)
+    sums = _cluster_sums(fit.side, cluster, fit.idx, scores)
+    g_total = int(np.unique(cluster).size)
     meat = sums.T @ sums / (g_total * fit.h)
     return meat, g_total
+
+
+def _cluster_sums(
+    side: str,
+    cluster: Optional[np.ndarray],
+    idx: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Sums of values over the clusters of the window rows idx.
+
+    Clusters are ordered by first appearance in the window, which depends
+    only on the row order and not on how the labels were coded, so integer
+    and text cluster ids give bit-identical sums.
+
+    Raises
+    ------
+    TooFewClusters
+        If labels are missing or the window spans fewer than 2 clusters.
+    """
+    if cluster is None:
+        raise TooFewClusters("cluster variance requested without labels")
+    uniq, first, codes = np.unique(
+        cluster[idx], return_index=True, return_inverse=True
+    )
+    if uniq.size < 2:
+        raise TooFewClusters(
+            f"{side} side window has {uniq.size} cluster(s); need >= 2"
+        )
+    rank = np.empty(uniq.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(uniq.size)
+    sums = np.zeros((uniq.size,) + values.shape[1:])
+    np.add.at(sums, rank[codes], values)
+    return sums
 
 
 def _df_factor(fit: SideFit) -> float:
@@ -304,20 +327,7 @@ def rbc_variance(
             sample, fit, pilot, bias, extractor, nu
         )
         if vce == "cluster":
-            if cluster is None:
-                raise TooFewClusters(
-                    "cluster variance requested without labels"
-                )
-            labels = cluster[union]
-            uniq = np.unique(labels)
-            if uniq.size < 2:
-                raise TooFewClusters(
-                    f"{fit.side} side window has {uniq.size} cluster(s); "
-                    "need >= 2"
-                )
-            codes = np.searchsorted(uniq, labels)
-            sums = np.zeros(uniq.size)
-            np.add.at(sums, codes, omega * resid)
+            sums = _cluster_sums(fit.side, cluster, union, omega * resid)
             total += _df_factor(fit) * float(np.sum(sums**2))
         else:
             w = _pilot_hc_weights(vce, pilot, lev)
@@ -341,9 +351,9 @@ def ci_pvalue(rbc_point_val: float, rbc_se: float, level: float):
     if rbc_se == 0.0:
         p_val = 0.0 if rbc_point_val != 0.0 else 1.0
         return rbc_point_val, rbc_point_val, float("inf") if rbc_point_val else 0.0, p_val, True
-    crit = float(norm.ppf(1.0 - (1.0 - level) / 2.0))
+    crit = float(ndtri(1.0 - (1.0 - level) / 2.0))
     z = rbc_point_val / rbc_se
-    p_val = 2.0 * float(norm.sf(abs(z)))
+    p_val = 2.0 * float(ndtr(-abs(z)))
     return (
         rbc_point_val - crit * rbc_se,
         rbc_point_val + crit * rbc_se,

@@ -80,6 +80,11 @@ class RdSample:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def is_binary(values) -> bool:
+    """True iff every value is 0 or 1."""
+    return bool(np.isin(np.unique(values), (0.0, 1.0)).all())
+
+
 def _check_finite(name: str, arr: np.ndarray) -> None:
     bad = ~np.isfinite(arr)
     if bad.any():

@@ -13,7 +13,7 @@ import io
 import json
 
 from .estimands import EstimandRecord, HteResult
-from .model import Common, Fixed, Select
+from .model import Select
 
 __all__ = [
     "SCHEMA",
@@ -28,11 +28,7 @@ SCHEMA = "rdhte/1"
 
 def _bandwidth_mode(result: HteResult) -> str:
     bw = result.spec.bandwidth
-    if isinstance(bw, Select):
-        return bw.mode
-    if isinstance(bw, (Fixed, Common)):
-        return "fixed"
-    return "fixed"
+    return bw.mode if isinstance(bw, Select) else "fixed"
 
 
 def _record_dict(rec: EstimandRecord) -> dict:

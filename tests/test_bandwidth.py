@@ -302,3 +302,35 @@ def test_one_sided_mode():
     sel = mse_bandwidth(sample, FitSpec(), mode="one_sided")
     assert sel.mode == "one_sided"
     assert sel.h_left > 0 and sel.h_right > 0
+
+
+@pytest.mark.parametrize("p,s", [(1, 1), (2, 1), (1, 2)])
+def test_bias_constants_read_main_order_blocks_of_pilot_gram(p, s):
+    sample = random_instance(31, n=400, d=2)
+    cov = (p + 2) + (s + 2) * np.arange(sample.d)
+    sub = np.concatenate(
+        [np.arange(p + 1)] + [c + np.arange(s + 1) for c in cov]
+    )
+    for side in ("left", "right"):
+        b = pilot_bandwidth(sample, side, p, s)
+        bc = bias_constants(sample, side, p, s, 0, "triangular", b)
+        main = fit_side(sample, side, b, p, s, "triangular")
+        pilot_gram = bc.pilot_fit.gram
+        np.testing.assert_array_equal(pilot_gram[np.ix_(sub, sub)], main.gram)
+
+        zeta, _ = moment_vectors(sample, side, b, p, s, p, "triangular")
+        _, phi = moment_vectors(sample, side, b, p, s, s, "triangular")
+        zeta_blk = pilot_gram[sub, p + 1]
+        phi_blk = pilot_gram[np.ix_(sub, cov + s + 1)]
+        np.testing.assert_allclose(
+            zeta_blk, zeta, rtol=0, atol=1e-13 * np.abs(zeta).max()
+        )
+        np.testing.assert_allclose(
+            phi_blk, phi, rtol=0, atol=1e-13 * np.abs(phi).max()
+        )
+        np.testing.assert_array_equal(
+            bc.zeta_route, np.linalg.solve(main.gram, zeta_blk)
+        )
+        np.testing.assert_array_equal(
+            bc.phi_route, np.linalg.solve(main.gram, phi_blk)
+        )

@@ -19,7 +19,7 @@ from rdhte.model import (
     Select,
     validate_sample,
 )
-from rdhte.render import render_table
+from rdhte.render import render_json, render_table
 from rdhte.simulate import canonical_preset, gen_sample
 
 BASE = ["--data", "f.csv", "--outcome", "y", "--running", "x", "--cutoff", "0"]
@@ -394,3 +394,40 @@ def test_extrapolated_rows_are_footnoted():
     text = render_table(stub)
     assert "Overall *" in text
     assert text.rstrip().endswith("* outside the observed covariate range")
+
+
+def test_load_csv_duplicate_requested_column(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("y,x,y\n1,0.1,2\n")
+    with pytest.raises(InputError, match="'y'"):
+        load_csv(str(path), ["x", "y"])
+    assert load_csv(str(path), ["x"]) == {"x": ["0.1"]}
+    text, code = run(parse_config(cli_args(path)))
+    assert code == 2
+    assert "'y'" in text
+
+
+def test_cli_json_equals_library_with_integer_cluster_ids(tmp_path):
+    # integer ids sort differently as text ("10" < "2") than as numbers,
+    # so the two routes code the clusters differently
+    path = tmp_path / "d.csv"
+    sample = gen_sample(canonical_preset(), 600, 5)
+    ids = np.arange(sample.n) % 25
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(["y", "x", "w0", "cid"])
+        for i in range(sample.n):
+            wtr.writerow([repr(float(sample.y[i])), repr(float(sample.x[i])),
+                          repr(float(sample.w[i, 0])), int(ids[i])])
+    text, code = run(parse_config(cli_args(
+        path, "--hetero", "w0", "--cluster", "cid", "--vce", "cluster",
+        "--bw", "0.3", "--format", "json",
+    )))
+    assert code == 0
+
+    lib = fit_hte(
+        validate_sample(sample.y, sample.x, 0.0, sample.w, ids),
+        FitSpec(bandwidth=Common(0.3), vce="cluster"),
+        labels=["w0"],
+    )
+    assert text == render_json(lib)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib
+import sys
+
 import numpy as np
 import pytest
 from conftest import random_instance
@@ -15,7 +18,7 @@ from rdhte.estimands import (
     long_map_matrix,
 )
 from rdhte.fitting import fit_side
-from rdhte.model import Common, FitSpec, validate_sample
+from rdhte.model import Common, FitSpec, Select, validate_sample
 from rdhte.simulate import oracle_wls
 
 
@@ -299,3 +302,32 @@ def test_extrapolation_flagged_outside_observed_range():
     assert result.record("CATE at w=(2)").extrapolated
     assert not cate_at(result, [0.25]).extrapolated
     assert cate_at(result, [-0.5]).extrapolated
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap rdhte.<module>.<name> in every rdhte namespace holding it."""
+    original = getattr(importlib.import_module(f"rdhte.{module}"), name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        in_package = modname.split(".")[0] == "rdhte"
+        if in_package and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bandwidth, fits",
+    [(Select(), 6), (Select("one_sided"), 6), (Common(0.5), 4)],
+)
+def test_each_fit_computed_once(monkeypatch, bandwidth, fits):
+    sample = random_instance(41, n=400)
+    side_fits = _count_calls(monkeypatch, "fitting", "fit_side")
+    moments = _count_calls(monkeypatch, "bandwidth", "moment_vectors")
+    fit_hte(sample, FitSpec(bandwidth=bandwidth), at=[(0.5,)])
+    assert len(side_fits) == fits
+    assert moments == []

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_instance
+
+import rdhte
 
 from rdhte.bandwidth import bias_constants, pilot_bandwidth
 from rdhte.basis import design_rows, extractor_vector, scaling_diag
@@ -522,3 +528,25 @@ def test_ci_pvalue_zero_se_conventions():
 def test_ci_pvalue_negative_se_rejected():
     with pytest.raises(ValueError):
         ci_pvalue(0.0, -1.0, 0.95)
+
+
+def test_hc1_rejected_without_residual_degrees_of_freedom():
+    x = np.array([0.5, 1.5, -0.5, -0.7])
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    fit = fit_side(validate_sample(y, x, 0.0), "right", 1.0, 0, 0, "uniform")
+    with pytest.raises(LeverageOne):
+        hc_weights("hc1", fit)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a cold `import rdhte`; the package only
+    # needs the normal cdf and quantile from scipy.special
+    src = Path(rdhte.__file__).resolve().parents[1]
+    code = "import sys, rdhte; print('scipy.stats' in sys.modules)"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
