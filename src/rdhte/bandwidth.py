@@ -148,6 +148,23 @@ class BiasConstants:
             out += float(extractor @ self.b1)
         return out
 
+    def pilot_routes(self) -> np.ndarray:
+        """Matrix (k_pilot, k) with contraction(e) = pilot_fit.theta' routes e.
+
+        Row p+1 (the u^(p+1) coefficient t0) is zeta_route' when the p<=s
+        channel fires; the rows of the W_l u^(s+1) coefficients t1 are
+        phi_route' when the p>=s channel fires; every other row is zero.
+        """
+        p, s, d = self.p, self.s, self.t1.shape[0]
+        routes = np.zeros((self.pilot_fit.n_coef, self.zeta_route.shape[0]))
+        if p <= s:
+            routes[p + 1] = self.zeta_route
+        if p >= s:
+            routes[(p + 2) + (s + 2) * np.arange(d) + (s + 1)] = (
+                self.phi_route.T
+            )
+        return routes
+
     def channel_weights(self, extractor: np.ndarray):
         """Scalars multiplying the pilot coefficients in the contraction.
 
@@ -257,18 +274,17 @@ def variance_constants(
     the main-order fit at h; the result's contraction method evaluates
     extractor' Gram^-1 meat Gram^-1' extractor.
     """
-    from .inference import cluster_meat, hc_weights, meat_matrix
+    from .inference import _sandwich, _side_meat
 
     if fit is None:
         fit = fit_side(sample, side, h, p, s, kernel)
-    if vce == "cluster":
-        meat, _ = cluster_meat(fit, sample.cluster)
-    else:
-        meat = meat_matrix(fit, hc_weights(vce, fit))
-    ginv_meat = np.linalg.solve(fit.gram, meat)
-    bmb = np.linalg.solve(fit.gram, ginv_meat.T).T
+    meat, _ = _side_meat(fit, vce, sample.cluster)
     return VarianceConstants(
-        side=side, h=float(h), meat=meat, gram=fit.gram, bread_meat_bread=bmb
+        side=side,
+        h=float(h),
+        meat=meat,
+        gram=fit.gram,
+        bread_meat_bread=_sandwich(fit.gram, meat),
     )
 
 

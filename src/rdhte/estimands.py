@@ -10,7 +10,7 @@ point estimate, interval, and p-value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .bandwidth import (
 from .basis import extractor_vector
 from .errors import DimensionMismatch
 from .fitting import SideFit, fit_side
-from .inference import ci_pvalue, coef_variance, rbc_variance
+from .inference import SideForms, ci_pvalue, side_forms
 from .model import FitSpec, RdSample, Select, is_binary
 
 __all__ = [
@@ -125,7 +125,9 @@ class HteResult:
     varsigma stacks the baseline jump and the covariate-coefficient jumps
     at the requested derivative order; records hold the default report set
     plus any requested evaluation points. The pilot fits are those of the
-    bias constants.
+    bias constants. forms_left/forms_right hold each side's variance
+    quadratic forms and w_range the observed covariate (min, max), None
+    without covariates; with them every further record costs O(k^2).
     """
 
     sample: RdSample
@@ -134,6 +136,9 @@ class HteResult:
     right: SideFit
     bias_left: BiasConstants
     bias_right: BiasConstants
+    forms_left: SideForms
+    forms_right: SideForms
+    w_range: Optional[tuple[np.ndarray, np.ndarray]]
     selection: Optional[BandwidthSelection]
     varsigma: np.ndarray
     records: tuple[EstimandRecord, ...] = field(default_factory=tuple)
@@ -176,42 +181,25 @@ def _infer_kinds(w: np.ndarray) -> tuple[str, ...]:
 
 
 def _make_record(
-    sample: RdSample,
-    spec: FitSpec,
-    left: SideFit,
-    right: SideFit,
-    bias_left: BiasConstants,
-    bias_right: BiasConstants,
+    result: HteResult,
     label: str,
     lead: float,
     w: np.ndarray,
     nu: int,
     extrapolated: bool,
 ) -> EstimandRecord:
+    spec, left, right = result.spec, result.left, result.right
+    forms = (result.forms_left, result.forms_right)
     p, s = spec.p, spec.s
     evec = extractor_vector(nu, p, s, w, lead=lead)
     point = float(evec @ (right.theta - left.theta))
-    var_est = coef_variance(
-        left, right, evec, nu, spec.vce, sample.cluster
-    )
+    var = sum(side.variance(evec, nu) for side in forms)
     power = 1 + min(p, s) - nu
-    bias_term = right.h**power * bias_right.contraction(
+    bias_term = right.h**power * result.bias_right.contraction(
         evec
-    ) - left.h**power * bias_left.contraction(evec)
+    ) - left.h**power * result.bias_left.contraction(evec)
     rbc = point - bias_term
-    rbc_var = rbc_variance(
-        sample,
-        left,
-        right,
-        bias_left.pilot_fit,
-        bias_right.pilot_fit,
-        bias_left,
-        bias_right,
-        evec,
-        nu,
-        spec.vce,
-        sample.cluster,
-    )
+    rbc_var = sum(side.rbc_variance(evec, nu) for side in forms)
     rbc_se = float(np.sqrt(max(rbc_var, 0.0)))
     lo, hi, z, p_val, zero = ci_pvalue(rbc, rbc_se, spec.level)
     return EstimandRecord(
@@ -220,8 +208,8 @@ def _make_record(
         w=tuple(float(v) for v in np.atleast_1d(w)),
         nu=nu,
         point=point,
-        se=var_est.se,
-        variance=var_est.variance,
+        se=float(np.sqrt(max(var, 0.0))),
+        variance=var,
         bias_estimate=bias_term,
         rbc_point=rbc,
         rbc_se=rbc_se,
@@ -256,11 +244,22 @@ def _default_plan(d, nu, labels, kinds):
     return plan
 
 
-def _is_extrapolated(sample: RdSample, w: np.ndarray) -> bool:
+def _observed_range(sample: RdSample):
     if sample.d == 0 or sample.w.shape[0] == 0:
+        return None
+    # column by column: numpy's axis-0 reduction over a few columns is
+    # several times slower than one pass per column
+    cols = sample.w.T
+    return (
+        np.array([col.min() for col in cols]),
+        np.array([col.max() for col in cols]),
+    )
+
+
+def _is_extrapolated(w_range, w: np.ndarray) -> bool:
+    if w_range is None:
         return False
-    lo = sample.w.min(axis=0)
-    hi = sample.w.max(axis=0)
+    lo, hi = w_range
     return bool(np.any(w < lo) or np.any(w > hi))
 
 
@@ -298,9 +297,10 @@ def fit_hte(
 
     Raises
     ------
-    TooFewObservations, SingularGram, BiasDegenerate, DimensionMismatch
+    TooFewObservations, SingularGram, BiasDegenerate, DimensionMismatch,
+    LeverageOne, TooFewClusters
     """
-    p, s, nu, kernel = spec.p, spec.s, spec.nu, spec.kernel
+    p, s, nu, kernel, vce = spec.p, spec.s, spec.nu, spec.kernel, spec.vce
     d = sample.d
     if labels is None:
         labels = tuple(f"w{ell + 1}" for ell in range(d))
@@ -337,6 +337,7 @@ def fit_hte(
     stacked = np.concatenate([left.theta, right.theta])
     varsigma = long_map_matrix(p, s, d, nu) @ stacked
 
+    w_range = _observed_range(sample)
     plan = [
         (label, lead, w, False)
         for label, lead, w in _default_plan(d, nu, labels, kinds)
@@ -350,29 +351,30 @@ def fit_hte(
         pretty = ", ".join(f"{v:g}" for v in w_arr)
         plan.append(
             (f"CATE at w=({pretty})", 1.0, w_arr,
-             _is_extrapolated(sample, w_arr))
+             _is_extrapolated(w_range, w_arr))
         )
 
-    records = tuple(
-        _make_record(
-            sample, spec, left, right, bias_left, bias_right,
-            label, lead, w, nu, extrap,
-        )
-        for label, lead, w, extrap in plan
-    )
-    return HteResult(
+    result = HteResult(
         sample=sample,
         spec=spec,
         left=left,
         right=right,
         bias_left=bias_left,
         bias_right=bias_right,
+        forms_left=side_forms(sample, left, bias_left, vce, sample.cluster),
+        forms_right=side_forms(sample, right, bias_right, vce, sample.cluster),
+        w_range=w_range,
         selection=selection,
         varsigma=varsigma,
-        records=records,
         labels=labels,
         kinds=kinds,
     )
+
+    records = tuple(
+        _make_record(result, label, lead, w, nu, extrap)
+        for label, lead, w, extrap in plan
+    )
+    return replace(result, records=records)
 
 
 def cate_at(result: HteResult, w) -> EstimandRecord:
@@ -380,8 +382,9 @@ def cate_at(result: HteResult, w) -> EstimandRecord:
 
     The point estimate is the baseline jump plus the coefficient jumps
     contracted with w; variance, bias correction, and interval come from
-    the stored fits. Points outside the observed covariate range are
-    flagged as extrapolated.
+    the fits and variance forms stored on the result, so a call costs
+    O(k^2) whatever the sample size. Points outside the observed covariate
+    range are flagged as extrapolated.
     """
     d = result.sample.d
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
@@ -391,17 +394,12 @@ def cate_at(result: HteResult, w) -> EstimandRecord:
         )
     pretty = ", ".join(f"{v:g}" for v in w_arr)
     return _make_record(
-        result.sample,
-        result.spec,
-        result.left,
-        result.right,
-        result.bias_left,
-        result.bias_right,
+        result,
         f"CATE at w=({pretty})",
         1.0,
         w_arr,
         result.spec.nu,
-        _is_extrapolated(result.sample, w_arr),
+        _is_extrapolated(result.w_range, w_arr),
     )
 
 
@@ -420,15 +418,5 @@ def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
         )
     nu = result.spec.nu if selector.nu is None else int(selector.nu)
     return _make_record(
-        result.sample,
-        result.spec,
-        result.left,
-        result.right,
-        result.bias_left,
-        result.bias_right,
-        selector.label,
-        float(vec[0]),
-        vec[1:].copy(),
-        nu,
-        False,
+        result, selector.label, float(vec[0]), vec[1:].copy(), nu, False
     )

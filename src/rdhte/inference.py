@@ -8,16 +8,30 @@ matching the first-order variance of the kernel-weighted score (the score
 itself carries one kernel factor, so its variance carries two) and making
 the all-singleton cluster meat coincide with the HC0 meat exactly.
 
-The bias-corrected variance writes the corrected contrast as one linear
-functional of the outcome vector per side (main-fit influence minus the
-bandwidth-power-scaled pilot-coefficient influence composed through the
-bias-constant formula) and applies the selected weighting to the combined
-influence, with residuals and leverages taken from the higher-order pilot
-fit.
+Every estimand is a linear functional e'theta of the side fits, and each
+side's estimate of it, plain or bias-corrected, is linear in the
+outcomes: sum_i omega_i y_i with weights omega_i that are linear in e.
+A sandwich variance sums the squares of omega_i u_hat_i (of their
+within-cluster sums for cluster variance), so e enters it only through a
+quadratic form e' Sigma e whose matrix does not depend on e. Each side's
+variances are therefore two small matrices, built once per fit:
+
+    plug-in  P = f Gram^-1 V Gram^-1    (k x k)
+    RBC      R = A' D A                 (2k x 2k)
+
+with f the cluster degrees-of-freedom factor (1 for HC kinds). Row i of A
+holds observation i's influence on theta and, through the higher-order
+pilot fit's top coefficients, on the bias contraction; D weights squared
+pilot-surface residuals by the selected HC weights of the pilot
+leverages (cluster: the rows of A are summed within clusters instead).
+The bias-corrected contrast e'theta - h^(1+q-nu) bias(e) then has
+variance e~' R e~ with e~ = [e; -h^(1+q-nu) e], so one R serves every
+derivative order nu, and each estimand costs O(k^2) once the forms exist.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,10 +45,14 @@ from .fitting import SideFit
 from .model import RdSample
 
 __all__ = [
+    "SideForms",
     "VarianceEstimate",
     "hc_weights",
     "meat_matrix",
     "cluster_meat",
+    "plugin_form",
+    "rbc_form",
+    "side_forms",
     "coef_variance",
     "rbc_point",
     "rbc_variance",
@@ -157,6 +175,176 @@ def _df_factor(fit: SideFit) -> float:
     return fit.n_total / (fit.n_total - fit.p - 1 - fit.d)
 
 
+def _side_meat(fit: SideFit, vce: str, cluster: Optional[np.ndarray]):
+    """Meat matrix of one side for the variance kind vce.
+
+    Returns (meat, G) with G the cluster count for vce "cluster", else None.
+    """
+    if vce == "cluster":
+        return cluster_meat(fit, cluster)
+    return meat_matrix(fit, hc_weights(vce, fit)), None
+
+
+def _sandwich(gram: np.ndarray, meat: np.ndarray) -> np.ndarray:
+    """Gram^-1 meat Gram^-1, by two solves against the Gram."""
+    return np.linalg.solve(gram, np.linalg.solve(gram, meat).T).T
+
+
+def plugin_form(
+    fit: SideFit, vce: str, cluster: Optional[np.ndarray] = None
+):
+    """Plug-in quadratic form of one side.
+
+    Returns (P, G): the k x k matrix P = f Gram^-1 meat Gram^-1, with f the
+    cluster degrees-of-freedom factor for vce "cluster" and 1 otherwise,
+    and the cluster count G (None unless clustered). The side's plug-in
+    contraction of an extractor e is e' P e.
+    """
+    meat, g = _side_meat(fit, vce, cluster)
+    factor = _df_factor(fit) if vce == "cluster" else 1.0
+    return factor * _sandwich(fit.gram, meat), g
+
+
+def _pilot_hc_weights(kind: str, pilot: SideFit, lev: np.ndarray) -> np.ndarray:
+    if kind == "hc0":
+        return np.ones_like(lev)
+    if kind == "hc1":
+        return np.full_like(lev, float(hc_weights("hc1", pilot)[0]))
+    if np.any(lev >= 1.0 - LEVERAGE_TOL):
+        raise LeverageOne(
+            f"{pilot.side} side pilot fit has leverage at 1; "
+            "HC2/HC3 undefined"
+        )
+    base = 1.0 / (1.0 - lev)
+    return base if kind == "hc2" else base**2
+
+
+def rbc_form(
+    sample: RdSample,
+    fit: SideFit,
+    pilot: SideFit,
+    bias: BiasConstants,
+    vce: str,
+    cluster: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Bias-corrected quadratic form of one side.
+
+    Returns the 2k x 2k matrix R = A' D A. Row i of A holds, for the i-th
+    observation of the larger of the main and pilot windows, the
+    main-fit influence on theta (first k columns) and the influence on the
+    bias contraction through the pilot fit's top coefficients (last k
+    columns); D holds the squared pilot-surface residuals times the HC
+    weights of the pilot leverages. For vce "cluster" the rows of A, scaled
+    by the residuals, are summed within clusters before the product and R
+    carries the degrees-of-freedom factor. The side's bias-corrected
+    variance of an extractor e at derivative order nu is e~' R e~ with
+    e~ = [e; -h^(1+q-nu) e].
+
+    Raises
+    ------
+    LeverageOne, TooFewClusters
+        As the pilot-fit weighting or the cluster aggregation require.
+    ValueError
+        If the main and pilot windows do not nest.
+    """
+    p, s, d, k = fit.p, fit.s, fit.d, fit.n_coef
+    n, h, b = fit.n_total, fit.h, pilot.h
+
+    # |x - c|/h is monotone in h and every kernel's support is a threshold
+    # on it, so the smaller window is a subset of the larger one
+    pilot_larger = pilot.idx.size >= fit.idx.size
+    outer, inner = (pilot, fit) if pilot_larger else (fit, pilot)
+    rows = outer.idx
+    pos = np.searchsorted(rows, inner.idx)
+    if not np.array_equal(np.take(rows, pos, mode="clip"), inner.idx):
+        raise ValueError("main and pilot windows do not nest")
+
+    # pilot-surface residuals and pilot leverages on every row
+    if outer is pilot:
+        resid, lev = pilot.residuals, pilot.leverages
+    else:
+        u_b = (sample.x[rows] - sample.cutoff) / b
+        rows_b = design_rows(u_b, sample.w[rows], p + 1, s + 1)
+        resid = sample.y[rows] - rows_b @ pilot.theta_norm
+        del rows_b  # m x k_pilot; not needed while A is built
+        lev = np.zeros(rows.size)
+        lev[pos] = pilot.leverages
+
+    # a design row's influence on a fit's theta = S^-1 theta_norm is
+    # row' Gram^-1 S^-1; the bias reads the pilot's theta through the routes
+    main_route = fit.solve_gram(np.diag(1.0 / scaling_diag(h, p, s, d)))
+    pilot_unscale = 1.0 / scaling_diag(b, p + 1, s + 1, d)[:, None]
+    pilot_route = pilot.solve_gram(pilot_unscale * bias.pilot_routes())
+
+    a = np.zeros((rows.size, 2 * k))
+    for cols, src, route, bw in (
+        (a[:, :k], fit, main_route, h),
+        (a[:, k:], pilot, pilot_route, b),
+    ):
+        weight = (src.kvals / (n * bw))[:, None]
+        if src is outer:
+            np.matmul(src.design, route, out=cols)
+            cols *= weight
+        else:
+            cols[pos] = (src.design @ route) * weight
+
+    if vce == "cluster":
+        a *= resid[:, None]
+        sums = _cluster_sums(fit.side, cluster, rows, a)
+        return _df_factor(fit) * (sums.T @ sums)
+    a *= (np.sqrt(_pilot_hc_weights(vce, pilot, lev)) * resid)[:, None]
+    return a.T @ a
+
+
+def _rbc_extractor(extractor: np.ndarray, h: float, q: int, nu: int):
+    """[e; -h^(1+q-nu) e], the bias-corrected form's extractor."""
+    return np.concatenate([extractor, -(h ** (1 + q - nu)) * extractor])
+
+
+@dataclass(frozen=True)
+class SideForms:
+    """One side's plug-in and bias-corrected variance quadratic forms.
+
+    plugin is plugin_form's k x k matrix and rbc is rbc_form's 2k x 2k
+    matrix; h, n_total and q = min(p, s) turn their contractions into the
+    side's variances at any derivative order nu.
+    """
+
+    plugin: np.ndarray
+    rbc: np.ndarray
+    h: float
+    n_total: int
+    q: int
+
+    def variance(self, extractor: np.ndarray, nu: int) -> float:
+        """Plug-in variance of the side's extractor'theta."""
+        return float(extractor @ self.plugin @ extractor) / (
+            self.n_total * self.h ** (2 * nu + 1)
+        )
+
+    def rbc_variance(self, extractor: np.ndarray, nu: int) -> float:
+        """Variance of the side's bias-corrected extractor'theta."""
+        ext = _rbc_extractor(extractor, self.h, self.q, nu)
+        return float(ext @ self.rbc @ ext)
+
+
+def side_forms(
+    sample: RdSample,
+    fit: SideFit,
+    bias: BiasConstants,
+    vce: str,
+    cluster: Optional[np.ndarray] = None,
+) -> SideForms:
+    """Both quadratic forms of one side, with bias.pilot_fit as the pilot."""
+    return SideForms(
+        plugin=plugin_form(fit, vce, cluster)[0],
+        rbc=rbc_form(sample, fit, bias.pilot_fit, bias, vce, cluster),
+        h=fit.h,
+        n_total=fit.n_total,
+        q=min(fit.p, fit.s),
+    )
+
+
 @dataclass(frozen=True)
 class VarianceEstimate:
     """Variance of a selector contrast of the two side fits."""
@@ -169,22 +357,6 @@ class VarianceEstimate:
     n_clusters: Optional[int] = None
 
 
-def _side_contraction(
-    fit: SideFit,
-    extractor: np.ndarray,
-    vce: str,
-    cluster: Optional[np.ndarray],
-):
-    if vce == "cluster":
-        meat, g = cluster_meat(fit, cluster)
-        factor = _df_factor(fit)
-    else:
-        meat = meat_matrix(fit, hc_weights(vce, fit))
-        g, factor = None, 1.0
-    bread_vec = fit.solve_gram(extractor)
-    return factor * float(bread_vec @ meat @ bread_vec), g
-
-
 def coef_variance(
     left: SideFit,
     right: SideFit,
@@ -195,11 +367,15 @@ def coef_variance(
 ) -> VarianceEstimate:
     """Plug-in sandwich variance of extractor'(theta_right - theta_left).
 
-    The two sides use disjoint samples, so the variance is the sum of the
-    one-sided contractions, each scaled by 1/(n h^(2 nu + 1)).
+    Each side's contraction is e' P e with P its plug-in form (see
+    plugin_form). The two sides use disjoint samples, so the variance is
+    the sum of the contractions, each scaled by 1/(n h^(2 nu + 1)).
     """
-    c_left, g_l = _side_contraction(left, extractor, vce, cluster)
-    c_right, g_r = _side_contraction(right, extractor, vce, cluster)
+    (p_left, g_l), (p_right, g_r) = (
+        plugin_form(fit, vce, cluster) for fit in (left, right)
+    )
+    c_left = float(extractor @ p_left @ extractor)
+    c_right = float(extractor @ p_right @ extractor)
     var = c_left / (
         left.n_total * left.h ** (2 * nu + 1)
     ) + c_right / (right.n_total * right.h ** (2 * nu + 1))
@@ -231,72 +407,6 @@ def rbc_point(
     return point - h ** (1 + min(p, s) - nu) * bias_contrast
 
 
-def _influence_pieces(
-    sample: RdSample,
-    fit: SideFit,
-    pilot: SideFit,
-    bias: BiasConstants,
-    extractor: np.ndarray,
-    nu: int,
-):
-    """Combined influence weights and pilot residuals for one side.
-
-    Returns (rows, omega, resid, lev) over the union of the main and pilot
-    windows: omega are the weights of the linear functional
-    extractor'theta_hat - h^(1+q-nu) * bias-contraction applied to Y,
-    resid are residuals from the pilot coefficient surface, lev the pilot
-    leverages (zero outside the pilot window).
-    """
-    p, s, d = fit.p, fit.s, fit.d
-    q = min(p, s)
-    n, h, b = fit.n_total, fit.h, pilot.h
-    union = np.union1d(fit.idx, pilot.idx)
-
-    omega = np.zeros(union.size)
-    # main-fit influence of extractor'theta
-    g_main = fit.solve_gram(extractor / scaling_diag(h, p, s, d))
-    a_vals = (fit.design @ g_main) * fit.kvals / (n * h)
-    main_pos = np.searchsorted(union, fit.idx)
-    omega[main_pos] += a_vals
-
-    # pilot-coefficient influence scaled through the bias channels
-    g0, g1 = bias.channel_weights(extractor)
-    k_pilot = pilot.n_coef
-    rhs = np.zeros((k_pilot, 1 + d))
-    rhs[p + 1, 0] = g0 * b ** (-(p + 1))
-    for ell in range(d):
-        rhs[(p + 2) + ell * (s + 2) + (s + 1), 1 + ell] = (
-            g1[ell] * b ** (-(s + 1))
-        )
-    g_pilot = pilot.solve_gram(rhs)
-    c_vals = (pilot.design @ g_pilot) * (pilot.kvals / (n * b))[:, None]
-    pilot_pos = np.searchsorted(union, pilot.idx)
-    omega[pilot_pos] -= h ** (1 + q - nu) * c_vals.sum(axis=1)
-
-    # pilot-surface residuals for every union row
-    u_b = (sample.x[union] - sample.cutoff) / b
-    rows_b = design_rows(u_b, sample.w[union], p + 1, s + 1)
-    resid = sample.y[union] - rows_b @ pilot.theta_norm
-
-    lev = np.zeros(union.size)
-    lev[pilot_pos] = pilot.leverages
-    return union, omega, resid, lev
-
-
-def _pilot_hc_weights(kind: str, pilot: SideFit, lev: np.ndarray) -> np.ndarray:
-    if kind == "hc0":
-        return np.ones_like(lev)
-    if kind == "hc1":
-        return np.full_like(lev, float(hc_weights("hc1", pilot)[0]))
-    if np.any(lev >= 1.0 - LEVERAGE_TOL):
-        raise LeverageOne(
-            f"{pilot.side} side pilot fit has leverage at 1; "
-            "HC2/HC3 undefined"
-        )
-    base = 1.0 / (1.0 - lev)
-    return base if kind == "hc2" else base**2
-
-
 def rbc_variance(
     sample: RdSample,
     left: SideFit,
@@ -312,26 +422,19 @@ def rbc_variance(
 ) -> float:
     """Variance of the bias-corrected contrast.
 
-    Both sides' corrected functionals are represented by combined influence
-    weights; the selected weighting is applied with pilot-fit residuals.
-    Cluster aggregation stays within sides (the two windows are disjoint)
-    and carries the same degrees-of-freedom factor as the uncorrected
-    cluster variance.
+    Each side contributes e~' R e~ with R its bias-corrected form (see
+    rbc_form) and e~ = [e; -h^(1+q-nu) e]. Cluster aggregation stays within
+    sides (the two windows are disjoint) and carries the same
+    degrees-of-freedom factor as the uncorrected cluster variance.
     """
     total = 0.0
     for fit, pilot, bias in (
         (left, pilot_left, bias_left),
         (right, pilot_right, bias_right),
     ):
-        union, omega, resid, lev = _influence_pieces(
-            sample, fit, pilot, bias, extractor, nu
-        )
-        if vce == "cluster":
-            sums = _cluster_sums(fit.side, cluster, union, omega * resid)
-            total += _df_factor(fit) * float(np.sum(sums**2))
-        else:
-            w = _pilot_hc_weights(vce, pilot, lev)
-            total += float(np.sum(w * omega**2 * resid**2))
+        form = rbc_form(sample, fit, pilot, bias, vce, cluster)
+        ext = _rbc_extractor(extractor, fit.h, min(fit.p, fit.s), nu)
+        total += float(ext @ form @ ext)
     return total
 
 
@@ -350,7 +453,8 @@ def ci_pvalue(rbc_point_val: float, rbc_se: float, level: float):
         raise ValueError("standard error must be >= 0")
     if rbc_se == 0.0:
         p_val = 0.0 if rbc_point_val != 0.0 else 1.0
-        return rbc_point_val, rbc_point_val, float("inf") if rbc_point_val else 0.0, p_val, True
+        z = math.copysign(math.inf, rbc_point_val) if rbc_point_val else 0.0
+        return rbc_point_val, rbc_point_val, z, p_val, True
     crit = float(ndtri(1.0 - (1.0 - level) / 2.0))
     z = rbc_point_val / rbc_se
     p_val = 2.0 * float(ndtr(-abs(z)))

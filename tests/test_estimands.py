@@ -8,7 +8,12 @@ import pytest
 from conftest import random_instance
 
 from rdhte.basis import design_rows, scaling_diag
-from rdhte.errors import DimensionMismatch, NuOutOfRange
+from rdhte.errors import (
+    DimensionMismatch,
+    LeverageOne,
+    NuOutOfRange,
+    TooFewClusters,
+)
 from rdhte.estimands import (
     Selector,
     cate_at,
@@ -331,3 +336,75 @@ def test_each_fit_computed_once(monkeypatch, bandwidth, fits):
     fit_hte(sample, FitSpec(bandwidth=bandwidth), at=[(0.5,)])
     assert len(side_fits) == fits
     assert moments == []
+
+
+# ---------------------------------------------------------------------------
+# records contract the per-side forms stored on the result
+
+PER_RECORD_WORK = (
+    ("fitting", "fit_side"),
+    ("basis", "design_rows"),
+    ("inference", "meat_matrix"),
+    ("inference", "cluster_meat"),
+    ("inference", "hc_weights"),
+    ("inference", "_cluster_sums"),
+)
+
+
+@pytest.mark.parametrize("vce", ["hc3", "hc1", "cluster"])
+def test_records_cost_no_window_work(monkeypatch, vce):
+    base = random_instance(43, n=400, binary=False)
+    labels = np.random.default_rng(44).integers(0, 30, base.n)
+    sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
+    form_calls = {
+        name: _count_calls(monkeypatch, "inference", name)
+        for name in ("plugin_form", "rbc_form")
+    }
+    # once per side, however many records the fit reports
+    at = [(v,) for v in np.linspace(-1.0, 1.0, 25)]
+    result = fit_hte(sample, FitSpec(bandwidth=Common(0.5), vce=vce), at=at)
+    assert len(result.records) == 27
+    assert {name: len(c) for name, c in form_calls.items()} == {
+        "plugin_form": 2, "rbc_form": 2,
+    }
+
+    work = [
+        _count_calls(monkeypatch, mod, name) for mod, name in PER_RECORD_WORK
+    ]
+    for w in np.linspace(-1.0, 1.0, 50):
+        cate_at(result, [w])
+    contrast(result, Selector(np.array([0.0, 1.0]), nu=1))
+    assert all(calls == [] for calls in work)
+    assert all(len(c) == 2 for c in form_calls.values())
+
+
+def test_missing_cluster_labels_raise_from_fit_hte():
+    sample = random_instance(46, n=300)
+    with pytest.raises(TooFewClusters):
+        fit_hte(sample, FitSpec(bandwidth=Common(0.5), vce="cluster"))
+
+
+def test_single_cluster_window_raises_from_fit_hte():
+    base = random_instance(47, n=300)
+    labels = np.where(base.x >= 0, 1, np.arange(base.n))
+    sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
+    with pytest.raises(TooFewClusters):
+        fit_hte(sample, FitSpec(bandwidth=Common(0.5), vce="cluster"))
+
+
+@pytest.mark.parametrize("vce", ["hc2", "hc3"])
+def test_pilot_leverage_one_raises_from_fit_hte(vce):
+    # on the right, the covariate is 1 for three observations only: the
+    # pilot's three interaction columns fit them exactly (leverage 1), the
+    # main fit's two do not
+    rng = np.random.default_rng(48)
+    n = 400
+    x = rng.uniform(-1, 1, n)
+    w = np.where(x < 0, rng.binomial(1, 0.5, n), 0.0)
+    w[np.argsort(np.where(x >= 0, x, np.inf))[:3]] = 1.0
+    y = 0.3 + 0.8 * x + (x >= 0) * 0.5 + 0.4 * w + 0.5 * rng.standard_normal(n)
+    sample = validate_sample(y, x, 0.0, w[:, None])
+    spec = FitSpec(bandwidth=Common(1.0), vce=vce)
+    with pytest.raises(LeverageOne, match="pilot"):
+        fit_hte(sample, spec)
+    fit_hte(sample, FitSpec(bandwidth=Common(1.0), vce="hc0"))

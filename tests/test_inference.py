@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_instance
+from rbc_oracle import _influence_pieces
 
 import rdhte
 
@@ -17,7 +18,6 @@ from rdhte.basis import design_rows, extractor_vector, scaling_diag
 from rdhte.errors import LeverageOne, TooFewClusters
 from rdhte.fitting import fit_side
 from rdhte.inference import (
-    _influence_pieces,
     ci_pvalue,
     cluster_meat,
     coef_variance,
@@ -523,6 +523,12 @@ def test_ci_pvalue_zero_se_conventions():
     lo, hi, z, p, flag = ci_pvalue(0.0, 0.0, 0.95)
     assert (lo, hi) == (0.0, 0.0)
     assert flag and p == 1.0 and z == 0.0
+
+
+def test_ci_pvalue_zero_se_negative_point():
+    lo, hi, z, p, flag = ci_pvalue(-0.7, 0.0, 0.95)
+    assert (lo, hi) == (-0.7, -0.7)
+    assert flag and p == 0.0 and z == -np.inf
 
 
 def test_ci_pvalue_negative_se_rejected():
