@@ -14,176 +14,49 @@ Typical use::
     result = fit_hte(sample, FitSpec())
     for rec in result.records:
         print(rec.label, rec.point, (rec.ci_low, rec.ci_high))
+
+The names below are the documented API (see README.md); everything else
+stays importable from its submodule.
 """
 
-from .bandwidth import (
-    BandwidthSelection,
-    BiasConstants,
-    VarianceConstants,
-    bias_constants,
-    mse_bandwidth,
-    moment_vectors,
-    pilot_bandwidth,
-    variance_constants,
-)
-from .basis import (
-    design_rows,
-    extractor_vector,
-    interacted_basis,
-    n_params,
-    poly_basis,
-    scaling_matrix,
-)
-from .errors import (
-    AllReplicationsFailed,
-    BandwidthUnresolved,
-    BiasDegenerate,
-    DegenerateQuantiles,
-    DimensionMismatch,
-    EmptySample,
-    EstimationError,
-    InputError,
-    LengthMismatch,
-    LeverageOne,
-    MissingColumn,
-    NonFinite,
-    NonPositiveBandwidth,
-    NuOutOfRange,
-    ParseError,
-    RankDeficient,
-    RdhteError,
-    SingularGram,
-    TooFewClusters,
-    TooFewObservations,
-    UnknownLevel,
-)
-from .estimands import (
-    EstimandRecord,
-    HteResult,
-    Selector,
-    cate_at,
-    contrast,
-    extractor,
-    fit_hte,
-    long_map_matrix,
-)
-from .fitting import SideFit, fit_side, long_short_equivalence_check
-from .inference import (
-    VarianceEstimate,
-    ci_pvalue,
-    cluster_meat,
-    coef_variance,
-    hc_weights,
-    meat_matrix,
-    rbc_point,
-    rbc_variance,
-)
-from .kernels import KERNELS, kernel_eval, resolve_kernel
+from .errors import EstimationError, InputError, RdhteError
+from .estimands import Selector, cate_at, contrast, fit_hte
 from .model import (
     ColumnSpec,
     Common,
     CovariateSpec,
     Fixed,
     FitSpec,
-    RdSample,
     Select,
     expand_covariates,
     validate_sample,
 )
-from .render import render_csv, render_json, render_table, result_payload
-from .simulate import (
-    DgpConfig,
-    McReport,
-    TargetReport,
-    canonical_preset,
-    gen_sample,
-    inflated_curvature_preset,
-    monte_carlo,
-    oracle_wls,
-    true_cate,
-)
+from .render import render_csv, render_json, render_table
+from .simulate import DgpConfig, canonical_preset, gen_sample, monte_carlo
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllReplicationsFailed",
-    "BandwidthSelection",
-    "BandwidthUnresolved",
-    "BiasConstants",
-    "BiasDegenerate",
     "ColumnSpec",
     "Common",
     "CovariateSpec",
-    "DegenerateQuantiles",
     "DgpConfig",
-    "DimensionMismatch",
-    "EmptySample",
-    "EstimandRecord",
     "EstimationError",
     "Fixed",
     "FitSpec",
-    "HteResult",
     "InputError",
-    "KERNELS",
-    "LengthMismatch",
-    "LeverageOne",
-    "McReport",
-    "MissingColumn",
-    "NonFinite",
-    "NonPositiveBandwidth",
-    "NuOutOfRange",
-    "ParseError",
-    "RankDeficient",
-    "RdSample",
     "RdhteError",
     "Select",
     "Selector",
-    "SideFit",
-    "SingularGram",
-    "TargetReport",
-    "TooFewClusters",
-    "TooFewObservations",
-    "UnknownLevel",
-    "VarianceConstants",
-    "VarianceEstimate",
-    "bias_constants",
     "canonical_preset",
     "cate_at",
-    "ci_pvalue",
-    "cluster_meat",
-    "coef_variance",
     "contrast",
-    "design_rows",
     "expand_covariates",
-    "extractor",
-    "extractor_vector",
     "fit_hte",
-    "fit_side",
     "gen_sample",
-    "hc_weights",
-    "inflated_curvature_preset",
-    "interacted_basis",
-    "kernel_eval",
-    "long_map_matrix",
-    "long_short_equivalence_check",
-    "meat_matrix",
     "monte_carlo",
-    "moment_vectors",
-    "mse_bandwidth",
-    "n_params",
-    "oracle_wls",
-    "pilot_bandwidth",
-    "poly_basis",
-    "rbc_point",
-    "rbc_variance",
     "render_csv",
     "render_json",
     "render_table",
-    "resolve_kernel",
-    "result_payload",
-    "scaling_matrix",
-    "true_cate",
     "validate_sample",
-    "variance_constants",
-    "__version__",
 ]

@@ -19,6 +19,7 @@ variance contraction at the rate implied by the polynomial orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .basis import extractor_vector, n_params
 from .errors import BiasDegenerate, TooFewObservations
 from .fitting import SideFit, fit_side, side_design
-from .model import Common, Fixed, FitSpec, RdSample, Select
+from .model import FitSpec, RdSample, Select
 
 __all__ = [
     "BiasConstants",
@@ -117,67 +118,30 @@ def pilot_bandwidth(sample: RdSample, side: str, p: int, s: int) -> float:
 class BiasConstants:
     """Estimated smoothing-bias constants for one side.
 
-    b0 is the running-variable curvature channel Gram^-1 zeta * t0 and b1
-    the covariate-coefficient channel Gram^-1 phi @ t1, where t0 and t1 are
-    the top-degree coefficients of the higher-order pilot fit (t0 estimates
-    the (p+1)-th derivative of the main regression function over (p+1)!,
-    t1 the (s+1)-th derivatives of the covariate coefficient functions over
-    (s+1)!). Gram, zeta and phi are the main-order quantities at the pilot
-    bandwidth; all three are blocks of pilot_fit.gram. The contraction
-    combines the channels with the order indicators: the p<=s channel and
-    the p>=s channel both fire at p=s.
+    routes is the (k_pilot, k) matrix that carries the higher-order pilot
+    fit's coefficients to the main-order bias vector, bias = routes'
+    pilot_fit.theta. Its row for the top main power u^(p+1), whose
+    coefficient estimates the (p+1)-th derivative of the main regression
+    function over (p+1)!, is (Gram^-1 zeta)' when p <= s; its rows for the
+    top covariate powers W_l u^(s+1), whose coefficients estimate the
+    (s+1)-th derivatives of the covariate coefficient functions over
+    (s+1)!, are the columns of Gram^-1 phi when p >= s; every other row is
+    zero. Gram, zeta and phi are the main-order quantities at the pilot
+    bandwidth, all blocks of pilot_fit.gram.
     """
 
     side: str
     pilot_fit: SideFit
-    b0: np.ndarray
-    b1: np.ndarray
-    zeta_route: np.ndarray
-    phi_route: np.ndarray
-    t0: float
-    t1: np.ndarray
-    p: int
-    s: int
+    routes: np.ndarray
+
+    @cached_property
+    def bias(self) -> np.ndarray:
+        """Main-order bias vector routes' pilot_fit.theta."""
+        return self.routes.T @ self.pilot_fit.theta
 
     def contraction(self, extractor: np.ndarray) -> float:
         """Bias contraction for a given extractor vector."""
-        out = 0.0
-        if self.p <= self.s:
-            out += float(extractor @ self.b0)
-        if self.p >= self.s:
-            out += float(extractor @ self.b1)
-        return out
-
-    def pilot_routes(self) -> np.ndarray:
-        """Matrix (k_pilot, k) with contraction(e) = pilot_fit.theta' routes e.
-
-        Row p+1 (the u^(p+1) coefficient t0) is zeta_route' when the p<=s
-        channel fires; the rows of the W_l u^(s+1) coefficients t1 are
-        phi_route' when the p>=s channel fires; every other row is zero.
-        """
-        p, s, d = self.p, self.s, self.t1.shape[0]
-        routes = np.zeros((self.pilot_fit.n_coef, self.zeta_route.shape[0]))
-        if p <= s:
-            routes[p + 1] = self.zeta_route
-        if p >= s:
-            routes[(p + 2) + (s + 2) * np.arange(d) + (s + 1)] = (
-                self.phi_route.T
-            )
-        return routes
-
-    def channel_weights(self, extractor: np.ndarray):
-        """Scalars multiplying the pilot coefficients in the contraction.
-
-        Returns (g0, g1) with g0 the weight on t0 and g1 the per-covariate
-        weights on t1; used to propagate pilot estimation error into the
-        bias-corrected variance.
-        """
-        g0 = float(extractor @ self.zeta_route) if self.p <= self.s else 0.0
-        if self.p >= self.s and self.phi_route.shape[1] > 0:
-            g1 = extractor @ self.phi_route
-        else:
-            g1 = np.zeros(self.phi_route.shape[1])
-        return g0, np.asarray(g1, dtype=float)
+        return float(extractor @ self.bias)
 
 
 def bias_constants(
@@ -216,31 +180,24 @@ def bias_constants(
     if pilot_fit.p != p + 1 or pilot_fit.s != s + 1 or pilot_fit.h != pilot_b:
         raise ValueError("pilot fit must have orders (p+1, s+1) at pilot_b")
 
-    # positions in the pilot basis: the main-order basis, the top main
-    # power u^(p+1), and the top covariate powers W_l u^(s+1)
+    # positions in the pilot basis: the main-order basis, and the top
+    # powers the bias reads: u^(p+1) for the running-variable channel
+    # (p <= s) and W_l u^(s+1) for the covariate channel (p >= s); both
+    # channels fire at p = s
     cov_start = (p + 2) + (s + 2) * np.arange(d)
     main = np.concatenate(
         [np.arange(p + 1)] + [start + np.arange(s + 1) for start in cov_start]
     )
-    top_cov = cov_start + (s + 1)
-
-    t0 = float(pilot_fit.theta[p + 1])
-    t1 = pilot_fit.theta[top_cov]
-    gram = pilot_fit.gram[np.ix_(main, main)]
-    zeta_route = np.linalg.solve(gram, pilot_fit.gram[main, p + 1])
-    phi_route = np.linalg.solve(gram, pilot_fit.gram[np.ix_(main, top_cov)])
-    return BiasConstants(
-        side=side,
-        pilot_fit=pilot_fit,
-        b0=zeta_route * t0,
-        b1=phi_route @ t1,
-        zeta_route=zeta_route,
-        phi_route=phi_route,
-        t0=t0,
-        t1=t1,
-        p=p,
-        s=s,
+    top = ([p + 1] if p <= s else []) + (
+        (cov_start + s + 1).tolist() if p >= s else []
     )
+
+    gram = pilot_fit.gram
+    routes = np.zeros((pilot_fit.n_coef, main.size))
+    routes[top] = np.linalg.solve(
+        gram[np.ix_(main, main)], gram[np.ix_(main, top)]
+    ).T
+    return BiasConstants(side=side, pilot_fit=pilot_fit, routes=routes)
 
 
 @dataclass(frozen=True)
@@ -249,8 +206,6 @@ class VarianceConstants:
 
     side: str
     h: float
-    meat: np.ndarray
-    gram: np.ndarray
     bread_meat_bread: np.ndarray
 
     def contraction(self, extractor: np.ndarray) -> float:
@@ -278,13 +233,9 @@ def variance_constants(
 
     if fit is None:
         fit = fit_side(sample, side, h, p, s, kernel)
-    meat, _ = _side_meat(fit, vce, sample.cluster)
+    meat, _ = _side_meat(fit, vce, sample.cluster, sample.n_clusters)
     return VarianceConstants(
-        side=side,
-        h=float(h),
-        meat=meat,
-        gram=fit.gram,
-        bread_meat_bread=_sandwich(fit.gram, meat),
+        side=side, h=float(h), bread_meat_bread=_sandwich(fit.gram, meat)
     )
 
 

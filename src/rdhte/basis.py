@@ -19,9 +19,8 @@ from .errors import NonPositiveBandwidth, NuOutOfRange
 
 __all__ = [
     "poly_basis",
-    "interacted_basis",
     "design_rows",
-    "scaling_matrix",
+    "scaling_diag",
     "extractor_vector",
     "n_params",
 ]
@@ -55,20 +54,6 @@ def poly_basis(u, q: int):
     return arr[:, None] ** np.arange(q + 1, dtype=float)
 
 
-def interacted_basis(u: float, w, p: int, s: int) -> np.ndarray:
-    """Interacted basis vector r(u, w) at a single point.
-
-    Concatenates poly_basis(u, p) with w_l * poly_basis(u, s) for each
-    covariate l in order. Length 1 + p + d*(1+s).
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    main = poly_basis(u, p)
-    if w.size == 0:
-        return main
-    inter = np.kron(w, poly_basis(u, s))
-    return np.concatenate([main, inter])
-
-
 def design_rows(u, w, p: int, s: int) -> np.ndarray:
     """Interacted basis rows for many observations at once.
 
@@ -99,23 +84,12 @@ def design_rows(u, w, p: int, s: int) -> np.ndarray:
     return np.hstack([main, inter])
 
 
-def scaling_matrix(h: float, p: int, s: int, d: int) -> np.ndarray:
-    """Diagonal scaling H(h) = blockdiag(diag(h^0..h^p), I_d x diag(h^0..h^s)).
+def scaling_diag(h: float, p: int, s: int, d: int) -> np.ndarray:
+    """Diagonal of H(h) = blockdiag(diag(h^0..h^p), I_d x diag(h^0..h^s)).
 
     Multiplying a coefficient vector in normalized powers u = (x-c)/h by
     H(h)^{-1} converts it to raw (x-c) powers.
     """
-    if h <= 0:
-        raise NonPositiveBandwidth(f"bandwidth must be > 0, got {h}")
-    diag = np.concatenate(
-        [h ** np.arange(p + 1, dtype=float)]
-        + [h ** np.arange(s + 1, dtype=float)] * d
-    )
-    return np.diag(diag)
-
-
-def scaling_diag(h: float, p: int, s: int, d: int) -> np.ndarray:
-    """Diagonal of scaling_matrix as a vector (cheaper in hot paths)."""
     if h <= 0:
         raise NonPositiveBandwidth(f"bandwidth must be > 0, got {h}")
     return np.concatenate(

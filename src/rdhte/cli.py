@@ -254,17 +254,33 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
 
 
 def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
-    out = np.empty(len(values))
-    for i, v in enumerate(values):
-        try:
-            out[i] = float(v)
-        except ValueError:
-            raise ParseError(i + 1, name, v)
-    return out
+    try:
+        return np.fromiter(map(float, values), float, len(values))
+    except ValueError:
+        # a second pass only to name the first bad cell
+        for i, v in enumerate(values):
+            try:
+                float(v)
+            except ValueError:
+                raise ParseError(i + 1, name, v) from None
+        raise
 
 
 def build_result(config: RunConfig):
     """Load, validate, and fit; shared by run() and the tests."""
+    try:
+        spec = FitSpec(
+            p=config.p,
+            s=config.s,
+            nu=config.deriv,
+            kernel=config.kernel,
+            bandwidth=config.bandwidth,
+            vce=config.vce,
+            level=config.level,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
     names = [config.outcome, config.running]
     names += [name for name, _ in config.hetero]
     if config.cluster is not None:
@@ -274,23 +290,23 @@ def build_result(config: RunConfig):
     y = _parse_numeric(config.outcome, raw[config.outcome])
     x = _parse_numeric(config.running, raw[config.running])
 
-    col_specs = []
-    for name, spec in config.hetero:
-        if spec is None:
+    # a bare name is parsed once: as numbers when every cell parses (0/1
+    # columns are binary, others continuous), else kept as categorical text
+    col_specs, expand_raw = [], {}
+    for name, col in config.hetero:
+        values = raw[name]
+        if col is None or col.kind != "categorical":
             try:
-                vals = _parse_numeric(name, raw[name])
+                values = _parse_numeric(name, values)
             except ParseError:
-                spec = ColumnSpec(name, "categorical")
-            else:
-                kind = "binary" if is_binary(vals) else "continuous"
-                spec = ColumnSpec(name, kind)
-        col_specs.append(spec)
-    expand_raw = {}
-    for cs in col_specs:
-        if cs.kind == "categorical":
-            expand_raw[cs.name] = raw[cs.name]
-        else:
-            expand_raw[cs.name] = _parse_numeric(cs.name, raw[cs.name])
+                if col is not None:
+                    raise
+                col = ColumnSpec(name, "categorical")
+        if col is None:
+            kind = "binary" if is_binary(values) else "continuous"
+            col = ColumnSpec(name, kind)
+        col_specs.append(col)
+        expand_raw[name] = values
     w, labels, kinds = expand_covariates(
         expand_raw, CovariateSpec(tuple(col_specs))
     )
@@ -300,15 +316,6 @@ def build_result(config: RunConfig):
     )
     sample = validate_sample(
         y, x, config.cutoff, w if w.shape[1] else None, cluster
-    )
-    spec = FitSpec(
-        p=config.p,
-        s=config.s,
-        nu=config.deriv,
-        kernel=config.kernel,
-        bandwidth=config.bandwidth,
-        vce=config.vce,
-        level=config.level,
     )
     return fit_hte(sample, spec, at=config.at, labels=labels, kinds=kinds)
 

@@ -95,10 +95,6 @@ class TooFewClusters(EstimationError):
     pass
 
 
-class RankDeficient(EstimationError):
-    pass
-
-
 class AllReplicationsFailed(EstimationError):
     pass
 

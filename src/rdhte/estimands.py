@@ -32,24 +32,11 @@ __all__ = [
     "Selector",
     "EstimandRecord",
     "HteResult",
-    "extractor",
     "long_map_matrix",
     "fit_hte",
     "cate_at",
     "contrast",
 ]
-
-
-def extractor(nu: int, w, p: int, s: int) -> np.ndarray:
-    """Short-form extractor vector for the order-nu effect at covariate w.
-
-    Entries are nu! at position nu of the main block and nu!*w_l at
-    position nu of covariate block l; contracting it against the
-    difference of the side coefficient vectors yields the CATE (nu = 0)
-    or its derivative jump (nu >= 1) at w.
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    return extractor_vector(nu, p, s, w, lead=1.0)
 
 
 def long_map_matrix(p: int, s: int, d: int, nu: int) -> np.ndarray:
@@ -256,6 +243,17 @@ def _observed_range(sample: RdSample):
     )
 
 
+def _cate_point(d: int, w) -> tuple[str, np.ndarray]:
+    """Record label and validated array of a covariate evaluation point."""
+    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    if w_arr.shape != (d,):
+        raise DimensionMismatch(
+            f"evaluation point has {w_arr.size} entries, expected {d}"
+        )
+    pretty = ", ".join(f"{v:g}" for v in w_arr)
+    return f"CATE at w=({pretty})", w_arr
+
+
 def _is_extrapolated(w_range, w: np.ndarray) -> bool:
     if w_range is None:
         return False
@@ -343,16 +341,8 @@ def fit_hte(
         for label, lead, w in _default_plan(d, nu, labels, kinds)
     ]
     for w_pt in at or ():
-        w_arr = np.atleast_1d(np.asarray(w_pt, dtype=float))
-        if w_arr.shape != (d,):
-            raise DimensionMismatch(
-                f"evaluation point has {w_arr.size} entries, expected {d}"
-            )
-        pretty = ", ".join(f"{v:g}" for v in w_arr)
-        plan.append(
-            (f"CATE at w=({pretty})", 1.0, w_arr,
-             _is_extrapolated(w_range, w_arr))
-        )
+        label, w_arr = _cate_point(d, w_pt)
+        plan.append((label, 1.0, w_arr, _is_extrapolated(w_range, w_arr)))
 
     result = HteResult(
         sample=sample,
@@ -361,8 +351,8 @@ def fit_hte(
         right=right,
         bias_left=bias_left,
         bias_right=bias_right,
-        forms_left=side_forms(sample, left, bias_left, vce, sample.cluster),
-        forms_right=side_forms(sample, right, bias_right, vce, sample.cluster),
+        forms_left=side_forms(sample, left, bias_left, vce),
+        forms_right=side_forms(sample, right, bias_right, vce),
         w_range=w_range,
         selection=selection,
         varsigma=varsigma,
@@ -386,19 +376,9 @@ def cate_at(result: HteResult, w) -> EstimandRecord:
     O(k^2) whatever the sample size. Points outside the observed covariate
     range are flagged as extrapolated.
     """
-    d = result.sample.d
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if w_arr.shape != (d,):
-        raise DimensionMismatch(
-            f"evaluation point has {w_arr.size} entries, expected {d}"
-        )
-    pretty = ", ".join(f"{v:g}" for v in w_arr)
+    label, w_arr = _cate_point(result.sample.d, w)
     return _make_record(
-        result,
-        f"CATE at w=({pretty})",
-        1.0,
-        w_arr,
-        result.spec.nu,
+        result, label, 1.0, w_arr, result.spec.nu,
         _is_extrapolated(result.w_range, w_arr),
     )
 

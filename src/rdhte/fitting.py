@@ -4,7 +4,6 @@ Conventions shared by every formula downstream:
 
     u_i  = (x_i - c) / h
     Gram = (1/(n h)) sum_i 1(side) K(u_i) r(u_i, W_i) r(u_i, W_i)'
-    score= (1/(n h)) sum_i 1(side) K(u_i) r(u_i, W_i) y_i
 
 with n the TOTAL sample size (both sides), so constants match across the
 bias, variance, and bandwidth formulas. Each side fit factors the
@@ -32,8 +31,6 @@ __all__ = [
     "SideFit",
     "side_design",
     "fit_side",
-    "long_short_max_relative_error",
-    "long_short_equivalence_check",
 ]
 
 #: Gram reciprocal-condition threshold below which the fit is refused
@@ -53,8 +50,6 @@ class SideFit:
     gram : ndarray (k, k)
         Scaled Gram matrix (see module docstring); equal to R'R for the
         thin QR factor R of the square-root-weighted design.
-    score : ndarray (k,)
-        Scaled score vector.
     theta : ndarray (k,)
         Coefficients on raw powers of (x - c) and their covariate
         interactions (the scaling matrix is already applied).
@@ -87,7 +82,6 @@ class SideFit:
     side: str
     h: float
     gram: np.ndarray
-    score: np.ndarray
     theta: np.ndarray
     theta_norm: np.ndarray
     residuals: np.ndarray
@@ -198,7 +192,6 @@ def fit_side(
         side=side,
         h=float(h),
         gram=(rows * wts[:, None]).T @ rows,
-        score=rows.T @ (wts * sample.y[idx]),
         theta=theta,
         theta_norm=beta,
         residuals=resid,
@@ -214,56 +207,3 @@ def fit_side(
         d=sample.d,
         kernel=kernel,
     )
-
-
-def long_short_max_relative_error(
-    sample: RdSample, h: float, p: int, s: int, kernel: str
-) -> float:
-    """Max relative gap between the long interacted regression and the
-    two short one-sided fits.
-
-    The long regression puts Y on
-        (r_p(u)', T r_p(u)', W' x r_s(u)', T W' x r_s(u)')
-    with the combined kernel weights of both windows. By the partitioned
-    regression theorem its non-T blocks equal the left fit and its
-    T-interacted blocks equal the right-minus-left coefficient differences;
-    this function measures how far the two solve paths actually are.
-
-    Raises SingularGram if either short fit (or the long solve) fails.
-    """
-    left = fit_side(sample, "left", h, p, s, kernel)
-    right = fit_side(sample, "right", h, p, s, kernel)
-
-    idx = np.concatenate([left.idx, right.idx])
-    u = np.concatenate([left.u, right.u])
-    kv = np.concatenate([left.kvals, right.kvals])
-    t = np.concatenate(
-        [np.zeros(left.idx.size), np.ones(right.idx.size)]
-    )
-    base = design_rows(u, sample.w[idx], p, s)
-    long_design = np.hstack([base, base * t[:, None]])
-
-    sqw = np.sqrt(kv)
-    coef, *_ = np.linalg.lstsq(
-        long_design * sqw[:, None], sample.y[idx] * sqw, rcond=None
-    )
-    k_dim = base.shape[1]
-    short = np.concatenate(
-        [left.theta_norm, right.theta_norm - left.theta_norm]
-    )
-    long_blocks = np.concatenate([coef[:k_dim], coef[k_dim:]])
-    scale = max(float(np.max(np.abs(short))), 1e-300)
-    return float(np.max(np.abs(long_blocks - short))) / scale
-
-
-def long_short_equivalence_check(
-    sample: RdSample,
-    h: float,
-    p: int,
-    s: int,
-    kernel: str,
-    tol: float = 1e-10,
-) -> bool:
-    """True iff the long-regression coefficients reproduce the short-fit
-    levels and differences within relative tolerance."""
-    return long_short_max_relative_error(sample, h, p, s, kernel) < tol

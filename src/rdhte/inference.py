@@ -54,7 +54,6 @@ __all__ = [
     "rbc_form",
     "side_forms",
     "coef_variance",
-    "rbc_point",
     "rbc_variance",
     "ci_pvalue",
 ]
@@ -79,22 +78,29 @@ def hc_weights(kind: str, fit: SideFit) -> np.ndarray:
         and for HC1 when the window holds no more observations than
         coefficients (every leverage is then 1).
     """
-    m = fit.eff_n
+    return _leverage_weights(kind, fit, fit.leverages, f"{fit.side} side")
+
+
+def _leverage_weights(
+    kind: str, fit: SideFit, lev: np.ndarray, name: str
+) -> np.ndarray:
+    """The HC weights of hc_weights at leverages lev of fit's projection.
+
+    lev may cover rows outside fit's window, with leverage 0 there; name
+    describes the fit in error messages.
+    """
     if kind == "hc0":
-        return np.ones(m)
+        return np.ones_like(lev)
     if kind == "hc1":
-        if m <= fit.n_coef:
+        m, k = fit.eff_n, fit.n_coef
+        if m <= k:
             raise LeverageOne(
-                f"{fit.side} side has no residual degrees of freedom; "
-                "HC1 undefined"
+                f"{name} has no residual degrees of freedom; HC1 undefined"
             )
-        return np.full(m, m / (m - fit.n_coef))
+        return np.full_like(lev, m / (m - k))
     if kind in ("hc2", "hc3"):
-        lev = fit.leverages
         if np.any(lev >= 1.0 - LEVERAGE_TOL):
-            raise LeverageOne(
-                f"{fit.side} side has leverage at 1; HC2/HC3 undefined"
-            )
+            raise LeverageOne(f"{name} has leverage at 1; HC2/HC3 undefined")
         base = 1.0 / (1.0 - lev)
         return base if kind == "hc2" else base**2
     raise ValueError(f"unknown HC kind {kind!r}")
@@ -108,7 +114,11 @@ def meat_matrix(fit: SideFit, weights: np.ndarray) -> np.ndarray:
     )
 
 
-def cluster_meat(fit: SideFit, cluster: Optional[np.ndarray]):
+def cluster_meat(
+    fit: SideFit,
+    cluster: Optional[np.ndarray],
+    n_clusters: Optional[int] = None,
+):
     """Cluster-robust meat matrix for one side.
 
     Sums kernel-weighted score cross-products within clusters:
@@ -116,9 +126,10 @@ def cluster_meat(fit: SideFit, cluster: Optional[np.ndarray]):
         V = (1/(G h)) sum_g (sum_{i in g} K_i r_i u_hat_i)
                             (sum_{i in g} K_i r_i u_hat_i)'
 
-    with G the number of distinct clusters in the full sample. The
-    small-sample degrees-of-freedom factor is applied later, at
-    contraction.
+    with G the number of distinct clusters in the full sample: n_clusters
+    when given (RdSample.n_clusters counts it once per sample), else
+    counted from cluster. The small-sample degrees-of-freedom factor is
+    applied later, at contraction.
 
     Returns
     -------
@@ -132,9 +143,10 @@ def cluster_meat(fit: SideFit, cluster: Optional[np.ndarray]):
     """
     scores = fit.design * (fit.kvals * fit.residuals)[:, None]
     sums = _cluster_sums(fit.side, cluster, fit.idx, scores)
-    g_total = int(np.unique(cluster).size)
-    meat = sums.T @ sums / (g_total * fit.h)
-    return meat, g_total
+    if n_clusters is None:
+        n_clusters = int(np.unique(cluster).size)
+    meat = sums.T @ sums / (n_clusters * fit.h)
+    return meat, n_clusters
 
 
 def _cluster_sums(
@@ -175,13 +187,13 @@ def _df_factor(fit: SideFit) -> float:
     return fit.n_total / (fit.n_total - fit.p - 1 - fit.d)
 
 
-def _side_meat(fit: SideFit, vce: str, cluster: Optional[np.ndarray]):
+def _side_meat(fit: SideFit, vce: str, cluster, n_clusters=None):
     """Meat matrix of one side for the variance kind vce.
 
     Returns (meat, G) with G the cluster count for vce "cluster", else None.
     """
     if vce == "cluster":
-        return cluster_meat(fit, cluster)
+        return cluster_meat(fit, cluster, n_clusters)
     return meat_matrix(fit, hc_weights(vce, fit)), None
 
 
@@ -191,32 +203,22 @@ def _sandwich(gram: np.ndarray, meat: np.ndarray) -> np.ndarray:
 
 
 def plugin_form(
-    fit: SideFit, vce: str, cluster: Optional[np.ndarray] = None
+    fit: SideFit,
+    vce: str,
+    cluster: Optional[np.ndarray] = None,
+    n_clusters: Optional[int] = None,
 ):
     """Plug-in quadratic form of one side.
 
     Returns (P, G): the k x k matrix P = f Gram^-1 meat Gram^-1, with f the
     cluster degrees-of-freedom factor for vce "cluster" and 1 otherwise,
-    and the cluster count G (None unless clustered). The side's plug-in
-    contraction of an extractor e is e' P e.
+    and the cluster count G (None unless clustered; see cluster_meat for
+    n_clusters). The side's plug-in contraction of an extractor e is
+    e' P e.
     """
-    meat, g = _side_meat(fit, vce, cluster)
+    meat, g = _side_meat(fit, vce, cluster, n_clusters)
     factor = _df_factor(fit) if vce == "cluster" else 1.0
     return factor * _sandwich(fit.gram, meat), g
-
-
-def _pilot_hc_weights(kind: str, pilot: SideFit, lev: np.ndarray) -> np.ndarray:
-    if kind == "hc0":
-        return np.ones_like(lev)
-    if kind == "hc1":
-        return np.full_like(lev, float(hc_weights("hc1", pilot)[0]))
-    if np.any(lev >= 1.0 - LEVERAGE_TOL):
-        raise LeverageOne(
-            f"{pilot.side} side pilot fit has leverage at 1; "
-            "HC2/HC3 undefined"
-        )
-    base = 1.0 / (1.0 - lev)
-    return base if kind == "hc2" else base**2
 
 
 def rbc_form(
@@ -274,7 +276,7 @@ def rbc_form(
     # row' Gram^-1 S^-1; the bias reads the pilot's theta through the routes
     main_route = fit.solve_gram(np.diag(1.0 / scaling_diag(h, p, s, d)))
     pilot_unscale = 1.0 / scaling_diag(b, p + 1, s + 1, d)[:, None]
-    pilot_route = pilot.solve_gram(pilot_unscale * bias.pilot_routes())
+    pilot_route = pilot.solve_gram(pilot_unscale * bias.routes)
 
     a = np.zeros((rows.size, 2 * k))
     for cols, src, route, bw in (
@@ -292,7 +294,9 @@ def rbc_form(
         a *= resid[:, None]
         sums = _cluster_sums(fit.side, cluster, rows, a)
         return _df_factor(fit) * (sums.T @ sums)
-    a *= (np.sqrt(_pilot_hc_weights(vce, pilot, lev)) * resid)[:, None]
+    name = f"{pilot.side} side pilot fit"
+    weights = _leverage_weights(vce, pilot, lev, name)
+    a *= (np.sqrt(weights) * resid)[:, None]
     return a.T @ a
 
 
@@ -329,15 +333,79 @@ class SideForms:
 
 
 def side_forms(
-    sample: RdSample,
-    fit: SideFit,
-    bias: BiasConstants,
+    sample: RdSample, fit: SideFit, bias: BiasConstants, vce: str
+) -> SideForms:
+    """Both quadratic forms of one side, with bias.pilot_fit as the pilot
+    and the sample's cluster labels."""
+    cluster = sample.cluster
+    return SideForms(
+        plugin=plugin_form(fit, vce, cluster, sample.n_clusters)[0],
+        rbc=rbc_form(sample, fit, bias.pilot_fit, bias, vce, cluster),
+        h=fit.h,
+        n_total=fit.n_total,
+        q=min(fit.p, fit.s),
+    )
+
+
+@dataclass(frozen=True)
+class VarianceEstimate:
+    """Variance of a selector contrast of the two side fits."""
+
+    kind: str
+    contraction_left: float
+    contraction_right: float
+    variance: float
+    se: float
+    n_clusters: Optional[int] = None
+
+
+def coef_variance(
+    left: SideFit,
+    right: SideFit,
+    extractor: np.ndarray,
+    nu: int,
     vce: str,
     cluster: Optional[np.ndarray] = None,
+) -> VarianceEstimate:
+    """Plug-in sandwich variance of extractor'(theta_right - theta_left).
+
+    Each side's contraction is e' P e with P its plug-in form (see
+    plugin_form). The two sides use disjoint samples, so the variance is
+    the sum of the contractions, each scaled by 1/(n h^(2 nu + 1)).
+    """
+    (p_left, g_l), (p_right, g_r) = (
+        plugin_form(fit, vce, cluster) for fit in (left, right)
+    )
+    c_left = float(extractor @ p_left @ extractor)
+    c_right = float(extractor @ p_right @ extractor)
+    var = c_left / (
+        left.n_total * left.h ** (2 * nu + 1)
+    ) + c_right / (right.n_total * right.h ** (2 * nu + 1))
+    g = g_l if g_l is not None else g_r
+    return VarianceEstimate(
+        kind=vce,
+        contraction_left=c_left,
+        contraction_right=c_right,
+        variance=var,
+        se=float(np.sqrt(max(var, 0.0))),
+        n_clusters=g,
+    )
+
+
+def rbc_variance(self, extractor: np.ndarray, nu: int) -> float:
+        """Variance of the side's bias-corrected extractor'theta."""
+        ext = _rbc_extractor(extractor, self.h, self.q, nu)
+        return float(ext @ self.rbc @ ext)
+
+
+def side_forms(
+    sample: RdSample, fit: SideFit, bias: BiasConstants, vce: str
 ) -> SideForms:
-    """Both quadratic forms of one side, with bias.pilot_fit as the pilot."""
+    """Both quadratic forms of one side, with bias.pilot_fit as the pilot
+    and the sample's cluster labels."""
+    cluster = sample.cluster
     return SideForms(
-        plugin=plugin_form(fit, vce, cluster)[0],
+        plugin=plugin_form(fit, vce, cluster, sample.n_clusters)[0],
         rbc=rbc_form(sample, fit, bias.pilot_fit, bias, vce, cluster),
         h=fit.h,
         n_total=fit.n_total,

@@ -10,13 +10,13 @@ empirical-quantile bins with the lowest bin as the dropped baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
     DegenerateQuantiles,
-    DimensionMismatch,
     EmptySample,
     LengthMismatch,
     NonFinite,
@@ -70,6 +70,13 @@ class RdSample:
     @property
     def d(self) -> int:
         return self.w.shape[1]
+
+    @cached_property
+    def n_clusters(self) -> Optional[int]:
+        """Number of distinct cluster labels, counted once per sample."""
+        if self.cluster is None:
+            return None
+        return int(np.unique(self.cluster).size)
 
     def side_mask(self, side: str) -> np.ndarray:
         """Boolean mask for one side: right is x >= cutoff, left is x < cutoff."""
@@ -290,8 +297,7 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
         elif cs.kind == "binary":
             vals = np.asarray(values, dtype=float)
             _check_finite(cs.name, vals)
-            observed = set(np.unique(vals).tolist())
-            if not observed <= {0.0, 1.0}:
+            if not is_binary(vals):
                 raise UnknownLevel(
                     f"binary column {cs.name!r} has values outside {{0, 1}}"
                 )

@@ -97,8 +97,17 @@ def render_json(result: HteResult) -> str:
     return json.dumps(result_payload(result), indent=2) + "\n"
 
 
-def _level_pct(level: float) -> str:
-    return f"{level * 100:g}"
+def _headers(result: HteResult) -> list[str]:
+    """Column headers shared by the table and the CSV."""
+    level = f"{result.spec.level * 100:g}"
+    return [
+        "Estimand",
+        "Point Estimate",
+        f"RBC {level}% CI",
+        "RBC p-value",
+        "Sample Size",
+        "h",
+    ]
 
 
 def _h_cell(h_left: float, h_right: float, fmt: str) -> str:
@@ -121,14 +130,7 @@ def _table_cells(rec: EstimandRecord) -> list[str]:
 
 def render_table(result: HteResult) -> str:
     """Fixed-width human-readable table, 3-decimal display rounding."""
-    headers = [
-        "Estimand",
-        "Point Estimate",
-        f"RBC {_level_pct(result.spec.level)}% CI",
-        "RBC p-value",
-        "Sample Size",
-        "h",
-    ]
+    headers = _headers(result)
     rows = [_table_cells(rec) for rec in result.records]
     widths = [
         max(len(headers[j]), *(len(r[j]) for r in rows)) if rows
@@ -151,14 +153,7 @@ def render_table(result: HteResult) -> str:
 
 def render_csv(result: HteResult) -> str:
     """CSV with the table's columns at full precision."""
-    headers = [
-        "Estimand",
-        "Point Estimate",
-        f"RBC {_level_pct(result.spec.level)}% CI",
-        "RBC p-value",
-        "Sample Size",
-        "h",
-    ]
+    headers = _headers(result)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)

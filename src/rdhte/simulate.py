@@ -1,4 +1,4 @@
-"""Data generation, Monte Carlo harness, and brute-force check oracles.
+"""Data generation and the Monte Carlo harness.
 
 Outcomes are generated with a cutoff-side-specific conditional mean that
 is linear in the covariates with polynomial-in-x coefficient functions,
@@ -15,13 +15,12 @@ bit-for-bit reproducible for a given (seed, reps).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
-from .errors import AllReplicationsFailed, EstimationError, RankDeficient
+from .errors import AllReplicationsFailed, EstimationError
 from .estimands import HteResult, Selector, cate_at, contrast, fit_hte
 from .model import FitSpec, RdSample, validate_sample
 
@@ -29,7 +28,6 @@ __all__ = [
     "DgpConfig",
     "gen_sample",
     "true_cate",
-    "oracle_wls",
     "TargetReport",
     "McReport",
     "monte_carlo",
@@ -180,31 +178,6 @@ def true_cate(config: DgpConfig, w) -> float:
     return theta
 
 
-def oracle_wls(design: np.ndarray, weights: np.ndarray, y: np.ndarray):
-    """Weighted least squares by pivoted LU on the normal equations.
-
-    Deliberately a different dense route than the estimator's solver so
-    the two can cross-check each other.
-
-    Raises
-    ------
-    RankDeficient
-        If the weighted design does not have full column rank.
-    """
-    design = np.asarray(design, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sqw = np.sqrt(weights)
-    wd = design * sqw[:, None]
-    if np.linalg.matrix_rank(wd) < design.shape[1]:
-        raise RankDeficient(
-            f"weighted design has rank < {design.shape[1]}"
-        )
-    xtwx = wd.T @ wd
-    xtwy = wd.T @ (y * sqw)
-    return scipy.linalg.solve(xtwx, xtwy, assume_a="sym")
-
-
 @dataclass(frozen=True)
 class TargetReport:
     """Monte Carlo summary for one estimand target."""
@@ -314,6 +287,7 @@ def monte_carlo(
     zero_se = np.zeros((n_t, reps), dtype=bool)
     h_mean = np.full(reps, np.nan)
     ok = np.zeros(reps, dtype=bool)
+    labels = [""] * n_t
 
     for rep in range(reps):
         sample = gen_sample(config, n, (seed, rep))
@@ -325,6 +299,7 @@ def monte_carlo(
         ok[rep] = True
         h_mean[rep] = 0.5 * (result.h_left + result.h_right)
         for j, (rec, (_, truth)) in enumerate(zip(recs, targets)):
+            labels[j] = rec.label
             point[j, rep] = rec.point
             rbc[j, rep] = rec.rbc_point
             se_plug[j, rep] = rec.se
@@ -342,21 +317,14 @@ def monte_carlo(
         )
 
     out = []
-    for j, (target, truth) in enumerate(targets):
-        if isinstance(target, Selector):
-            label = target.label
-        else:
-            pretty = ", ".join(
-                f"{v:g}" for v in np.atleast_1d(np.asarray(target, float))
-            )
-            label = f"CATE at w=({pretty})"
+    for j, (_, truth) in enumerate(targets):
         pt = point[j, ok]
         rb = rbc[j, ok]
         err = pt - truth
         err_rbc = rb - truth
         out.append(
             TargetReport(
-                label=label,
+                label=labels[j],
                 truth=float(truth),
                 reps_ok=n_ok,
                 mean_bias=float(np.mean(err)),

@@ -1,0 +1,95 @@
+"""Independent oracles the tests check the estimator against.
+
+Each takes a different route to a quantity the package computes: a
+single-point basis builder, weighted least squares through the normal
+equations, and the long interacted regression whose blocks the two
+one-sided fits must reproduce.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+
+from rdhte.basis import design_rows, poly_basis
+from rdhte.fitting import SideFit, fit_side
+from rdhte.model import RdSample
+
+
+class RankDeficient(Exception):
+    """The weighted design does not have full column rank."""
+
+
+def interacted_basis(u: float, w, p: int, s: int) -> np.ndarray:
+    """Interacted basis vector r(u, w) at a single point.
+
+    Concatenates poly_basis(u, p) with w_l * poly_basis(u, s) for each
+    covariate l in order. Length 1 + p + d*(1+s).
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    main = poly_basis(u, p)
+    if w.size == 0:
+        return main
+    inter = np.kron(w, poly_basis(u, s))
+    return np.concatenate([main, inter])
+
+
+def oracle_wls(design: np.ndarray, weights: np.ndarray, y: np.ndarray):
+    """Weighted least squares by pivoted LU on the normal equations.
+
+    Deliberately a different dense route than the estimator's solver so
+    the two can cross-check each other.
+
+    Raises
+    ------
+    RankDeficient
+        If the weighted design does not have full column rank.
+    """
+    design = np.asarray(design, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    y = np.asarray(y, dtype=float)
+    sqw = np.sqrt(weights)
+    wd = design * sqw[:, None]
+    if np.linalg.matrix_rank(wd) < design.shape[1]:
+        raise RankDeficient(
+            f"weighted design has rank < {design.shape[1]}"
+        )
+    xtwx = wd.T @ wd
+    xtwy = wd.T @ (y * sqw)
+    return scipy.linalg.solve(xtwx, xtwy, assume_a="sym")
+
+
+def long_regression(sample: RdSample, left: SideFit, right: SideFit):
+    """Design, kernel weights and outcomes of the long interacted regression.
+
+    The long regression puts Y on (r(u, W)', T r(u, W)') over both windows
+    with their kernel weights, T the treatment indicator. By the
+    partitioned regression theorem its non-T blocks equal the left fit and
+    its T-interacted blocks the right-minus-left coefficient differences.
+    """
+    idx = np.concatenate([left.idx, right.idx])
+    u = np.concatenate([left.u, right.u])
+    t = np.concatenate([np.zeros(left.idx.size), np.ones(right.idx.size)])
+    base = design_rows(u, sample.w[idx], left.p, left.s)
+    kv = np.concatenate([left.kvals, right.kvals])
+    return np.hstack([base, base * t[:, None]]), kv, sample.y[idx]
+
+
+def long_short_max_relative_error(
+    sample: RdSample, h: float, p: int, s: int, kernel: str
+) -> float:
+    """Max relative gap between the long interacted regression, solved by
+    lstsq, and the two short one-sided fits.
+
+    Raises SingularGram if either short fit fails.
+    """
+    left = fit_side(sample, "left", h, p, s, kernel)
+    right = fit_side(sample, "right", h, p, s, kernel)
+    design, kv, y = long_regression(sample, left, right)
+    sqw = np.sqrt(kv)
+    coef, *_ = np.linalg.lstsq(design * sqw[:, None], y * sqw, rcond=None)
+    short = np.concatenate(
+        [left.theta_norm, right.theta_norm - left.theta_norm]
+    )
+    scale = max(float(np.max(np.abs(short))), 1e-300)
+    return float(np.max(np.abs(coef - short))) / scale

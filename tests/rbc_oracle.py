@@ -2,7 +2,8 @@
 
 Before the per-side forms, every estimand record rebuilt the plug-in meat
 and the RBC combined influence over the union of the main and pilot
-windows. ``_influence_pieces`` is that per-record construction, unchanged;
+windows. ``_influence_pieces`` is that per-record construction, reading
+the bias through the route matrix of the bias constants;
 ``per_record_variances`` contracts it (and the plug-in sandwich) the way
 each record used to, so the forms can be checked against it.
 """
@@ -13,9 +14,13 @@ import numpy as np
 
 from rdhte.bandwidth import BiasConstants
 from rdhte.basis import design_rows, scaling_diag
-from rdhte.errors import LeverageOne
 from rdhte.fitting import SideFit
-from rdhte.inference import LEVERAGE_TOL, _cluster_sums, _df_factor, hc_weights
+from rdhte.inference import (
+    _cluster_sums,
+    _df_factor,
+    _leverage_weights,
+    hc_weights,
+)
 from rdhte.model import RdSample
 
 
@@ -48,18 +53,10 @@ def _influence_pieces(
     omega[main_pos] += a_vals
 
     # pilot-coefficient influence scaled through the bias channels
-    g0, g1 = bias.channel_weights(extractor)
-    k_pilot = pilot.n_coef
-    rhs = np.zeros((k_pilot, 1 + d))
-    rhs[p + 1, 0] = g0 * b ** (-(p + 1))
-    for ell in range(d):
-        rhs[(p + 2) + ell * (s + 2) + (s + 1), 1 + ell] = (
-            g1[ell] * b ** (-(s + 1))
-        )
-    g_pilot = pilot.solve_gram(rhs)
-    c_vals = (pilot.design @ g_pilot) * (pilot.kvals / (n * b))[:, None]
+    chan = (bias.routes @ extractor) / scaling_diag(b, p + 1, s + 1, d)
+    c_vals = (pilot.design @ pilot.solve_gram(chan)) * pilot.kvals / (n * b)
     pilot_pos = np.searchsorted(union, pilot.idx)
-    omega[pilot_pos] -= h ** (1 + q - nu) * c_vals.sum(axis=1)
+    omega[pilot_pos] -= h ** (1 + q - nu) * c_vals
 
     # pilot-surface residuals for every union row
     u_b = (sample.x[union] - sample.cutoff) / b
@@ -69,20 +66,6 @@ def _influence_pieces(
     lev = np.zeros(union.size)
     lev[pilot_pos] = pilot.leverages
     return union, omega, resid, lev
-
-
-def _pilot_hc_weights(kind: str, pilot: SideFit, lev: np.ndarray) -> np.ndarray:
-    if kind == "hc0":
-        return np.ones_like(lev)
-    if kind == "hc1":
-        return np.full_like(lev, float(hc_weights("hc1", pilot)[0]))
-    if np.any(lev >= 1.0 - LEVERAGE_TOL):
-        raise LeverageOne(
-            f"{pilot.side} side pilot fit has leverage at 1; "
-            "HC2/HC3 undefined"
-        )
-    base = 1.0 / (1.0 - lev)
-    return base if kind == "hc2" else base**2
 
 
 def _plugin_contraction(fit, extractor, vce, cluster):
@@ -118,6 +101,6 @@ def per_record_variances(sample, sides, extractor, nu, vce, cluster=None):
             sums = _cluster_sums(fit.side, cluster, union, omega * resid)
             rbc += _df_factor(fit) * float(np.sum(sums**2))
         else:
-            w = _pilot_hc_weights(vce, pilot, lev)
+            w = _leverage_weights(vce, pilot, lev, "pilot")
             rbc += float(np.sum(w * omega**2 * resid**2))
     return var, rbc

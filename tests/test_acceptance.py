@@ -17,11 +17,12 @@ from types import SimpleNamespace
 
 import numpy as np
 from conftest import random_instance
+from oracles import long_short_max_relative_error, oracle_wls
 
 from rdhte.basis import extractor_vector
 from rdhte.cli import build_result, parse_config
 from rdhte.estimands import EstimandRecord, fit_hte
-from rdhte.fitting import fit_side, long_short_max_relative_error
+from rdhte.fitting import fit_side
 from rdhte.inference import cluster_meat, coef_variance, hc_weights, meat_matrix
 from rdhte.model import Common, FitSpec, validate_sample
 from rdhte.render import render_json, render_table
@@ -31,7 +32,6 @@ from rdhte.simulate import (
     gen_sample,
     inflated_curvature_preset,
     monte_carlo,
-    oracle_wls,
     true_cate,
 )
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import random_instance
+from oracles import interacted_basis
 
 from rdhte.bandwidth import (
     BIAS_REG_EPS,
@@ -12,7 +13,7 @@ from rdhte.bandwidth import (
     pilot_bandwidth,
     variance_constants,
 )
-from rdhte.basis import extractor_vector, interacted_basis, n_params
+from rdhte.basis import extractor_vector, n_params
 from rdhte.errors import TooFewObservations
 from rdhte.fitting import fit_side
 from rdhte.kernels import kernel_eval
@@ -131,8 +132,11 @@ def test_bias_constants_exact_on_noiseless_quadratic():
     for side, t0, t1 in (("left", -0.6, 0.7), ("right", 0.9, -0.4)):
         b = pilot_bandwidth(sample, side, 1, 1)
         bc = bias_constants(sample, side, 1, 1, 0, "triangular", b)
-        assert bc.t0 == pytest.approx(t0, abs=1e-8)
-        assert bc.t1[0] == pytest.approx(t1, abs=1e-8)
+        # the routes read the u^2 and W u^2 coefficients of the pilot fit
+        top = np.flatnonzero(np.any(bc.routes != 0.0, axis=1))
+        assert top.tolist() == [2, 5]
+        assert bc.pilot_fit.theta[2] == pytest.approx(t0, abs=1e-8)
+        assert bc.pilot_fit.theta[5] == pytest.approx(t1, abs=1e-8)
 
 
 def test_bias_constants_hand_assembled():
@@ -328,9 +332,15 @@ def test_bias_constants_read_main_order_blocks_of_pilot_gram(p, s):
         np.testing.assert_allclose(
             phi_blk, phi, rtol=0, atol=1e-13 * np.abs(phi).max()
         )
-        np.testing.assert_array_equal(
-            bc.zeta_route, np.linalg.solve(main.gram, zeta_blk)
+        # the p <= s channel reads u^(p+1), the p >= s channel W_l u^(s+1)
+        top = ([p + 1] if p <= s else []) + (
+            list(cov + s + 1) if p >= s else []
         )
+        expect = np.zeros_like(bc.routes)
+        expect[top] = np.linalg.solve(
+            main.gram, pilot_gram[np.ix_(sub, top)]
+        ).T
+        np.testing.assert_array_equal(bc.routes, expect)
         np.testing.assert_array_equal(
-            bc.phi_route, np.linalg.solve(main.gram, phi_blk)
+            bc.bias, bc.routes.T @ bc.pilot_fit.theta
         )

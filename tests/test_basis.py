@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import interacted_basis
+
 from rdhte.basis import (
     design_rows,
     extractor_vector,
-    interacted_basis,
     n_params,
     poly_basis,
     scaling_diag,
-    scaling_matrix,
 )
 from rdhte.errors import NonPositiveBandwidth, NuOutOfRange
 
@@ -47,13 +47,13 @@ def test_design_rows_match_single_rows():
 
 def test_scaling_matrix_examples():
     np.testing.assert_array_equal(
-        scaling_matrix(1.0, 2, 1, 3), np.eye(n_params(2, 1, 3))
+        np.diag(scaling_diag(1.0, 2, 1, 3)), np.eye(n_params(2, 1, 3))
     )
     np.testing.assert_array_equal(
-        np.diag(scaling_matrix(2.0, 1, 1, 1)), [1, 2, 1, 2]
+        scaling_diag(2.0, 1, 1, 1), [1, 2, 1, 2]
     )
     np.testing.assert_array_equal(
-        np.diag(scaling_matrix(0.5, 1, 0, 2)), [1, 0.5, 1, 1]
+        scaling_diag(0.5, 1, 0, 2), [1, 0.5, 1, 1]
     )
 
 
@@ -65,7 +65,7 @@ def test_scaling_matrix_inverse_pair():
 
 def test_scaling_rejects_nonpositive_h():
     with pytest.raises(NonPositiveBandwidth):
-        scaling_matrix(0.0, 1, 1, 1)
+        scaling_diag(0.0, 1, 1, 1)
     with pytest.raises(NonPositiveBandwidth):
         scaling_diag(-1.0, 1, 1, 1)
 

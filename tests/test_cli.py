@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import rdhte.cli
 from rdhte.cli import RunConfig, build_result, load_csv, main, parse_config, run
 from rdhte.errors import InputError, MissingColumn, ParseError
 from rdhte.estimands import EstimandRecord, fit_hte
@@ -177,6 +178,66 @@ def test_parse_error_cites_cell(tmp_path):
     text, code = run(config)
     assert code == 2
     assert "abc" in text
+
+
+@pytest.mark.parametrize("bad_row", [1, 3, 5])
+def test_parse_error_cites_cell_in_any_row(tmp_path, bad_row):
+    xs = ["-0.2", "-0.1", "0.1", "0.2", "0.3"]
+    xs[bad_row - 1] = "0x10"
+    path = tmp_path / "t.csv"
+    path.write_text("y,x\n" + "".join(f"1,{v}\n" for v in xs))
+    with pytest.raises(ParseError) as exc:
+        build_result(parse_config(cli_args(path)))
+    assert (exc.value.row, exc.value.column, exc.value.value) == (
+        bad_row, "x", "0x10"
+    )
+
+
+def test_parse_numeric_accepts_what_float_accepts():
+    good = [" 1.5 ", "1_000", "nan", "-inf", "\uff11\uff12", "1e-3"]
+    got = rdhte.cli._parse_numeric("v", good)
+    np.testing.assert_array_equal(got, [float(v) for v in good])
+    for bad in ("", "0x10", "1,5"):
+        with pytest.raises(ParseError) as exc:
+            rdhte.cli._parse_numeric("v", ["1", bad])
+        assert (exc.value.row, exc.value.value) == (2, bad)
+
+
+def test_bare_numeric_hetero_is_parsed_once(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    write_sample_csv(path, n=200, income=True)
+    parsed = []
+    original = rdhte.cli._parse_numeric
+
+    def counting(name, values):
+        parsed.append(name)
+        return original(name, values)
+
+    monkeypatch.setattr(rdhte.cli, "_parse_numeric", counting)
+    result = build_result(parse_config(
+        cli_args(path, "--hetero", "income", "--bw", "0.5")
+    ))
+    assert parsed == ["y", "x", "income"]
+    assert result.kinds == ("continuous",)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--level", "1.5", "level"),
+        ("--level", "0", "level"),
+        ("--p", "-1", "orders"),
+        ("--s", "-1", "orders"),
+    ],
+)
+def test_invalid_fit_settings_exit_2(tmp_path, capsys, flag, value, message):
+    path = tmp_path / "d.csv"
+    write_sample_csv(path, n=100)
+    assert main(cli_args(path, flag, value)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert message in out.err
 
 
 # ---------------------------------------------------------------------------

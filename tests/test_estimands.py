@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 from conftest import random_instance
+from oracles import long_regression, oracle_wls
 
-from rdhte.basis import design_rows, scaling_diag
+from rdhte.basis import extractor_vector, scaling_diag
 from rdhte.errors import (
     DimensionMismatch,
     LeverageOne,
@@ -18,13 +19,11 @@ from rdhte.estimands import (
     Selector,
     cate_at,
     contrast,
-    extractor,
     fit_hte,
     long_map_matrix,
 )
 from rdhte.fitting import fit_side
 from rdhte.model import Common, FitSpec, Select, validate_sample
-from rdhte.simulate import oracle_wls
 
 
 # ---------------------------------------------------------------------------
@@ -32,23 +31,23 @@ from rdhte.simulate import oracle_wls
 
 
 def test_extractor_binary_cate():
-    assert np.array_equal(extractor(0, [1.0], 1, 1), [1, 0, 1, 0])
+    assert np.array_equal(extractor_vector(0, 1, 1, [1.0]), [1, 0, 1, 0])
 
 
 def test_extractor_baseline_two_covariates():
-    assert np.array_equal(extractor(0, [0.0, 0.0], 1, 1), [1, 0, 0, 0, 0, 0])
+    assert np.array_equal(extractor_vector(0, 1, 1, [0.0, 0.0]), [1, 0, 0, 0, 0, 0])
 
 
 def test_extractor_slope_target():
     w0 = 0.37
-    assert np.array_equal(extractor(1, [w0], 1, 1), [0, 1, 0, w0])
+    assert np.array_equal(extractor_vector(1, 1, 1, [w0]), [0, 1, 0, w0])
 
 
 def test_extractor_rejects_out_of_range_order():
     with pytest.raises(NuOutOfRange):
-        extractor(2, [1.0], 1, 1)
+        extractor_vector(2, 1, 1, [1.0])
     with pytest.raises(NuOutOfRange):
-        extractor(-1, [1.0], 1, 1)
+        extractor_vector(-1, 1, 1, [1.0])
 
 
 def test_long_map_reproduces_varsigma():
@@ -67,7 +66,7 @@ def test_varsigma_contracts_match_extractor_differences():
     for _ in range(5):
         w = rng.uniform(-1, 1, 2)
         lhs = float(np.concatenate([[1.0], w]) @ result.varsigma)
-        rhs = float(extractor(0, w, 1, 1) @ delta)
+        rhs = float(extractor_vector(0, 1, 1, w) @ delta)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -124,17 +123,10 @@ def test_fit_hte_matches_long_regression_oracle():
     sample = random_instance(35, n=200, d=2)
     h = 0.7
     result = fit_hte(sample, FitSpec(bandwidth=Common(h)))
-    left, right = result.left, result.right
-    idx = np.concatenate([left.idx, right.idx])
-    u = np.concatenate([left.u, right.u])
-    kv = np.concatenate([left.kvals, right.kvals])
-    t = np.concatenate([np.zeros(left.idx.size), np.ones(right.idx.size)])
-    base = design_rows(u, sample.w[idx], 1, 1)
-    long_design = np.hstack([base, base * t[:, None]])
-    beta = oracle_wls(long_design, kv, sample.y[idx])
-    delta = beta[base.shape[1] :] / scaling_diag(h, 1, 1, sample.d)
+    beta = oracle_wls(*long_regression(sample, result.left, result.right))
+    delta = beta[result.left.n_coef :] / scaling_diag(h, 1, 1, sample.d)
     for w in (np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 1.0])):
-        expect = float(extractor(0, w, 1, 1) @ delta)
+        expect = float(extractor_vector(0, 1, 1, w) @ delta)
         assert cate_at(result, w).point == pytest.approx(expect, rel=1e-9)
 
 
@@ -376,6 +368,26 @@ def test_records_cost_no_window_work(monkeypatch, vce):
     contrast(result, Selector(np.array([0.0, 1.0]), nu=1))
     assert all(calls == [] for calls in work)
     assert all(len(c) == 2 for c in form_calls.values())
+
+
+def test_select_cluster_fit_counts_clusters_once(monkeypatch):
+    base = random_instance(45, n=400)
+    labels = np.random.default_rng(45).integers(0, 30, base.n)
+    sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
+    full_sample_counts = []
+    unique = np.unique
+
+    def counting_unique(ar, *args, **kwargs):
+        full_sample_counts.append(ar is sample.cluster)
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    meats = _count_calls(monkeypatch, "inference", "cluster_meat")
+    fit_hte(sample, FitSpec(bandwidth=Select(), vce="cluster"))
+    # two for the variance constants, two for the plug-in forms
+    assert len(meats) == 4
+    assert sum(full_sample_counts) == 1
+    assert sample.n_clusters == 30
 
 
 def test_missing_cluster_labels_raise_from_fit_hte():

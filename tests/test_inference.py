@@ -16,6 +16,7 @@ import rdhte
 from rdhte.bandwidth import bias_constants, pilot_bandwidth
 from rdhte.basis import design_rows, extractor_vector, scaling_diag
 from rdhte.errors import LeverageOne, TooFewClusters
+from rdhte.estimands import Selector, cate_at, contrast, fit_hte
 from rdhte.fitting import fit_side
 from rdhte.inference import (
     ci_pvalue,
@@ -23,10 +24,9 @@ from rdhte.inference import (
     coef_variance,
     hc_weights,
     meat_matrix,
-    rbc_point,
     rbc_variance,
 )
-from rdhte.model import Common, FitSpec, validate_sample
+from rdhte.model import Common, Fixed, FitSpec, validate_sample
 from rdhte.simulate import canonical_preset, inflated_curvature_preset, monte_carlo, true_cate
 
 
@@ -239,7 +239,7 @@ def test_doubling_kernel_values_leaves_variance_unchanged():
 
     def doubled(fit):
         return dataclasses.replace(
-            fit, kvals=2.0 * fit.kvals, gram=2.0 * fit.gram, score=2.0 * fit.score
+            fit, kvals=2.0 * fit.kvals, gram=2.0 * fit.gram
         )
 
     for vce in ("hc0", "hc1", "hc2", "hc3"):
@@ -300,13 +300,31 @@ def test_outcome_scaling_scales_se_leaves_z_and_p():
 
 
 def test_rbc_point_zero_bias_is_identity():
-    assert rbc_point(1.234, 0.0, 0.3) == 1.234
+    result = fit_hte(random_instance(18), FitSpec(bandwidth=Common(0.7)))
+    flat = {
+        side: dataclasses.replace(bias, routes=np.zeros_like(bias.routes))
+        for side, bias in (("left", result.bias_left),
+                           ("right", result.bias_right))
+    }
+    result = dataclasses.replace(
+        result, bias_left=flat["left"], bias_right=flat["right"]
+    )
+    rec = cate_at(result, [1.0])
+    assert rec.bias_estimate == 0.0
+    assert rec.rbc_point == rec.point
 
 
 def test_rbc_point_arithmetic():
-    assert rbc_point(1.0, 0.5, 0.2) == pytest.approx(0.98, abs=1e-15)
-    # derivative target drops one bandwidth power
-    assert rbc_point(1.0, 0.5, 0.2, nu=1) == pytest.approx(0.9, abs=1e-15)
+    result = fit_hte(random_instance(19), FitSpec(bandwidth=Fixed(0.6, 0.8)))
+    # h^(1 + min(p, s) - nu): a derivative target drops one bandwidth power
+    for nu, power in ((0, 2), (1, 1)):
+        rec = contrast(result, Selector(np.array([1.0, 0.5]), nu=nu))
+        evec = extractor_vector(nu, 1, 1, np.array([0.5]))
+        bias = 0.8**power * result.bias_right.contraction(
+            evec
+        ) - 0.6**power * result.bias_left.contraction(evec)
+        assert rec.bias_estimate == pytest.approx(bias, rel=1e-14)
+        assert rec.rbc_point == rec.point - rec.bias_estimate
 
 
 def test_rbc_point_reduces_bias_under_curvature():
@@ -353,18 +371,11 @@ def oracle_rbc_variance(sample, pieces, evec, nu=0):
         for pos, i in enumerate(fit.idx):
             val = (fit.design[pos] @ ginv @ e_scaled) * fit.kvals[pos] / (n * h)
             omega[i] = omega.get(i, 0.0) + val
-        g0, g1 = bias.channel_weights(evec)
+        # the bias reads the raw-power pilot coefficients through the routes
+        chan = (bias.routes @ evec) / scaling_diag(b, p + 1, s + 1, d)
         pginv = np.linalg.inv(pilot.gram)
-        chans = []
-        r0 = np.zeros(pilot.n_coef)
-        r0[p + 1] = g0 * b ** (-(p + 1))
-        chans.append(r0)
-        for ell in range(d):
-            r1 = np.zeros(pilot.n_coef)
-            r1[(p + 2) + ell * (s + 2) + (s + 1)] = g1[ell] * b ** (-(s + 1))
-            chans.append(r1)
         for pos, i in enumerate(pilot.idx):
-            val = sum(float(pilot.design[pos] @ pginv @ c) for c in chans)
+            val = float(pilot.design[pos] @ pginv @ chan)
             omega[i] = omega.get(i, 0.0) - h ** (1 + q - nu) * val * pilot.kvals[
                 pos
             ] / (n * b)

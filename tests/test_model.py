@@ -67,6 +67,18 @@ def test_cluster_relabeled_to_codes():
     assert sample.cluster.tolist() == [1, 0, 1, 2]
 
 
+def test_cluster_count_same_for_integer_and_text_labels():
+    rng = np.random.default_rng(3)
+    ids = rng.integers(0, 40, 300)
+    x = rng.uniform(-1, 1, 300)
+    counts = [
+        validate_sample(np.zeros(300), x, 0.0, cluster=labels).n_clusters
+        for labels in (ids, ids.astype(str), [f"s{i}" for i in ids])
+    ]
+    assert counts == [np.unique(ids).size] * 3
+    assert validate_sample(np.zeros(300), x, 0.0).n_clusters is None
+
+
 def test_categorical_expansion():
     w, labels, kinds = expand_covariates(
         {"g": ["a", "b", "c"]},

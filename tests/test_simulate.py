@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 from conftest import random_instance
+from oracles import RankDeficient, oracle_wls
 
-from rdhte.errors import AllReplicationsFailed, RankDeficient
+from rdhte.errors import AllReplicationsFailed
 from rdhte.fitting import fit_side
 from rdhte.model import Common, FitSpec
 from rdhte.simulate import (
@@ -17,7 +18,6 @@ from rdhte.simulate import (
     gen_sample,
     inflated_curvature_preset,
     monte_carlo,
-    oracle_wls,
     true_cate,
 )
 
