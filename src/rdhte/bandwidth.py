@@ -233,7 +233,7 @@ def variance_constants(
 
     if fit is None:
         fit = fit_side(sample, side, h, p, s, kernel)
-    meat, _ = _side_meat(fit, vce, sample.cluster, sample.n_clusters)
+    meat = _side_meat(fit, vce, sample.cluster, sample.n_clusters)
     return VarianceConstants(
         side=side, h=float(h), bread_meat_bread=_sandwich(fit.gram, meat)
     )

@@ -115,10 +115,8 @@ def meat_matrix(fit: SideFit, weights: np.ndarray) -> np.ndarray:
 
 
 def cluster_meat(
-    fit: SideFit,
-    cluster: Optional[np.ndarray],
-    n_clusters: Optional[int] = None,
-):
+    fit: SideFit, cluster: Optional[np.ndarray], n_clusters: int
+) -> np.ndarray:
     """Cluster-robust meat matrix for one side.
 
     Sums kernel-weighted score cross-products within clusters:
@@ -126,14 +124,9 @@ def cluster_meat(
         V = (1/(G h)) sum_g (sum_{i in g} K_i r_i u_hat_i)
                             (sum_{i in g} K_i r_i u_hat_i)'
 
-    with G the number of distinct clusters in the full sample: n_clusters
-    when given (RdSample.n_clusters counts it once per sample), else
-    counted from cluster. The small-sample degrees-of-freedom factor is
-    applied later, at contraction.
-
-    Returns
-    -------
-    (meat, G)
+    with G = n_clusters, the number of distinct clusters in the full
+    sample (RdSample.n_clusters). The small-sample degrees-of-freedom
+    factor is applied later, at contraction.
 
     Raises
     ------
@@ -143,10 +136,7 @@ def cluster_meat(
     """
     scores = fit.design * (fit.kvals * fit.residuals)[:, None]
     sums = _cluster_sums(fit.side, cluster, fit.idx, scores)
-    if n_clusters is None:
-        n_clusters = int(np.unique(cluster).size)
-    meat = sums.T @ sums / (n_clusters * fit.h)
-    return meat, n_clusters
+    return sums.T @ sums / (n_clusters * fit.h)
 
 
 def _cluster_sums(
@@ -187,14 +177,11 @@ def _df_factor(fit: SideFit) -> float:
     return fit.n_total / (fit.n_total - fit.p - 1 - fit.d)
 
 
-def _side_meat(fit: SideFit, vce: str, cluster, n_clusters=None):
-    """Meat matrix of one side for the variance kind vce.
-
-    Returns (meat, G) with G the cluster count for vce "cluster", else None.
-    """
+def _side_meat(fit: SideFit, vce: str, cluster, n_clusters):
+    """Meat matrix of one side for the variance kind vce."""
     if vce == "cluster":
         return cluster_meat(fit, cluster, n_clusters)
-    return meat_matrix(fit, hc_weights(vce, fit)), None
+    return meat_matrix(fit, hc_weights(vce, fit))
 
 
 def _sandwich(gram: np.ndarray, meat: np.ndarray) -> np.ndarray:
@@ -205,20 +192,19 @@ def _sandwich(gram: np.ndarray, meat: np.ndarray) -> np.ndarray:
 def plugin_form(
     fit: SideFit,
     vce: str,
-    cluster: Optional[np.ndarray] = None,
-    n_clusters: Optional[int] = None,
-):
+    cluster: Optional[np.ndarray],
+    n_clusters: Optional[int],
+) -> np.ndarray:
     """Plug-in quadratic form of one side.
 
-    Returns (P, G): the k x k matrix P = f Gram^-1 meat Gram^-1, with f the
-    cluster degrees-of-freedom factor for vce "cluster" and 1 otherwise,
-    and the cluster count G (None unless clustered; see cluster_meat for
-    n_clusters). The side's plug-in contraction of an extractor e is
-    e' P e.
+    Returns the k x k matrix P = f Gram^-1 meat Gram^-1, with f the cluster
+    degrees-of-freedom factor for vce "cluster" and 1 otherwise
+    (n_clusters as in cluster_meat; unused by HC kinds). The side's
+    plug-in contraction of an extractor e is e' P e.
     """
-    meat, g = _side_meat(fit, vce, cluster, n_clusters)
+    meat = _side_meat(fit, vce, cluster, n_clusters)
     factor = _df_factor(fit) if vce == "cluster" else 1.0
-    return factor * _sandwich(fit.gram, meat), g
+    return factor * _sandwich(fit.gram, meat)
 
 
 def rbc_form(
@@ -339,7 +325,7 @@ def side_forms(
     and the sample's cluster labels."""
     cluster = sample.cluster
     return SideForms(
-        plugin=plugin_form(fit, vce, cluster, sample.n_clusters)[0],
+        plugin=plugin_form(fit, vce, cluster, sample.n_clusters),
         rbc=rbc_form(sample, fit, bias.pilot_fit, bias, vce, cluster),
         h=fit.h,
         n_total=fit.n_total,
@@ -372,16 +358,19 @@ def coef_variance(
     Each side's contraction is e' P e with P its plug-in form (see
     plugin_form). The two sides use disjoint samples, so the variance is
     the sum of the contractions, each scaled by 1/(n h^(2 nu + 1)).
+    For vce "cluster", G is the number of distinct labels in cluster.
     """
-    (p_left, g_l), (p_right, g_r) = (
-        plugin_form(fit, vce, cluster) for fit in (left, right)
+    g = None
+    if vce == "cluster" and cluster is not None:
+        g = int(np.unique(cluster).size)
+    p_left, p_right = (
+        plugin_form(fit, vce, cluster, g) for fit in (left, right)
     )
     c_left = float(extractor @ p_left @ extractor)
     c_right = float(extractor @ p_right @ extractor)
     var = c_left / (
         left.n_total * left.h ** (2 * nu + 1)
     ) + c_right / (right.n_total * right.h ** (2 * nu + 1))
-    g = g_l if g_l is not None else g_r
     return VarianceEstimate(
         kind=vce,
         contraction_left=c_left,
@@ -390,89 +379,6 @@ def coef_variance(
         se=float(np.sqrt(max(var, 0.0))),
         n_clusters=g,
     )
-
-
-def rbc_variance(self, extractor: np.ndarray, nu: int) -> float:
-        """Variance of the side's bias-corrected extractor'theta."""
-        ext = _rbc_extractor(extractor, self.h, self.q, nu)
-        return float(ext @ self.rbc @ ext)
-
-
-def side_forms(
-    sample: RdSample, fit: SideFit, bias: BiasConstants, vce: str
-) -> SideForms:
-    """Both quadratic forms of one side, with bias.pilot_fit as the pilot
-    and the sample's cluster labels."""
-    cluster = sample.cluster
-    return SideForms(
-        plugin=plugin_form(fit, vce, cluster, sample.n_clusters)[0],
-        rbc=rbc_form(sample, fit, bias.pilot_fit, bias, vce, cluster),
-        h=fit.h,
-        n_total=fit.n_total,
-        q=min(fit.p, fit.s),
-    )
-
-
-@dataclass(frozen=True)
-class VarianceEstimate:
-    """Variance of a selector contrast of the two side fits."""
-
-    kind: str
-    contraction_left: float
-    contraction_right: float
-    variance: float
-    se: float
-    n_clusters: Optional[int] = None
-
-
-def coef_variance(
-    left: SideFit,
-    right: SideFit,
-    extractor: np.ndarray,
-    nu: int,
-    vce: str,
-    cluster: Optional[np.ndarray] = None,
-) -> VarianceEstimate:
-    """Plug-in sandwich variance of extractor'(theta_right - theta_left).
-
-    Each side's contraction is e' P e with P its plug-in form (see
-    plugin_form). The two sides use disjoint samples, so the variance is
-    the sum of the contractions, each scaled by 1/(n h^(2 nu + 1)).
-    """
-    (p_left, g_l), (p_right, g_r) = (
-        plugin_form(fit, vce, cluster) for fit in (left, right)
-    )
-    c_left = float(extractor @ p_left @ extractor)
-    c_right = float(extractor @ p_right @ extractor)
-    var = c_left / (
-        left.n_total * left.h ** (2 * nu + 1)
-    ) + c_right / (right.n_total * right.h ** (2 * nu + 1))
-    g = g_l if g_l is not None else g_r
-    return VarianceEstimate(
-        kind=vce,
-        contraction_left=c_left,
-        contraction_right=c_right,
-        variance=var,
-        se=float(np.sqrt(max(var, 0.0))),
-        n_clusters=g,
-    )
-
-
-def rbc_point(
-    point: float,
-    bias_contrast: float,
-    h: float,
-    nu: int = 0,
-    p: int = 1,
-    s: int = 1,
-) -> float:
-    """Bias-corrected point estimate.
-
-    Subtracts h^(1 + min(p,s) - nu) times the bias contraction; at the
-    default level-effect local-linear orders this is the familiar
-    point - h^2 * bias.
-    """
-    return point - h ** (1 + min(p, s) - nu) * bias_contrast
 
 
 def rbc_variance(

@@ -54,7 +54,8 @@ class RdSample:
     w : ndarray, shape (n, d)
         Heterogeneity covariates (d may be 0).
     cluster : ndarray of int, shape (n,), optional
-        Cluster labels for cluster-robust variance.
+        Cluster codes 0..G-1 for cluster-robust variance (validate_sample
+        relabels any labels to these dense codes).
     """
 
     y: np.ndarray
@@ -73,10 +74,10 @@ class RdSample:
 
     @cached_property
     def n_clusters(self) -> Optional[int]:
-        """Number of distinct cluster labels, counted once per sample."""
+        """Number of clusters G, read once per sample from the dense codes."""
         if self.cluster is None:
             return None
-        return int(np.unique(self.cluster).size)
+        return int(self.cluster.max()) + 1
 
     def side_mask(self, side: str) -> np.ndarray:
         """Boolean mask for one side: right is x >= cutoff, left is x < cutoff."""

@@ -14,13 +14,9 @@ import numpy as np
 
 from rdhte.bandwidth import BiasConstants
 from rdhte.basis import design_rows, scaling_diag
+from rdhte.errors import LeverageOne
 from rdhte.fitting import SideFit
-from rdhte.inference import (
-    _cluster_sums,
-    _df_factor,
-    _leverage_weights,
-    hc_weights,
-)
+from rdhte.inference import LEVERAGE_TOL, _cluster_sums, _df_factor, hc_weights
 from rdhte.model import RdSample
 
 
@@ -68,6 +64,20 @@ def _influence_pieces(
     return union, omega, resid, lev
 
 
+def _pilot_hc_weights(kind: str, pilot: SideFit, lev: np.ndarray) -> np.ndarray:
+    if kind == "hc0":
+        return np.ones_like(lev)
+    if kind == "hc1":
+        return np.full_like(lev, float(hc_weights("hc1", pilot)[0]))
+    if np.any(lev >= 1.0 - LEVERAGE_TOL):
+        raise LeverageOne(
+            f"{pilot.side} side pilot fit has leverage at 1; "
+            "HC2/HC3 undefined"
+        )
+    base = 1.0 / (1.0 - lev)
+    return base if kind == "hc2" else base**2
+
+
 def _plugin_contraction(fit, extractor, vce, cluster):
     if vce == "cluster":
         scores = fit.design * (fit.kvals * fit.residuals)[:, None]
@@ -101,6 +111,6 @@ def per_record_variances(sample, sides, extractor, nu, vce, cluster=None):
             sums = _cluster_sums(fit.side, cluster, union, omega * resid)
             rbc += _df_factor(fit) * float(np.sum(sums**2))
         else:
-            w = _leverage_weights(vce, pilot, lev, "pilot")
+            w = _pilot_hc_weights(vce, pilot, lev)
             rbc += float(np.sum(w * omega**2 * resid**2))
     return var, rbc

@@ -274,11 +274,12 @@ def test_criterion_8_hc_and_cluster_algebra():
     # singleton clusters: meat equals HC0 meat, contraction adds the
     # degrees-of-freedom factor n/(n - p - 1 - d)
     labels = np.arange(sample.n)
-    v_cl, g = cluster_meat(fit, labels)
+    v_cl = cluster_meat(fit, labels, sample.n)
     cl_err = float(np.max(np.abs(v_cl - v0))) / float(np.max(np.abs(v0)))
     left = fit_side(sample, "left", 0.7, 1, 1, "triangular")
     evec = extractor_vector(0, 1, 1, np.array([1.0]))
-    var_cl = coef_variance(left, fit, evec, 0, "cluster", labels).variance
+    est_cl = coef_variance(left, fit, evec, 0, "cluster", labels)
+    var_cl = est_cl.variance
     var_0 = coef_variance(left, fit, evec, 0, "hc0").variance
     df = sample.n / (sample.n - 1 - 1 - 1)
     df_err = abs(var_cl - df * var_0) / var_0
@@ -287,7 +288,7 @@ def test_criterion_8_hc_and_cluster_algebra():
         hc_err < 1e-12
         and cl_err < 1e-12
         and df_err < 1e-12
-        and g == sample.n
+        and est_cl.n_clusters == sample.n
         and elapsed < 1
     )
     report(

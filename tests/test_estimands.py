@@ -374,19 +374,28 @@ def test_select_cluster_fit_counts_clusters_once(monkeypatch):
     base = random_instance(45, n=400)
     labels = np.random.default_rng(45).integers(0, 30, base.n)
     sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
-    full_sample_counts = []
+    full_sample_uniques = []
     unique = np.unique
 
     def counting_unique(ar, *args, **kwargs):
-        full_sample_counts.append(ar is sample.cluster)
+        full_sample_uniques.append(ar is sample.cluster)
         return unique(ar, *args, **kwargs)
 
+    inference = importlib.import_module("rdhte.inference")
+    cluster_meat = inference.cluster_meat
+    counts_used = []
+
+    def recording_meat(fit, cluster, n_clusters):
+        counts_used.append(n_clusters)
+        return cluster_meat(fit, cluster, n_clusters)
+
     monkeypatch.setattr(np, "unique", counting_unique)
-    meats = _count_calls(monkeypatch, "inference", "cluster_meat")
+    monkeypatch.setattr(inference, "cluster_meat", recording_meat)
     fit_hte(sample, FitSpec(bandwidth=Select(), vce="cluster"))
-    # two for the variance constants, two for the plug-in forms
-    assert len(meats) == 4
-    assert sum(full_sample_counts) == 1
+    # two for the variance constants, two for the plug-in forms, each
+    # handed the count read once from the sample's dense codes
+    assert counts_used == [30] * 4
+    assert sum(full_sample_uniques) == 0
     assert sample.n_clusters == 30
 
 

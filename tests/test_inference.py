@@ -179,8 +179,8 @@ def cluster_fixture():
 def test_cluster_meat_matches_hand_computation():
     sample, labels = cluster_fixture()
     fit = fit_side(sample, "right", 1.0, 1, 1, "triangular")
-    meat, g = cluster_meat(fit, labels)
-    assert g == 4
+    g = 4
+    meat = cluster_meat(fit, labels, g)
     sums = {}
     for pos, i in enumerate(fit.idx):
         score = fit.design[pos] * fit.kvals[pos] * fit.residuals[pos]
@@ -194,8 +194,7 @@ def test_all_singleton_clusters_reduce_to_hc0_meat():
     sample = random_instance(7, n=60)
     fit = fit_side(sample, "right", 0.8, 1, 1, "triangular")
     labels = np.arange(sample.n)
-    meat, g = cluster_meat(fit, labels)
-    assert g == sample.n
+    meat = cluster_meat(fit, labels, sample.n)
     assert meat == pytest.approx(
         meat_matrix(fit, hc_weights("hc0", fit)), rel=1e-12
     )
@@ -217,9 +216,9 @@ def test_single_cluster_in_window_rejected():
     sample, _ = cluster_fixture()
     fit = fit_side(sample, "right", 1.0, 1, 1, "triangular")
     with pytest.raises(TooFewClusters):
-        cluster_meat(fit, np.array([5, 5, 5, 5, 0, 1, 2, 3]))
+        cluster_meat(fit, np.array([5, 5, 5, 5, 0, 1, 2, 3]), 5)
     with pytest.raises(TooFewClusters):
-        cluster_meat(fit, None)
+        cluster_meat(fit, None, None)
 
 
 # ---------------------------------------------------------------------------
