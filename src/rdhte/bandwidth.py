@@ -72,13 +72,11 @@ def moment_vectors(
     """
     if a < 0:
         raise ValueError("moment order a must be >= 0")
-    rows, weights, idx = side_design(sample, side, h, p, s, kernel)
+    rows, _, idx, u, kv = side_design(sample, side, h, p, s, kernel)
     k_dim = n_params(p, s, sample.d)
     n = sample.n
     if idx.size == 0:
         return np.zeros(k_dim), np.zeros((k_dim, sample.d))
-    u = (sample.x[idx] - sample.cutoff) / h
-    kv = weights * h
     common = kv / (n * h) * u ** (a + 1)
     zeta = rows.T @ common
     phi = (rows * common[:, None]).T @ sample.w[idx]
@@ -90,27 +88,25 @@ def pilot_bandwidth(sample: RdSample, side: str, p: int, s: int) -> float:
 
     b = 2.576 * min(sd(X_side), IQR(X_side)/1.349) * n_side^(-1/(2 max(p,s)+5)),
     then raised if necessary so the pilot window holds at least
-    min(5*(p+2), n_side) observations.
+    min(5*(p+2), n_side) observations. The spread and the distance order
+    statistics come from the sample's cached side view.
 
     Raises
     ------
     TooFewObservations
         If the side holds fewer than 10 observations.
     """
-    x_side = sample.x[sample.side_mask(side)]
-    n_side = x_side.size
+    view = sample.side_view(side)
+    n_side = view.n
     if n_side < MIN_SIDE_OBS:
         raise TooFewObservations(
             f"{side} side has {n_side} observations; need >= {MIN_SIDE_OBS}"
         )
-    sd = float(np.std(x_side, ddof=1))
-    iqr = float(np.quantile(x_side, 0.75) - np.quantile(x_side, 0.25))
-    spread = min(sd, iqr / 1.349)
+    spread = min(view.sd, view.iqr / 1.349)
     b = 2.576 * spread * n_side ** (-1.0 / (2 * max(p, s) + 5))
     # clamp from below so the window keeps enough points for the pilot fit
-    dist = np.sort(np.abs(x_side - sample.cutoff))
     m_min = min(5 * (p + 2), n_side)
-    b_floor = dist[m_min - 1] * (1.0 + 1e-9)
+    b_floor = view.dist[m_min - 1] * (1.0 + 1e-9)
     return max(b, b_floor)
 
 
@@ -149,7 +145,6 @@ def bias_constants(
     side: str,
     p: int,
     s: int,
-    nu: int,
     kernel: str,
     pilot_b: float,
     pilot_fit: Optional[SideFit] = None,
@@ -218,7 +213,6 @@ def variance_constants(
     h: float,
     p: int,
     s: int,
-    nu: int,
     kernel: str,
     vce: str,
     fit: Optional[SideFit] = None,
@@ -264,7 +258,7 @@ class BandwidthSelection:
 
 
 def _h_bounds(sample: RdSample, side: str, k_dim: int):
-    dist = np.sort(np.abs(sample.x[sample.side_mask(side)] - sample.cutoff))
+    dist = sample.side_view(side).dist
     m = min(k_dim + 2, dist.size)
     h_min = dist[m - 1] * (1.0 + 1e-9)
     h_max = dist[-1] * (1.0 + 1e-9)
@@ -320,9 +314,9 @@ def mse_bandwidth(
     for side in sides:
         b = pilot_bandwidth(sample, side, p, s)
         pilots[side] = b
-        bconsts[side] = bias_constants(sample, side, p, s, nu, kernel, b)
+        bconsts[side] = bias_constants(sample, side, p, s, kernel, b)
         vconsts[side] = variance_constants(
-            sample, side, b, p, s, nu, kernel, spec.vce
+            sample, side, b, p, s, kernel, spec.vce
         )
 
     v_val = {sd: vconsts[sd].contraction(extractor) for sd in sides}

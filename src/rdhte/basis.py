@@ -45,13 +45,18 @@ def poly_basis(u, q: int):
     -------
     ndarray
         Shape (q+1,) for scalar input, (len(u), q+1) for vector input.
+
+    Column j is column j-1 times u, a running product: the powers 0 and 1
+    are exact and u^j is within j-1 rounding errors of the true power.
     """
     if q < 0:
         raise ValueError("polynomial order must be >= 0")
     arr = np.asarray(u, dtype=float)
-    if arr.ndim == 0:
-        return arr ** np.arange(q + 1, dtype=float)
-    return arr[:, None] ** np.arange(q + 1, dtype=float)
+    out = np.empty(arr.shape + (q + 1,))
+    out[..., 0] = 1.0
+    for j in range(1, q + 1):
+        np.multiply(out[..., j - 1], arr, out=out[..., j])
+    return out
 
 
 def design_rows(u, w, p: int, s: int) -> np.ndarray:
@@ -75,13 +80,17 @@ def design_rows(u, w, p: int, s: int) -> np.ndarray:
     if w.ndim == 1:
         w = w[:, None]
     m, d = w.shape[0], w.shape[1]
-    main = poly_basis(u, p)
     if d == 0:
-        return main
-    base_s = poly_basis(u, s)
-    # row-wise Kronecker of w (m,d) with base_s (m,s+1) -> (m, d*(s+1))
-    inter = (w[:, :, None] * base_s[:, None, :]).reshape(m, d * (s + 1))
-    return np.hstack([main, inter])
+        return poly_basis(u, p)
+    powers = poly_basis(u, max(p, s))
+    out = np.empty((m, n_params(p, s, d)))
+    out[:, : p + 1] = powers[:, : p + 1]
+    # row-wise Kronecker of w (m,d) with the powers (m,s+1), block by block
+    for ell in range(d):
+        start = 1 + p + ell * (1 + s)
+        block = out[:, start : start + s + 1]
+        np.multiply(w[:, ell, None], powers[:, : s + 1], out=block)
+    return out
 
 
 def scaling_diag(h: float, p: int, s: int, d: int) -> np.ndarray:

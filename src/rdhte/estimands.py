@@ -323,7 +323,7 @@ def fit_hte(
         h_left, h_right = spec.resolved_bandwidths()
         bias_left, bias_right = (
             bias_constants(
-                sample, side, p, s, nu, kernel,
+                sample, side, p, s, kernel,
                 pilot_bandwidth(sample, side, p, s),
             )
             for side in ("left", "right")

@@ -13,22 +13,32 @@ the Gram's reciprocal condition number (sigma_min/sigma_max of R, squared),
 and the leverages as the squared row norms of Q. The Gram itself is summed
 directly, never inverted, so the Gram of a sub-basis on the same window is
 an exact block of it.
+
+Windows are found without scanning the sample. RdSample.side_view holds
+each side's rows sorted by d = |x - c|, built once per sample, so the rows
+with d <= h(1 + 1e-9) are a prefix found by one binary search. The kernel
+runs on that prefix only, the rows with K(u) > 0 form the window, and they
+are put back in ascending row order, so every sum over a window runs in
+the same order as a full scan would. A side fit costs O(m k^2) for a
+window of m rows and k coefficients, independent of n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .basis import design_rows, scaling_diag
-from .errors import SingularGram
+from .errors import NonPositiveBandwidth, SingularGram
 from .kernels import kernel_eval
 from .model import RdSample
 
 __all__ = [
     "SideFit",
+    "SideDesign",
     "side_design",
     "fit_side",
 ]
@@ -106,39 +116,54 @@ class SideFit:
         return np.linalg.solve(self.gram, rhs)
 
 
+class SideDesign(NamedTuple):
+    """Design rows and kernel values of one side's window.
+
+    rows : ndarray (m, k), interacted basis at (u_i, W_i)
+    weights : ndarray (m,), K(u_i)/h (strictly positive)
+    idx : ndarray (m,), original row indices, ascending
+    u : ndarray (m,), scaled distances (x_i - c)/h
+    kvals : ndarray (m,), kernel values K(u_i)
+    """
+
+    rows: np.ndarray
+    weights: np.ndarray
+    idx: np.ndarray
+    u: np.ndarray
+    kvals: np.ndarray
+
+
 def _window(sample: RdSample, side: str, h: float, kernel: str):
     """Indices, scaled distances, and kernel values of one side's window."""
-    mask = sample.side_mask(side)
-    u_all = (sample.x - sample.cutoff) / h
-    kv = kernel_eval(u_all, kernel)
-    mask &= kv > 0.0
-    idx = np.nonzero(mask)[0]
-    return idx, u_all[idx], kv[idx]
+    view = sample.side_view(side)
+    # |(x - c)/h| <= 1 implies |x - c| <= h, so this prefix holds the window
+    stop = np.searchsorted(view.dist, h * (1.0 + 1e-9), side="right")
+    rows = np.sort(view.order[:stop])
+    u = (sample.x[rows] - sample.cutoff) / h
+    kv = kernel_eval(u, kernel)
+    keep = kv > 0.0
+    return rows[keep], u[keep], kv[keep]
 
 
 def side_design(
     sample: RdSample, side: str, h: float, p: int, s: int, kernel: str
-):
-    """Design rows and kernel weights for one side's window.
+) -> SideDesign:
+    """Design rows and kernel values for one side's window.
 
     Returns
     -------
-    (rows, weights, idx)
-        rows : ndarray (m, k), interacted basis at (u_i, W_i)
-        weights : ndarray (m,), K(u_i)/h (strictly positive)
-        idx : ndarray (m,), original row indices
+    SideDesign
+        (rows, weights, idx, u, kvals); see SideDesign.
 
     The window may be empty (zero rows). A boundary observation with
     |x - c| = h is included iff its kernel weight is strictly positive,
     so the triangular kernel excludes it while the uniform includes it.
     """
     if h <= 0:
-        from .errors import NonPositiveBandwidth
-
         raise NonPositiveBandwidth(f"bandwidth must be > 0, got {h}")
     idx, u, kv = _window(sample, side, h, kernel)
     rows = design_rows(u, sample.w[idx], p, s)
-    return rows, kv / h, idx
+    return SideDesign(rows, kv / h, idx, u, kv)
 
 
 def fit_side(
@@ -168,12 +193,10 @@ def fit_side(
         Gram's reciprocal condition number falls below 1e-12 (collinear
         covariates within the window).
     """
-    rows, weights, idx = side_design(sample, side, h, p, s, kernel)
+    rows, _, idx, u, kv = side_design(sample, side, h, p, s, kernel)
     n = sample.n
     if idx.size < rows.shape[1]:
         raise SingularGram(side, 0.0)
-    kv = weights * h  # K(u_i) without the 1/h
-    u = (sample.x[idx] - sample.cutoff) / h
 
     wts = kv / (n * h)
     sqw = np.sqrt(wts)

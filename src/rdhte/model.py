@@ -1,6 +1,9 @@
 """Domain types, input validation, and heterogeneity-design expansion.
 
-RdSample is the validated in-memory representation of an RD dataset.
+RdSample is the validated in-memory representation of an RD dataset. It
+is immutable: validate_sample stores read-only views of y, x and w, and
+each side's rows sorted by distance to the cutoff (SideView) are built
+once per sample, on first use, and shared by every later fit.
 CovariateSpec describes how raw columns become the heterogeneity matrix W:
 categorical columns expand into one indicator per non-baseline level,
 continuous columns into powers, quantile_bins columns into indicators for
@@ -28,6 +31,7 @@ from .kernels import resolve_kernel
 
 __all__ = [
     "RdSample",
+    "SideView",
     "ColumnSpec",
     "CovariateSpec",
     "FitSpec",
@@ -37,6 +41,32 @@ __all__ = [
     "validate_sample",
     "expand_covariates",
 ]
+
+
+@dataclass(frozen=True)
+class SideView:
+    """One side's rows ordered by their distance d = |x - c| to the cutoff.
+
+    Attributes
+    ----------
+    order : ndarray of int, shape (n_side,)
+        Row positions of the side's observations, ascending in d (ties in
+        any order); int32 when the sample has fewer than 2^31 rows.
+    dist : ndarray, shape (n_side,)
+        Those distances, sorted.
+    sd, iqr : float
+        Standard deviation (ddof 1) and interquartile range of the side's
+        x values; nan when the side holds fewer than two observations.
+    """
+
+    order: np.ndarray
+    dist: np.ndarray
+    sd: float
+    iqr: float
+
+    @property
+    def n(self) -> int:
+        return self.dist.size
 
 
 @dataclass(frozen=True)
@@ -56,6 +86,10 @@ class RdSample:
     cluster : ndarray of int, shape (n,), optional
         Cluster codes 0..G-1 for cluster-robust variance (validate_sample
         relabels any labels to these dense codes).
+
+    The per-side views are cached on the instance, so its arrays must not
+    change after construction; dataclasses.replace gives a new sample with
+    fresh views.
     """
 
     y: np.ndarray
@@ -79,6 +113,30 @@ class RdSample:
             return None
         return int(self.cluster.max()) + 1
 
+    @cached_property
+    def _side_views(self) -> dict:
+        return {}
+
+    def side_view(self, side: str) -> SideView:
+        """The side's rows sorted by distance to the cutoff, built once."""
+        views = self._side_views
+        if side not in views:
+            pos = np.flatnonzero(self.side_mask(side))
+            x_side = self.x[pos]
+            sd = iqr = float("nan")
+            if pos.size >= 2:
+                sd = float(np.std(x_side, ddof=1))
+                q25, q75 = np.quantile(x_side, [0.25, 0.75])
+                iqr = float(q75 - q25)
+            dist = np.subtract(x_side, self.cutoff, out=x_side)
+            np.abs(dist, out=dist)
+            # a prefix cut by value never splits ties, so no stable sort
+            sorter = np.argsort(dist)
+            if self.n < 2**31:
+                pos = pos.astype(np.int32)
+            views[side] = SideView(pos[sorter], dist[sorter], sd, iqr)
+        return views[side]
+
     def side_mask(self, side: str) -> np.ndarray:
         """Boolean mask for one side: right is x >= cutoff, left is x < cutoff."""
         if side == "right":
@@ -91,6 +149,12 @@ class RdSample:
 def is_binary(values) -> bool:
     """True iff every value is 0 or 1."""
     return bool(np.isin(np.unique(values), (0.0, 1.0)).all())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -126,6 +190,8 @@ def validate_sample(
     Returns
     -------
     RdSample
+        Holds read-only views of y, x and w. A caller who changes an input
+        array afterwards must call validate_sample again.
 
     Raises
     ------
@@ -164,7 +230,13 @@ def validate_sample(
     _check_finite("y", y)
     _check_finite("x", x)
     _check_finite("w", w_arr)
-    return RdSample(y=y, x=x, cutoff=float(cutoff), w=w_arr, cluster=cl)
+    return RdSample(
+        y=_read_only(y),
+        x=_read_only(x),
+        cutoff=float(cutoff),
+        w=_read_only(w_arr),
+        cluster=cl,
+    )
 
 
 # -- covariate expansion -------------------------------------------------------

@@ -1,9 +1,9 @@
 """Independent oracles the tests check the estimator against.
 
 Each takes a different route to a quantity the package computes: a
-single-point basis builder, weighted least squares through the normal
-equations, and the long interacted regression whose blocks the two
-one-sided fits must reproduce.
+single-point basis builder, a window found by scanning every row,
+weighted least squares through the normal equations, and the long
+interacted regression whose blocks the two one-sided fits must reproduce.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import scipy.linalg
 
 from rdhte.basis import design_rows, poly_basis
 from rdhte.fitting import SideFit, fit_side
+from rdhte.kernels import kernel_eval
 from rdhte.model import RdSample
 
 
@@ -32,6 +33,18 @@ def interacted_basis(u: float, w, p: int, s: int) -> np.ndarray:
         return main
     inter = np.kron(w, poly_basis(u, s))
     return np.concatenate([main, inter])
+
+
+def full_scan_window(sample: RdSample, side: str, h: float, kernel: str):
+    """One side's window from the kernel evaluated on every row.
+
+    Returns (idx, weights, u, kvals): the rows on the side with
+    K((x - c)/h) > 0 in ascending order, K/h, the scaled distances and K.
+    """
+    u_all = (sample.x - sample.cutoff) / h
+    k_all = kernel_eval(u_all, kernel)
+    idx = np.flatnonzero(sample.side_mask(side) & (k_all > 0.0))
+    return idx, k_all[idx] / h, u_all[idx], k_all[idx]
 
 
 def oracle_wls(design: np.ndarray, weights: np.ndarray, y: np.ndarray):

@@ -131,7 +131,7 @@ def test_bias_constants_exact_on_noiseless_quadratic():
     sample = gen_sample(cfg, 3000, 9)
     for side, t0, t1 in (("left", -0.6, 0.7), ("right", 0.9, -0.4)):
         b = pilot_bandwidth(sample, side, 1, 1)
-        bc = bias_constants(sample, side, 1, 1, 0, "triangular", b)
+        bc = bias_constants(sample, side, 1, 1, "triangular", b)
         # the routes read the u^2 and W u^2 coefficients of the pilot fit
         top = np.flatnonzero(np.any(bc.routes != 0.0, axis=1))
         assert top.tolist() == [2, 5]
@@ -142,7 +142,7 @@ def test_bias_constants_exact_on_noiseless_quadratic():
 def test_bias_constants_hand_assembled():
     sample = random_instance(31, n=300, d=1)
     b = 0.5
-    bc = bias_constants(sample, "right", 1, 1, 0, "triangular", b)
+    bc = bias_constants(sample, "right", 1, 1, "triangular", b)
     # assemble independently: pilot fit for coefficients, main-order Gram
     # and moment vectors for the routes
     pilot = fit_side(sample, "right", b, 2, 2, "triangular")
@@ -171,7 +171,7 @@ def test_bias_sign_matches_curvature():
     for rep in range(500):
         sample = gen_sample(cfg, 300, (77, rep))
         b = pilot_bandwidth(sample, "right", 1, 1)
-        bc = bias_constants(sample, "right", 1, 1, 0, "triangular", b)
+        bc = bias_constants(sample, "right", 1, 1, "triangular", b)
         vals[rep] = bc.contraction(e)
     assert np.mean(vals) < 0
 
@@ -183,7 +183,7 @@ def test_variance_constants_zero_for_noiseless_in_span():
         noise=("constant", 0.0),
     )
     sample = gen_sample(cfg, 500, 21)
-    vc = variance_constants(sample, "right", 0.4, 1, 1, 0, "triangular", "hc0")
+    vc = variance_constants(sample, "right", 0.4, 1, 1, "triangular", "hc0")
     e = extractor_vector(0, 1, 1, np.zeros(0))
     assert vc.contraction(e) == pytest.approx(0.0, abs=1e-20)
 
@@ -191,7 +191,7 @@ def test_variance_constants_zero_for_noiseless_in_span():
 def test_variance_constants_match_brute_force():
     sample = random_instance(41, n=200, d=0)
     h = 0.5
-    vc = variance_constants(sample, "right", h, 1, 1, 0, "triangular", "hc0")
+    vc = variance_constants(sample, "right", h, 1, 1, "triangular", "hc0")
     fit = fit_side(sample, "right", h, 1, 1, "triangular")
     n = sample.n
     meat = np.zeros((2, 2))
@@ -317,7 +317,7 @@ def test_bias_constants_read_main_order_blocks_of_pilot_gram(p, s):
     )
     for side in ("left", "right"):
         b = pilot_bandwidth(sample, side, p, s)
-        bc = bias_constants(sample, side, p, s, 0, "triangular", b)
+        bc = bias_constants(sample, side, p, s, "triangular", b)
         main = fit_side(sample, side, b, p, s, "triangular")
         pilot_gram = bc.pilot_fit.gram
         np.testing.assert_array_equal(pilot_gram[np.ix_(sub, sub)], main.gram)

@@ -23,6 +23,19 @@ def test_poly_basis_examples():
     assert poly_basis(-1.0, 1).tolist() == [1.0, -1.0]
 
 
+def test_poly_basis_running_products_match_powers():
+    rng = np.random.default_rng(12)
+    u = np.concatenate(
+        [rng.uniform(-1, 1, 20_000), rng.normal(0, 100, 20_000), [0.0, -0.0]]
+    )
+    got = poly_basis(u, 4)
+    powers = u[:, None] ** np.arange(5, dtype=float)
+    np.testing.assert_array_equal(got[:, :2], powers[:, :2])
+    ulps = np.abs(got - powers) / np.spacing(np.abs(powers))
+    assert ulps.max() <= 2.0
+    np.testing.assert_array_equal(poly_basis(u[7], 4), got[7])
+
+
 def test_interacted_basis_examples():
     assert interacted_basis(1.0, [3.0], 1, 1).tolist() == [1, 1, 3, 3]
     got = interacted_basis(0.0, [2.0, 5.0], 1, 1)

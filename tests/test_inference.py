@@ -350,7 +350,7 @@ def rbc_setup(seed, n=60, h=0.6):
     for side in ("left", "right"):
         b = pilot_bandwidth(sample, side, 1, 1)
         pilot = fit_side(sample, side, b, 2, 2, "triangular")
-        bias = bias_constants(sample, side, 1, 1, 0, "triangular", b, pilot)
+        bias = bias_constants(sample, side, 1, 1, "triangular", b, pilot)
         main = fit_side(sample, side, h, 1, 1, "triangular")
         pieces[side] = (main, pilot, bias)
     return sample, pieces
@@ -426,7 +426,7 @@ def test_rbc_variance_exceeds_plain_on_linear_dgp():
     for side in ("left", "right"):
         b = pilot_bandwidth(sample, side, 1, 1)
         pilot = fit_side(sample, side, b, 2, 2, "triangular")
-        bias = bias_constants(sample, side, 1, 1, 0, "triangular", b, pilot)
+        bias = bias_constants(sample, side, 1, 1, "triangular", b, pilot)
         fits[side] = (fit_side(sample, side, b, 1, 1, "triangular"), pilot, bias)
     (l, pl, bl), (r, pr, br) = fits["left"], fits["right"]
     evec = extractor_vector(0, 1, 1, np.array([1.0]))
@@ -442,7 +442,7 @@ def test_combined_influence_annihilates_constants_for_difference_selector():
     for side in ("left", "right"):
         b = pilot_bandwidth(flat, side, 1, 1)
         pilot = fit_side(flat, side, b, 2, 2, "triangular")
-        bias = bias_constants(flat, side, 1, 1, 0, "triangular", b, pilot)
+        bias = bias_constants(flat, side, 1, 1, "triangular", b, pilot)
         main = fit_side(flat, side, 0.6, 1, 1, "triangular")
         union, omega, resid, _ = _influence_pieces(flat, main, pilot, bias, evec, 0)
         # weights reproduce zero on any constant outcome
@@ -457,7 +457,7 @@ def test_rbc_variance_zero_for_constant_outcome():
     for side in ("left", "right"):
         b = pilot_bandwidth(flat, side, 1, 1)
         pilot = fit_side(flat, side, b, 2, 2, "triangular")
-        bias = bias_constants(flat, side, 1, 1, 0, "triangular", b, pilot)
+        bias = bias_constants(flat, side, 1, 1, "triangular", b, pilot)
         fits[side] = (fit_side(flat, side, 0.6, 1, 1, "triangular"), pilot, bias)
     (l, pl, bl), (r, pr, br) = fits["left"], fits["right"]
     evec = extractor_vector(0, 1, 1, np.array([1.0]), lead=0.0)

@@ -1,0 +1,191 @@
+"""Windows read from the sorted side views against a full scan of the rows."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from conftest import random_instance
+from oracles import full_scan_window
+
+import rdhte.fitting
+from rdhte.basis import n_params
+from rdhte.estimands import fit_hte
+from rdhte.fitting import fit_side, side_design
+from rdhte.kernels import KERNELS
+from rdhte.model import Common, FitSpec, RdSample, Select, validate_sample
+
+SIDES = ("left", "right")
+
+
+def _sample(x, cutoff, w=None):
+    rng = np.random.default_rng(x.size)
+    return validate_sample(rng.standard_normal(x.size), x, cutoff, w)
+
+
+def _boundary(side):
+    # rows exactly at |x - c| = h on both sides, h and c exact in binary
+    rng = np.random.default_rng(1)
+    x = np.concatenate([[0.75, 1.25, 0.75, 1.0], rng.uniform(0.0, 2.0, 60)])
+    return _sample(x, 1.0), 0.25
+
+
+def _duplicates(side):
+    rng = np.random.default_rng(2)
+    grid = np.array([-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75])
+    return _sample(rng.choice(grid, 200), 0.0), 0.5
+
+
+def _large_offset(side):
+    rng = np.random.default_rng(3)
+    x = 1e9 + rng.uniform(-1e-3, 1e-3, 300)
+    return _sample(x, 1e9), 4e-4
+
+
+def _empty(side):
+    rng = np.random.default_rng(4)
+    far = rng.uniform(0.5, 1.0, 40)
+    return _sample(np.concatenate([-far, far]), 0.0), 0.1
+
+
+def _beyond_range(side):
+    rng = np.random.default_rng(5)
+    return _sample(rng.uniform(-1.0, 1.0, 100), 0.0), 50.0
+
+
+def _exactly_k(side):
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, 1.0, 100)
+    sample = _sample(x, 0.0, rng.uniform(-1.0, 1.0, (100, 1)))
+    k = n_params(1, 1, 1)
+    on_side = (x >= 0.0) if side == "right" else (x < 0.0)
+    dist = np.sort(np.abs(x[on_side]))
+    return sample, 0.5 * (dist[k - 1] + dist[k])
+
+
+CASES = {
+    "boundary": _boundary,
+    "duplicates": _duplicates,
+    "large_offset": _large_offset,
+    "empty": _empty,
+    "beyond_range": _beyond_range,
+    "exactly_k": _exactly_k,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_window_equals_full_scan(case, side, kernel):
+    sample, h = CASES[case](side)
+    got = side_design(sample, side, h, 1, 1, kernel)
+    idx, weights, u, kvals = full_scan_window(sample, side, h, kernel)
+    np.testing.assert_array_equal(got.idx, idx)
+    np.testing.assert_array_equal(got.weights, weights)
+    np.testing.assert_array_equal(got.u, u)
+    np.testing.assert_array_equal(got.kvals, kvals)
+    assert got.rows.shape[0] == idx.size
+    if case == "exactly_k":
+        assert idx.size == n_params(1, 1, 1)
+        fit = fit_side(sample, side, h, 1, 1, kernel)
+        assert fit.eff_n == idx.size
+        assert np.max(np.abs(fit.residuals)) < 1e-8
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_boundary_rows_follow_kernel(side):
+    sample, h = _boundary(side)
+    at_h = np.flatnonzero(np.abs(sample.x - sample.cutoff) == h)
+    at_h = at_h[sample.side_mask(side)[at_h]]
+    assert at_h.size > 0
+    uniform = side_design(sample, side, h, 1, 1, "uniform").idx
+    assert np.isin(at_h, uniform).all()
+    for kernel in ("triangular", "epanechnikov"):
+        idx = side_design(sample, side, h, 1, 1, kernel).idx
+        assert not np.isin(at_h, idx).any()
+
+
+def test_side_view_sorts_each_side():
+    sample = random_instance(8, n=500, d=1)
+    for side in SIDES:
+        view = sample.side_view(side)
+        assert view is sample.side_view(side)
+        rows = np.flatnonzero(sample.side_mask(side))
+        x_side = sample.x[rows]
+        assert view.order.dtype == np.int32
+        np.testing.assert_array_equal(np.sort(view.order), rows)
+        np.testing.assert_array_equal(
+            view.dist, np.abs(sample.x[view.order] - sample.cutoff)
+        )
+        assert np.all(np.diff(view.dist) >= 0)
+        assert view.sd == float(np.std(x_side, ddof=1))
+        assert view.iqr == float(
+            np.quantile(x_side, 0.75) - np.quantile(x_side, 0.25)
+        )
+
+
+def test_fixed_bandwidth_fit_evaluates_kernel_on_window_rows(monkeypatch):
+    sample = random_instance(9, n=20_000, d=1)
+    spec = FitSpec(bandwidth=Common(0.1), vce="hc3")
+    fit_hte(sample, spec)
+
+    seen = []
+    kernel_eval = rdhte.fitting.kernel_eval
+
+    def counting(u, kind="triangular"):
+        seen.append(np.asarray(u))
+        return kernel_eval(u, kind)
+
+    monkeypatch.setattr(rdhte.fitting, "kernel_eval", counting)
+    result = fit_hte(sample, spec)
+    windows = [
+        result.left, result.right, result.pilot_left, result.pilot_right
+    ]
+    assert len(seen) == len(windows)
+    # only the window rows and boundary ties reach the kernel
+    assert all(np.all(np.abs(u) <= 1.0 + 2e-9) for u in seen)
+    assert sum(u.size for u in seen) == sum(f.eff_n for f in windows)
+    assert sum(u.size for u in seen) < sample.n / 2
+
+
+def test_refit_does_not_scan_the_sample(monkeypatch):
+    sample = random_instance(10, n=4_000, d=1)
+    spec = FitSpec(bandwidth=Select("two_sided"), vce="hc3")
+    first = fit_hte(sample, spec)
+
+    calls = []
+    side_mask = RdSample.side_mask
+
+    def counting(self, side):
+        calls.append(side)
+        return side_mask(self, side)
+
+    monkeypatch.setattr(RdSample, "side_mask", counting)
+    again = fit_hte(sample, spec)
+    assert calls == []
+    assert again.records == first.records
+
+
+def test_sample_arrays_are_read_only():
+    x = np.linspace(-1.0, 1.0, 50)
+    w = np.ones((50, 1))
+    sample = validate_sample(np.zeros(50), x, 0.0, w)
+    for arr in (sample.y, sample.x, sample.w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # the caller's own arrays stay writable
+    x[0] = -2.0
+    w[0, 0] = 2.0
+
+
+def test_replaced_sample_gets_fresh_windows():
+    sample = random_instance(11, n=300, d=1)
+    before = side_design(sample, "right", 0.3, 1, 1, "triangular").idx
+    shifted = dataclasses.replace(sample, x=sample.x - 0.2)
+    assert shifted.side_view("right") is not sample.side_view("right")
+    got = side_design(shifted, "right", 0.3, 1, 1, "triangular").idx
+    np.testing.assert_array_equal(
+        got, full_scan_window(shifted, "right", 0.3, "triangular")[0]
+    )
+    assert not np.array_equal(got, before)
