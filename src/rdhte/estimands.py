@@ -26,7 +26,7 @@ from .basis import extractor_vector
 from .errors import DimensionMismatch
 from .fitting import SideFit, fit_side
 from .inference import SideForms, ci_pvalue, side_forms
-from .model import FitSpec, RdSample, Select, is_binary
+from .model import FitSpec, RdSample, Select
 
 __all__ = [
     "Selector",
@@ -160,13 +160,6 @@ class HteResult:
         raise KeyError(label)
 
 
-def _infer_kinds(w: np.ndarray) -> tuple[str, ...]:
-    return tuple(
-        "indicator" if is_binary(w[:, ell]) else "continuous"
-        for ell in range(w.shape[1])
-    )
-
-
 def _make_record(
     result: HteResult,
     label: str,
@@ -229,18 +222,6 @@ def _default_plan(d, nu, labels, kinds):
         else:
             plan.append((f"Slope: {labels[ell]}", 0.0, unit))
     return plan
-
-
-def _observed_range(sample: RdSample):
-    if sample.d == 0 or sample.w.shape[0] == 0:
-        return None
-    # column by column: numpy's axis-0 reduction over a few columns is
-    # several times slower than one pass per column
-    cols = sample.w.T
-    return (
-        np.array([col.min() for col in cols]),
-        np.array([col.max() for col in cols]),
-    )
 
 
 def _cate_point(d: int, w) -> tuple[str, np.ndarray]:
@@ -307,7 +288,7 @@ def fit_hte(
     if len(labels) != d:
         raise DimensionMismatch(f"expected {d} labels, got {len(labels)}")
     if kinds is None:
-        kinds = _infer_kinds(sample.w)
+        kinds = sample.w_kinds
     else:
         kinds = tuple(kinds)
     if len(kinds) != d:
@@ -335,7 +316,7 @@ def fit_hte(
     stacked = np.concatenate([left.theta, right.theta])
     varsigma = long_map_matrix(p, s, d, nu) @ stacked
 
-    w_range = _observed_range(sample)
+    w_range = sample.w_range
     plan = [
         (label, lead, w, False)
         for label, lead, w in _default_plan(d, nu, labels, kinds)

@@ -7,12 +7,19 @@ Conventions shared by every formula downstream:
 
 with n the TOTAL sample size (both sides), so constants match across the
 bias, variance, and bandwidth formulas. Each side fit factors the
-square-root-weighted design sqrt(K(u_i)/(n h)) r(u_i, W_i) once by a thin
-QR, A = QR. That one factorization gives the coefficients R^-1 Q' sqrt(w) y,
-the Gram's reciprocal condition number (sigma_min/sigma_max of R, squared),
-and the leverages as the squared row norms of Q. The Gram itself is summed
-directly, never inverted, so the Gram of a sub-basis on the same window is
-an exact block of it.
+square-root-weighted design A = sqrt(K(u_i)/(n h)) r(u_i, W_i) once by
+Householder QR, A = QR, keeping R and the k reflectors but never forming Q.
+That one factorization gives
+  - the coefficients R^-1 (Q' sqrt(w) y), with Q' sqrt(w) y formed by
+    applying the k reflectors to the vector in O(m k), so the solve has
+    the accuracy of Householder least squares (Bjorck 1996, Numerical
+    Methods for Least Squares Problems, sec. 2.4), not of the normal
+    equations;
+  - the Gram's reciprocal condition number (sigma_min/sigma_max of R,
+    squared);
+  - the leverages as the squared row norms of A R^-1, which is Q.
+The Gram itself is summed directly, never inverted, so the Gram of a
+sub-basis on the same window is an exact block of it.
 
 Windows are found without scanning the sample. RdSample.side_view holds
 each side's rows sorted by d = |x - c|, built once per sample, so the rows
@@ -29,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .basis import design_rows, scaling_diag
 from .errors import NonPositiveBandwidth, SingularGram
@@ -70,7 +76,7 @@ class SideFit:
         In-window residuals y_i - r(x_i - c, W_i)' theta.
     leverages : ndarray (m,)
         Diagonal of the weighted projection matrix for in-window rows: the
-        squared row norms of the QR factor Q.
+        squared row norms of A R^-1, the thin QR factor Q.
     eff_n : int
         Number of observations with positive kernel weight.
     idx : ndarray (m,)
@@ -166,6 +172,20 @@ def side_design(
     return SideDesign(rows, kv / h, idx, u, kv)
 
 
+def _apply_qt(hh: np.ndarray, tau: np.ndarray, b: np.ndarray):
+    """Overwrite b with Q' b for the QR from numpy.linalg.qr(mode="raw").
+
+    Row j of hh holds reflector j's vector v_j below position j (v_j[j] = 1
+    implied), and Q' = H_{k-1} ... H_0 with H_j = I - tau_j v_j v_j'.
+    """
+    for j in range(tau.size):
+        v = hh[j, j + 1:]
+        scale = tau[j] * (b[j] + v @ b[j + 1:])
+        b[j] -= scale
+        b[j + 1:] -= scale * v
+    return b
+
+
 def fit_side(
     sample: RdSample, side: str, h: float, p: int, s: int, kernel: str
 ) -> SideFit:
@@ -186,6 +206,12 @@ def fit_side(
     -------
     SideFit
 
+    The weighted design is factored by one Householder QR (numpy's "raw"
+    mode, which skips forming Q). R gives the conditioning check; the
+    reflectors, applied to the weighted outcome, give Q' sqrt(w) y for a
+    back substitution on R; and the leverages are the squared row norms
+    of A R^-1 (one matrix product with a k x k inverse).
+
     Raises
     ------
     SingularGram
@@ -195,19 +221,27 @@ def fit_side(
     """
     rows, _, idx, u, kv = side_design(sample, side, h, p, s, kernel)
     n = sample.n
-    if idx.size < rows.shape[1]:
+    k = rows.shape[1]
+    if idx.size < k:
         raise SingularGram(side, 0.0)
 
     wts = kv / (n * h)
     sqw = np.sqrt(wts)
-    q, r = scipy.linalg.qr(rows * sqw[:, None], mode="economic")
+    # column-major, so the reflectors come back as contiguous rows of hh
+    a = np.multiply(rows, sqw[:, None], order="F")
+    hh, tau = np.linalg.qr(a, mode="raw")
+    r = np.triu(hh[:, :k].T)
     sv = np.linalg.svd(r, compute_uv=False)
     rcond = float(sv[-1] / sv[0]) ** 2 if sv[0] > 0 else 0.0
     if rcond < RCOND_MIN:
         raise SingularGram(side, rcond)
 
-    qty = q.T @ (sqw * sample.y[idx])
-    beta = scipy.linalg.solve_triangular(r, qty)
+    qty = _apply_qt(hh, tau, sqw * sample.y[idx])[:k]
+    # R is upper triangular, so the LU inside solve and inv pivots on its
+    # diagonal and reduces to back substitution
+    beta = np.linalg.solve(r, qty)
+    # the reflectors are spent: A R^-1, which is Q, overwrites them
+    q = np.matmul(a, np.linalg.inv(r), out=hh.T)
     theta = beta / scaling_diag(h, p, s, sample.d)
     resid = sample.y[idx] - rows @ beta
 

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .bandwidth import BiasConstants
 from .basis import design_rows, scaling_diag
@@ -60,6 +60,8 @@ __all__ = [
 
 #: numerical reading of "leverage equals one" (exact-fit observation)
 LEVERAGE_TOL = 1e-10
+
+_STD_NORMAL = NormalDist()
 
 
 def hc_weights(kind: str, fit: SideFit) -> np.ndarray:
@@ -429,9 +431,10 @@ def ci_pvalue(rbc_point_val: float, rbc_se: float, level: float):
         p_val = 0.0 if rbc_point_val != 0.0 else 1.0
         z = math.copysign(math.inf, rbc_point_val) if rbc_point_val else 0.0
         return rbc_point_val, rbc_point_val, z, p_val, True
-    crit = float(ndtri(1.0 - (1.0 - level) / 2.0))
+    crit = _STD_NORMAL.inv_cdf(1.0 - (1.0 - level) / 2.0)
     z = rbc_point_val / rbc_se
-    p_val = 2.0 * float(ndtr(-abs(z)))
+    # 2 Phi(-|z|) = erfc(|z|/sqrt 2), without the cancellation of 1 - Phi
+    p_val = math.erfc(abs(z) / math.sqrt(2.0))
     return (
         rbc_point_val - crit * rbc_se,
         rbc_point_val + crit * rbc_se,

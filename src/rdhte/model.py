@@ -2,8 +2,9 @@
 
 RdSample is the validated in-memory representation of an RD dataset. It
 is immutable: validate_sample stores read-only views of y, x and w, and
-each side's rows sorted by distance to the cutoff (SideView) are built
-once per sample, on first use, and shared by every later fit.
+each side's rows sorted by distance to the cutoff (SideView), like the
+covariate kinds and ranges, are built once per sample, on first use, and
+shared by every later fit.
 CovariateSpec describes how raw columns become the heterogeneity matrix W:
 categorical columns expand into one indicator per non-baseline level,
 continuous columns into powers, quantile_bins columns into indicators for
@@ -87,9 +88,9 @@ class RdSample:
         Cluster codes 0..G-1 for cluster-robust variance (validate_sample
         relabels any labels to these dense codes).
 
-    The per-side views are cached on the instance, so its arrays must not
-    change after construction; dataclasses.replace gives a new sample with
-    fresh views.
+    The per-side views, the cluster count, and the covariate kinds and
+    ranges are cached on the instance, so its arrays must not change after
+    construction; dataclasses.replace gives a new sample with fresh caches.
     """
 
     y: np.ndarray
@@ -112,6 +113,26 @@ class RdSample:
         if self.cluster is None:
             return None
         return int(self.cluster.max()) + 1
+
+    @cached_property
+    def w_kinds(self) -> tuple[str, ...]:
+        """Per covariate column, "indicator" if it is 0/1, else "continuous"."""
+        return tuple(
+            "indicator" if is_binary(col) else "continuous" for col in self.w.T
+        )
+
+    @cached_property
+    def w_range(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Observed covariate (min, max) per column; None without covariates."""
+        if self.d == 0 or self.n == 0:
+            return None
+        # column by column: numpy's axis-0 reduction over a few columns is
+        # several times slower than one pass per column
+        cols = self.w.T
+        return (
+            _read_only(np.array([col.min() for col in cols])),
+            _read_only(np.array([col.max() for col in cols])),
+        )
 
     @cached_property
     def _side_views(self) -> dict:

@@ -2,8 +2,9 @@
 
 Each takes a different route to a quantity the package computes: a
 single-point basis builder, a window found by scanning every row,
-weighted least squares through the normal equations, and the long
-interacted regression whose blocks the two one-sided fits must reproduce.
+weighted least squares through the normal equations, a side fit through
+scipy's QR with an explicit Q, and the long interacted regression whose
+blocks the two one-sided fits must reproduce.
 """
 
 from __future__ import annotations
@@ -70,6 +71,22 @@ def oracle_wls(design: np.ndarray, weights: np.ndarray, y: np.ndarray):
     xtwx = wd.T @ wd
     xtwy = wd.T @ (y * sqw)
     return scipy.linalg.solve(xtwx, xtwy, assume_a="sym")
+
+
+def householder_fit(sample: RdSample, side: str, h: float, p: int, s: int,
+                    kernel: str):
+    """Side-fit coefficients and leverages through an explicit thin Q.
+
+    scipy's economic QR of the same weighted design as fit_side, then
+    beta = R^-1 Q' sqrt(w) y by a triangular solve and the leverages as
+    the squared row norms of Q.
+    """
+    idx, _, u, kvals = full_scan_window(sample, side, h, kernel)
+    design = design_rows(u, sample.w[idx], p, s)
+    sqw = np.sqrt(kvals / (sample.n * h))
+    q, r = scipy.linalg.qr(design * sqw[:, None], mode="economic")
+    beta = scipy.linalg.solve_triangular(r, q.T @ (sqw * sample.y[idx]))
+    return beta, np.einsum("ij,ij->i", q, q)
 
 
 def long_regression(sample: RdSample, left: SideFit, right: SideFit):

@@ -3,7 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import random_instance
-from oracles import long_short_max_relative_error, oracle_wls
+from oracles import (
+    householder_fit,
+    long_short_max_relative_error,
+    oracle_wls,
+)
 
 from rdhte.errors import SingularGram
 from rdhte.fitting import fit_side, side_design
@@ -146,3 +150,50 @@ def test_long_short_error_is_small():
     sample = random_instance(23, n=60, d=2)
     err = long_short_max_relative_error(sample, 0.8, 1, 1, "triangular")
     assert err < 1e-10
+
+
+def _max_rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+# (p, s, d) giving k = 1 + p + d (1 + s) = 4, 6 and 12 coefficients
+LAYOUTS = [(1, 1, 1), (1, 1, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("p, s, d", LAYOUTS)
+def test_fit_matches_explicit_q_householder(p, s, d):
+    sample = random_instance(31 + d, n=4000, d=d, binary=False)
+    for side in ("left", "right"):
+        fit = fit_side(sample, side, 0.8, p, s, "triangular")
+        beta, lev = householder_fit(sample, side, 0.8, p, s, "triangular")
+        assert fit.n_coef == 1 + p + d * (1 + s)
+        assert 1.0 / np.linalg.cond(fit.gram) > 1e-4
+        assert _max_rel(fit.theta_norm, beta) <= 1e-13
+        assert np.max(np.abs(fit.leverages - lev) / lev) <= 1e-12
+
+
+def _near_collinear_sample(d: int, eps: float):
+    """Last covariate is 1 + eps * noise: nearly the intercept's column."""
+    rng = np.random.default_rng(41)
+    n = 3000
+    x = rng.uniform(-1, 1, size=n)
+    w = rng.uniform(-1, 1, size=(n, d))
+    w[:, -1] = 1.0 + eps * rng.standard_normal(n)
+    y = (0.3 + 0.8 * x + 0.5 * (x >= 0) + 0.4 * w.sum(axis=1)
+         + 0.5 * rng.standard_normal(n))
+    return validate_sample(y, x, 0.0, w)
+
+
+@pytest.mark.parametrize(
+    "p, s, d, eps", [(1, 1, 1, 3e-5), (1, 1, 2, 3e-5), (2, 2, 3, 1.6e-4)]
+)
+def test_fit_matches_explicit_q_householder_near_collinear(p, s, d, eps):
+    # a Gram this close to the rcond gate separates Householder least
+    # squares from any route through R^-T A' (seminormal equations drift
+    # about 1e-9 here)
+    sample = _near_collinear_sample(d, eps)
+    fit = fit_side(sample, "right", 0.8, p, s, "triangular")
+    assert 3e-12 < 1.0 / np.linalg.cond(fit.gram) < 3e-11
+    beta, lev = householder_fit(sample, "right", 0.8, p, s, "triangular")
+    assert _max_rel(fit.theta_norm, beta) <= 1e-12
+    assert np.max(np.abs(fit.leverages - lev) / lev) <= 1e-8

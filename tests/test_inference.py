@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from conftest import random_instance
 from rbc_oracle import _influence_pieces
 
@@ -546,6 +547,38 @@ def test_ci_pvalue_negative_se_rejected():
         ci_pvalue(0.0, -1.0, 0.95)
 
 
+def test_ci_pvalue_critical_value_matches_scipy():
+    levels = np.concatenate(
+        [[0.9, 0.95, 0.99, 1.0 - 1e-12], np.linspace(0.01, 0.999, 400)]
+    )
+    for level in levels:
+        lo, hi, *_ = ci_pvalue(0.0, 1.0, level)
+        ref = float(ndtri(1.0 - (1.0 - level) / 2.0))
+        assert hi == pytest.approx(ref, rel=2e-15, abs=0.0)
+        assert lo == -hi
+
+
+def test_ci_pvalue_p_value_matches_scipy():
+    compared = 0
+    for z in np.linspace(0.0, 37.0, 1481):
+        for sign in (1.0, -1.0):
+            _, _, z_out, p, flag = ci_pvalue(sign * z, 1.0, 0.95)
+            ref = 2.0 * float(ndtr(-z))
+            assert z_out == sign * z and not flag
+            if p > 1e-300 and ref > 1e-300:
+                compared += 1
+                tol = 1e-13 if z <= 8.0 else 1e-12
+                assert p == pytest.approx(ref, rel=tol, abs=0.0)
+    assert compared > 2800
+
+
+def test_ci_pvalue_far_tail_and_nan():
+    assert ci_pvalue(40.0, 1.0, 0.95)[3] == 0.0
+    assert ci_pvalue(-40.0, 1.0, 0.95)[3] == 0.0
+    lo, hi, z, p, flag = ci_pvalue(float("nan"), 1.0, 0.95)
+    assert np.isnan([lo, hi, z, p]).all() and not flag
+
+
 def test_hc1_rejected_without_residual_degrees_of_freedom():
     x = np.array([0.5, 1.5, -0.5, -0.7])
     y = np.array([1.0, 2.0, 3.0, 4.0])
@@ -554,15 +587,68 @@ def test_hc1_rejected_without_residual_degrees_of_freedom():
         hc_weights("hc1", fit)
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a cold `import rdhte`; the package only
-    # needs the normal cdf and quantile from scipy.special
+def _run_python(code: str, *args: str) -> str:
+    """stdout of `python -c code args` with this checkout's rdhte on the path."""
     src = Path(rdhte.__file__).resolve().parents[1]
-    code = "import sys, rdhte; print('scipy.stats' in sys.modules)"
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
-        text=True, check=True, timeout=120,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True,
+        text=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy took most of a cold `import rdhte`; the runtime needs numpy only
+    code = (
+        "import sys, rdhte, rdhte.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_python(code).strip() == "[]"
+
+
+NO_SCIPY_PIPELINE = r"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+import rdhte.cli
+from rdhte import (
+    Common, FitSpec, Select, canonical_preset, cate_at, fit_hte, gen_sample,
+    render_json, validate_sample,
+)
+
+sample = gen_sample(canonical_preset(), 1500, 3)
+result = fit_hte(sample, FitSpec(bandwidth=Select(), vce="hc3"))
+assert np.isfinite(cate_at(result, [1.0]).p_value)
+json.loads(render_json(result))
+
+cluster = np.arange(sample.n) % 60
+clustered = validate_sample(sample.y, sample.x, sample.cutoff, sample.w,
+                            cluster=cluster)
+fit = fit_hte(clustered, FitSpec(bandwidth=Common(0.5), vce="cluster"))
+assert all(np.isfinite(rec.rbc_se) for rec in fit.records)
+
+path = sys.argv[1]
+with open(path, "w") as fh:
+    fh.write("y,x,w,g\n")
+    for row in zip(sample.y, sample.x, sample.w[:, 0], cluster):
+        fh.write(",".join(repr(float(v)) for v in row[:3]) + f",{row[3]}\n")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = rdhte.cli.main([
+        "--data", path, "--outcome", "y", "--running", "x",
+        "--cutoff", repr(sample.cutoff), "--hetero", "w", "--cluster", "g",
+        "--vce", "cluster", "--bw", "0.5", "--format", "json",
+    ])
+assert code == 0
+assert json.loads(out.getvalue())["estimands"]
+print("ok")
+"""
+
+
+def test_pipeline_runs_with_scipy_blocked(tmp_path):
+    # a lazy scipy import anywhere on these paths raises ImportError here
+    out = _run_python(NO_SCIPY_PIPELINE, str(tmp_path / "sample.csv"))
+    assert out.strip() == "ok"
