@@ -20,18 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .basis import extractor_vector, n_params
 from .errors import BiasDegenerate, TooFewObservations
 from .fitting import SideFit, fit_side, side_design
+from .inference import _sandwich, _side_meat
 from .model import FitSpec, RdSample, Select
 
 __all__ = [
     "BiasConstants",
-    "VarianceConstants",
     "BandwidthSelection",
     "moment_vectors",
     "pilot_bandwidth",
@@ -106,7 +105,9 @@ def pilot_bandwidth(sample: RdSample, side: str, p: int, s: int) -> float:
     b = 2.576 * spread * n_side ** (-1.0 / (2 * max(p, s) + 5))
     # clamp from below so the window keeps enough points for the pilot fit
     m_min = min(5 * (p + 2), n_side)
-    b_floor = view.dist[m_min - 1] * (1.0 + 1e-9)
+    # a Python float, so the selection's flags compared against it are
+    # bools that JSON accepts, not numpy bools
+    b_floor = float(view.dist[m_min - 1]) * (1.0 + 1e-9)
     return max(b, b_floor)
 
 
@@ -126,7 +127,6 @@ class BiasConstants:
     bandwidth, all blocks of pilot_fit.gram.
     """
 
-    side: str
     pilot_fit: SideFit
     routes: np.ndarray
 
@@ -147,7 +147,6 @@ def bias_constants(
     s: int,
     kernel: str,
     pilot_b: float,
-    pilot_fit: Optional[SideFit] = None,
 ) -> BiasConstants:
     """Estimate the smoothing-bias constants for one side.
 
@@ -158,11 +157,6 @@ def bias_constants(
     Gram: zeta is its u^(p+1) column and phi its W_l u^(s+1) columns,
     restricted to the main-order rows. No main-order fit is run.
 
-    Parameters
-    ----------
-    pilot_fit : SideFit, optional
-        Reuse an existing pilot fit of order (p+1, s+1) at pilot_b.
-
     Raises
     ------
     SingularGram
@@ -170,10 +164,7 @@ def bias_constants(
         principal block of the pilot Gram, is then no worse conditioned).
     """
     d = sample.d
-    if pilot_fit is None:
-        pilot_fit = fit_side(sample, side, pilot_b, p + 1, s + 1, kernel)
-    if pilot_fit.p != p + 1 or pilot_fit.s != s + 1 or pilot_fit.h != pilot_b:
-        raise ValueError("pilot fit must have orders (p+1, s+1) at pilot_b")
+    pilot_fit = fit_side(sample, side, pilot_b, p + 1, s + 1, kernel)
 
     # positions in the pilot basis: the main-order basis, and the top
     # powers the bias reads: u^(p+1) for the running-variable channel
@@ -192,19 +183,7 @@ def bias_constants(
     routes[top] = np.linalg.solve(
         gram[np.ix_(main, main)], gram[np.ix_(main, top)]
     ).T
-    return BiasConstants(side=side, pilot_fit=pilot_fit, routes=routes)
-
-
-@dataclass(frozen=True)
-class VarianceConstants:
-    """Sandwich variance pieces for one side at a given bandwidth."""
-
-    side: str
-    h: float
-    bread_meat_bread: np.ndarray
-
-    def contraction(self, extractor: np.ndarray) -> float:
-        return float(extractor @ self.bread_meat_bread @ extractor)
+    return BiasConstants(pilot_fit=pilot_fit, routes=routes)
 
 
 def variance_constants(
@@ -215,22 +194,18 @@ def variance_constants(
     s: int,
     kernel: str,
     vce: str,
-    fit: Optional[SideFit] = None,
-) -> VarianceConstants:
-    """Sandwich variance constants for one side at bandwidth h.
+) -> np.ndarray:
+    """Sandwich variance matrix of one side at bandwidth h.
 
-    The meat uses the requested HC or cluster weighting on the residuals of
-    the main-order fit at h; the result's contraction method evaluates
-    extractor' Gram^-1 meat Gram^-1' extractor.
+    Returns the k x k matrix Gram^-1 meat Gram^-1 of the main-order fit at
+    h, its meat weighted by the requested HC kind or summed within
+    clusters; an extractor e contracts it as e' M e. Unlike the reported
+    plug-in form (inference.plugin_form), it leaves out the cluster
+    degrees-of-freedom factor.
     """
-    from .inference import _sandwich, _side_meat
-
-    if fit is None:
-        fit = fit_side(sample, side, h, p, s, kernel)
+    fit = fit_side(sample, side, h, p, s, kernel)
     meat = _side_meat(fit, vce, sample.cluster, sample.n_clusters)
-    return VarianceConstants(
-        side=side, h=float(h), bread_meat_bread=_sandwich(fit.gram, meat)
-    )
+    return _sandwich(fit.gram, meat)
 
 
 @dataclass(frozen=True)
@@ -265,26 +240,20 @@ def _h_bounds(sample: RdSample, side: str, k_dim: int):
     return h_min, h_max
 
 
-def mse_bandwidth(
-    sample: RdSample,
-    spec: FitSpec,
-    target=None,
-    mode: Optional[str] = None,
-) -> BandwidthSelection:
-    """MSE-optimal bandwidth(s) for a selector target.
+def mse_bandwidth(sample: RdSample, spec: FitSpec) -> BandwidthSelection:
+    """MSE-optimal bandwidth(s) for the target (1, all-ones).
+
+    The target is the linear functional whose MSE drives the choice: the
+    effect at w = all-ones, the natural evaluation point when covariates
+    are orthogonal indicators.
 
     Parameters
     ----------
     sample : RdSample
     spec : FitSpec
-        Supplies p, s, nu, kernel, and the variance kind.
-    target : tuple (lead, w), optional
-        The linear functional whose MSE drives the choice: lead weights the
-        main block, w the covariate blocks. Defaults to (1, all-ones), the
-        natural evaluation point when covariates are orthogonal indicators.
-    mode : {"one_sided", "two_sided"}, optional
-        Defaults to the mode in spec.bandwidth when that is Select, else
-        "two_sided".
+        Supplies p, s, nu, kernel and the variance kind, and the mode
+        ("one_sided" or "two_sided") when spec.bandwidth is Select; other
+        bandwidth rules select two-sided.
 
     Returns
     -------
@@ -296,30 +265,21 @@ def mse_bandwidth(
     """
     p, s, nu, kernel = spec.p, spec.s, spec.nu, spec.kernel
     d = sample.d
-    if mode is None:
-        mode = (
-            spec.bandwidth.mode
-            if isinstance(spec.bandwidth, Select)
-            else "two_sided"
-        )
-    if target is None:
-        target = (1.0, np.ones(d))
-    lead, w_t = float(target[0]), np.atleast_1d(np.asarray(target[1], float))
-    extractor = extractor_vector(nu, p, s, w_t, lead=lead)
+    bw = spec.bandwidth
+    mode = bw.mode if isinstance(bw, Select) else "two_sided"
+    extractor = extractor_vector(nu, p, s, np.ones(d))
 
     n = sample.n
     q = min(p, s)
     sides = ("left", "right")
-    pilots, bconsts, vconsts = {}, {}, {}
+    pilots, bconsts, v_val = {}, {}, {}
     for side in sides:
         b = pilot_bandwidth(sample, side, p, s)
         pilots[side] = b
         bconsts[side] = bias_constants(sample, side, p, s, kernel, b)
-        vconsts[side] = variance_constants(
-            sample, side, b, p, s, kernel, spec.vce
-        )
+        vmat = variance_constants(sample, side, b, p, s, kernel, spec.vce)
+        v_val[side] = float(extractor @ vmat @ extractor)
 
-    v_val = {sd: vconsts[sd].contraction(extractor) for sd in sides}
     b_val = {sd: bconsts[sd].contraction(extractor) for sd in sides}
 
     factor = (1 + 2 * nu) / (2.0 * (1 + q - nu) * n)

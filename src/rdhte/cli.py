@@ -247,7 +247,7 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
                 )
         out: dict[str, list[str]] = {name: [] for name in columns}
         want = [(name, index[name]) for name in columns]
-        for row_no, row in enumerate(reader, start=1):
+        for row in reader:
             for name, j in want:
                 out[name].append(row[j] if j < len(row) else "")
     return out

@@ -27,7 +27,9 @@ class NonFinite(InputError):
     def __init__(self, row: int, column: str):
         self.row = row
         self.column = column
-        super().__init__(f"non-finite value at row {row}, column {column!r}")
+        # row -1: not a data cell; column names the value in full
+        where = column if row < 0 else f"row {row}, column {column!r}"
+        super().__init__(f"non-finite value at {where}")
 
 
 class LengthMismatch(InputError):

@@ -9,7 +9,6 @@ point estimate, interval, and p-value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -23,7 +22,7 @@ from .bandwidth import (
     pilot_bandwidth,
 )
 from .basis import extractor_vector
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 from .fitting import SideFit, fit_side
 from .inference import SideForms, ci_pvalue, side_forms
 from .model import FitSpec, RdSample, Select
@@ -42,20 +41,15 @@ __all__ = [
 def long_map_matrix(p: int, s: int, d: int, nu: int) -> np.ndarray:
     """Matrix sending stacked side coefficients to the long-form vector.
 
-    Rows select nu! times the order-nu entry of each block, right side
-    minus left: row 0 is the baseline jump, row 1+l the jump in covariate
-    l's coefficient.
+    Row j is [-e_j, e_j], with e_j the extractor of the unit selector j:
+    row 0 is the baseline jump, row 1+l the jump in covariate l's
+    coefficient, each nu! times the order-nu entry, right side minus left.
     """
-    k = 1 + p + d * (1 + s)
-    fac = float(math.factorial(nu))
-    m = np.zeros((1 + d, 2 * k))
-    m[0, nu] = -fac
-    m[0, k + nu] = fac
-    for ell in range(d):
-        pos = 1 + p + ell * (1 + s) + nu
-        m[1 + ell, pos] = -fac
-        m[1 + ell, k + pos] = fac
-    return m
+    ext = np.array([
+        extractor_vector(nu, p, s, unit[1:], lead=unit[0])
+        for unit in np.eye(1 + d)
+    ])
+    return np.hstack([-ext, ext])
 
 
 @dataclass(frozen=True)
@@ -113,8 +107,7 @@ class HteResult:
     at the requested derivative order; records hold the default report set
     plus any requested evaluation points. The pilot fits are those of the
     bias constants. forms_left/forms_right hold each side's variance
-    quadratic forms and w_range the observed covariate (min, max), None
-    without covariates; with them every further record costs O(k^2).
+    quadratic forms; with them every further record costs O(k^2).
     """
 
     sample: RdSample
@@ -125,7 +118,6 @@ class HteResult:
     bias_right: BiasConstants
     forms_left: SideForms
     forms_right: SideForms
-    w_range: Optional[tuple[np.ndarray, np.ndarray]]
     selection: Optional[BandwidthSelection]
     varsigma: np.ndarray
     records: tuple[EstimandRecord, ...] = field(default_factory=tuple)
@@ -201,7 +193,7 @@ def _make_record(
         level=spec.level,
         zero_se=zero,
         extrapolated=extrapolated,
-        eff_n=left.eff_n + right.eff_n,
+        eff_n=result.eff_n,
         h_left=left.h,
         h_right=right.h,
     )
@@ -232,13 +224,15 @@ def _cate_point(d: int, w) -> tuple[str, np.ndarray]:
             f"evaluation point has {w_arr.size} entries, expected {d}"
         )
     pretty = ", ".join(f"{v:g}" for v in w_arr)
+    if not np.isfinite(w_arr).all():
+        raise NonFinite(-1, f"evaluation point w=({pretty})")
     return f"CATE at w=({pretty})", w_arr
 
 
-def _is_extrapolated(w_range, w: np.ndarray) -> bool:
-    if w_range is None:
+def _is_extrapolated(sample: RdSample, w: np.ndarray) -> bool:
+    if sample.w_range is None:
         return False
-    lo, hi = w_range
+    lo, hi = sample.w_range
     return bool(np.any(w < lo) or np.any(w > hi))
 
 
@@ -277,7 +271,7 @@ def fit_hte(
     Raises
     ------
     TooFewObservations, SingularGram, BiasDegenerate, DimensionMismatch,
-    LeverageOne, TooFewClusters
+    NonFinite, LeverageOne, TooFewClusters
     """
     p, s, nu, kernel, vce = spec.p, spec.s, spec.nu, spec.kernel, spec.vce
     d = sample.d
@@ -316,14 +310,13 @@ def fit_hte(
     stacked = np.concatenate([left.theta, right.theta])
     varsigma = long_map_matrix(p, s, d, nu) @ stacked
 
-    w_range = sample.w_range
     plan = [
         (label, lead, w, False)
         for label, lead, w in _default_plan(d, nu, labels, kinds)
     ]
     for w_pt in at or ():
         label, w_arr = _cate_point(d, w_pt)
-        plan.append((label, 1.0, w_arr, _is_extrapolated(w_range, w_arr)))
+        plan.append((label, 1.0, w_arr, _is_extrapolated(sample, w_arr)))
 
     result = HteResult(
         sample=sample,
@@ -334,7 +327,6 @@ def fit_hte(
         bias_right=bias_right,
         forms_left=side_forms(sample, left, bias_left, vce),
         forms_right=side_forms(sample, right, bias_right, vce),
-        w_range=w_range,
         selection=selection,
         varsigma=varsigma,
         labels=labels,
@@ -355,12 +347,12 @@ def cate_at(result: HteResult, w) -> EstimandRecord:
     contracted with w; variance, bias correction, and interval come from
     the fits and variance forms stored on the result, so a call costs
     O(k^2) whatever the sample size. Points outside the observed covariate
-    range are flagged as extrapolated.
+    range are flagged as extrapolated; non-finite ones raise NonFinite.
     """
     label, w_arr = _cate_point(result.sample.d, w)
     return _make_record(
         result, label, 1.0, w_arr, result.spec.nu,
-        _is_extrapolated(result.w_range, w_arr),
+        _is_extrapolated(result.sample, w_arr),
     )
 
 
@@ -369,7 +361,7 @@ def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
 
     The selector's first entry weights the baseline jump and the rest
     weight the covariate-coefficient jumps; a selector of zeros yields a
-    zero point estimate with zero variance.
+    zero point estimate with zero variance, a non-finite one NonFinite.
     """
     d = result.sample.d
     vec = selector.vector
@@ -377,6 +369,9 @@ def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
         raise DimensionMismatch(
             f"selector has {vec.size} entries, expected {1 + d}"
         )
+    if not np.isfinite(vec).all():
+        pretty = ", ".join(f"{v:g}" for v in vec)
+        raise NonFinite(-1, f"selector ({pretty})")
     nu = result.spec.nu if selector.nu is None else int(selector.nu)
     return _make_record(
         result, selector.label, float(vec[0]), vec[1:].copy(), nu, False

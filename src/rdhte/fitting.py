@@ -161,12 +161,13 @@ def side_design(
     SideDesign
         (rows, weights, idx, u, kvals); see SideDesign.
 
+    A bandwidth that is not finite and > 0 raises NonPositiveBandwidth.
     The window may be empty (zero rows). A boundary observation with
     |x - c| = h is included iff its kernel weight is strictly positive,
     so the triangular kernel excludes it while the uniform includes it.
     """
-    if h <= 0:
-        raise NonPositiveBandwidth(f"bandwidth must be > 0, got {h}")
+    if not 0.0 < h < np.inf:
+        raise NonPositiveBandwidth(f"bandwidth must be finite and > 0, got {h}")
     idx, u, kv = _window(sample, side, h, kernel)
     rows = design_rows(u, sample.w[idx], p, s)
     return SideDesign(rows, kv / h, idx, u, kv)

@@ -34,15 +34,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .bandwidth import BiasConstants
 from .basis import design_rows, scaling_diag
 from .errors import LeverageOne, TooFewClusters
 from .fitting import SideFit
 from .model import RdSample
+
+if TYPE_CHECKING:
+    from .bandwidth import BiasConstants
 
 __all__ = [
     "SideForms",
@@ -212,7 +214,6 @@ def plugin_form(
 def rbc_form(
     sample: RdSample,
     fit: SideFit,
-    pilot: SideFit,
     bias: BiasConstants,
     vce: str,
     cluster: Optional[np.ndarray] = None,
@@ -222,13 +223,13 @@ def rbc_form(
     Returns the 2k x 2k matrix R = A' D A. Row i of A holds, for the i-th
     observation of the larger of the main and pilot windows, the
     main-fit influence on theta (first k columns) and the influence on the
-    bias contraction through the pilot fit's top coefficients (last k
-    columns); D holds the squared pilot-surface residuals times the HC
-    weights of the pilot leverages. For vce "cluster" the rows of A, scaled
-    by the residuals, are summed within clusters before the product and R
-    carries the degrees-of-freedom factor. The side's bias-corrected
-    variance of an extractor e at derivative order nu is e~' R e~ with
-    e~ = [e; -h^(1+q-nu) e].
+    bias contraction through the top coefficients of the pilot fit
+    bias.pilot_fit (last k columns); D holds the squared pilot-surface
+    residuals times the HC weights of the pilot leverages. For vce
+    "cluster" the rows of A, scaled by the residuals, are summed within
+    clusters before the product and R carries the degrees-of-freedom
+    factor. The side's bias-corrected variance of an extractor e at
+    derivative order nu is e~' R e~ with e~ = [e; -h^(1+q-nu) e].
 
     Raises
     ------
@@ -238,6 +239,7 @@ def rbc_form(
         If the main and pilot windows do not nest.
     """
     p, s, d, k = fit.p, fit.s, fit.d, fit.n_coef
+    pilot = bias.pilot_fit
     n, h, b = fit.n_total, fit.h, pilot.h
 
     # |x - c|/h is monotone in h and every kernel's support is a threshold
@@ -323,12 +325,11 @@ class SideForms:
 def side_forms(
     sample: RdSample, fit: SideFit, bias: BiasConstants, vce: str
 ) -> SideForms:
-    """Both quadratic forms of one side, with bias.pilot_fit as the pilot
-    and the sample's cluster labels."""
+    """Both quadratic forms of one side, with the sample's cluster labels."""
     cluster = sample.cluster
     return SideForms(
         plugin=plugin_form(fit, vce, cluster, sample.n_clusters),
-        rbc=rbc_form(sample, fit, bias.pilot_fit, bias, vce, cluster),
+        rbc=rbc_form(sample, fit, bias, vce, cluster),
         h=fit.h,
         n_total=fit.n_total,
         q=min(fit.p, fit.s),
@@ -387,8 +388,6 @@ def rbc_variance(
     sample: RdSample,
     left: SideFit,
     right: SideFit,
-    pilot_left: SideFit,
-    pilot_right: SideFit,
     bias_left: BiasConstants,
     bias_right: BiasConstants,
     extractor: np.ndarray,
@@ -399,16 +398,14 @@ def rbc_variance(
     """Variance of the bias-corrected contrast.
 
     Each side contributes e~' R e~ with R its bias-corrected form (see
-    rbc_form) and e~ = [e; -h^(1+q-nu) e]. Cluster aggregation stays within
-    sides (the two windows are disjoint) and carries the same
-    degrees-of-freedom factor as the uncorrected cluster variance.
+    rbc_form) and e~ = [e; -h^(1+q-nu) e], with each side's pilot fit read
+    from its bias constants. Cluster aggregation stays within sides (the
+    two windows are disjoint) and carries the same degrees-of-freedom
+    factor as the uncorrected cluster variance.
     """
     total = 0.0
-    for fit, pilot, bias in (
-        (left, pilot_left, bias_left),
-        (right, pilot_right, bias_right),
-    ):
-        form = rbc_form(sample, fit, pilot, bias, vce, cluster)
+    for fit, bias in ((left, bias_left), (right, bias_right)):
+        form = rbc_form(sample, fit, bias, vce, cluster)
         ext = _rbc_extractor(extractor, fit.h, min(fit.p, fit.s), nu)
         total += float(ext @ form @ ext)
     return total

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    BandwidthUnresolved,
     DegenerateQuantiles,
     EmptySample,
     LengthMismatch,
@@ -485,12 +486,13 @@ class FitSpec:
             raise ValueError(f"unknown vce {self.vce!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        if isinstance(self.bandwidth, Fixed):
-            if self.bandwidth.h_left <= 0 or self.bandwidth.h_right <= 0:
-                raise NonPositiveBandwidth("fixed bandwidths must be > 0")
-        elif isinstance(self.bandwidth, Common):
-            if self.bandwidth.h <= 0:
-                raise NonPositiveBandwidth("common bandwidth must be > 0")
+        if not isinstance(self.bandwidth, Select):
+            for h in self.resolved_bandwidths():
+                # false for nan too
+                if not 0.0 < h < np.inf:
+                    raise NonPositiveBandwidth(
+                        f"bandwidths must be finite and > 0, got {h}"
+                    )
 
     def resolved_bandwidths(self) -> tuple[float, float]:
         """Return (h_left, h_right) for fixed-bandwidth specs."""
@@ -498,8 +500,6 @@ class FitSpec:
             return self.bandwidth.h_left, self.bandwidth.h_right
         if isinstance(self.bandwidth, Common):
             return self.bandwidth.h, self.bandwidth.h
-        from .errors import BandwidthUnresolved
-
         raise BandwidthUnresolved(
             "bandwidth mode is Select; run bandwidth selection first"
         )

@@ -14,7 +14,7 @@ bit-for-bit reproducible for a given (seed, reps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -199,23 +199,7 @@ class TargetReport:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "truth": self.truth,
-            "reps_ok": self.reps_ok,
-            "mean_bias": self.mean_bias,
-            "mean_bias_rbc": self.mean_bias_rbc,
-            "rmse": self.rmse,
-            "rmse_rbc": self.rmse_rbc,
-            "sd": self.sd,
-            "sd_rbc": self.sd_rbc,
-            "mean_se_plugin": self.mean_se_plugin,
-            "mean_se_rbc": self.mean_se_rbc,
-            "coverage": self.coverage,
-            "level": self.level,
-            "mean_h": self.mean_h,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

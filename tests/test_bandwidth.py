@@ -17,7 +17,7 @@ from rdhte.basis import extractor_vector, n_params
 from rdhte.errors import TooFewObservations
 from rdhte.fitting import fit_side
 from rdhte.kernels import kernel_eval
-from rdhte.model import FitSpec, validate_sample
+from rdhte.model import FitSpec, Select, validate_sample
 from rdhte.simulate import DgpConfig, gen_sample
 
 
@@ -185,7 +185,7 @@ def test_variance_constants_zero_for_noiseless_in_span():
     sample = gen_sample(cfg, 500, 21)
     vc = variance_constants(sample, "right", 0.4, 1, 1, "triangular", "hc0")
     e = extractor_vector(0, 1, 1, np.zeros(0))
-    assert vc.contraction(e) == pytest.approx(0.0, abs=1e-20)
+    assert float(e @ vc @ e) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_variance_constants_match_brute_force():
@@ -204,7 +204,7 @@ def test_variance_constants_match_brute_force():
     ginv = np.linalg.inv(fit.gram)
     e = extractor_vector(0, 1, 1, np.zeros(0))
     expect = float(e @ ginv @ meat @ ginv.T @ e)
-    assert vc.contraction(e) == pytest.approx(expect, rel=1e-10)
+    assert float(e @ vc @ e) == pytest.approx(expect, rel=1e-10)
 
 
 def test_mse_bandwidth_formula_arithmetic():
@@ -303,7 +303,7 @@ def test_noisy_linear_dgp_still_selects():
 
 def test_one_sided_mode():
     sample = random_instance(53, n=600, d=1)
-    sel = mse_bandwidth(sample, FitSpec(), mode="one_sided")
+    sel = mse_bandwidth(sample, FitSpec(bandwidth=Select("one_sided")))
     assert sel.mode == "one_sided"
     assert sel.h_left > 0 and sel.h_right > 0
 

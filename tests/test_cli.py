@@ -228,12 +228,18 @@ def test_bare_numeric_hetero_is_parsed_once(tmp_path, monkeypatch):
         ("--level", "0", "level"),
         ("--p", "-1", "orders"),
         ("--s", "-1", "orders"),
+        ("--at", "nan", "w=(nan)"),
+        ("--at", "inf", "w=(inf)"),
+        ("--bw", "nan", "nan"),
+        ("--bw", "inf", "inf"),
+        ("--bw-side", "0.3 nan", "nan"),
     ],
 )
 def test_invalid_fit_settings_exit_2(tmp_path, capsys, flag, value, message):
     path = tmp_path / "d.csv"
     write_sample_csv(path, n=100)
-    assert main(cli_args(path, flag, value)) == 2
+    argv = cli_args(path, "--hetero", "w0", "--format", "json", flag)
+    assert main(argv + value.split()) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ")
@@ -278,6 +284,23 @@ def test_json_round_trip_and_determinism(tmp_path):
     assert len(payload["estimands"]) == 3
     text2, _ = run(config)
     assert text2 == text
+
+
+def test_json_of_one_sided_selection_at_the_pilot_floor(tmp_path):
+    # at n = 30 the left pilot bandwidth sits on its floor, the side's
+    # largest distance to the cutoff, where the selected h is clipped too,
+    # and the regularized bias denominator engages
+    path = tmp_path / "d.csv"
+    write_sample_csv(path, n=30, seed=4)
+    config = parse_config(cli_args(
+        path, "--hetero", "w0", "--bw-select", "one", "--format", "json"
+    ))
+    text, code = run(config)
+    assert code == 0
+    bandwidth = json.loads(text)["bandwidth"]
+    assert bandwidth["mode"] == "one_sided"
+    assert bandwidth["bias_degenerate"] is True
+    assert bandwidth["pilot_left"] == bandwidth["h_left"]
 
 
 def test_cli_numbers_equal_library_api(tmp_path):

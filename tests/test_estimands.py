@@ -12,6 +12,7 @@ from rdhte.basis import extractor_vector, scaling_diag
 from rdhte.errors import (
     DimensionMismatch,
     LeverageOne,
+    NonFinite,
     NuOutOfRange,
     TooFewClusters,
 )
@@ -216,6 +217,18 @@ def test_cate_at_wrong_dimension():
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.6)))
     with pytest.raises(DimensionMismatch):
         cate_at(result, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_and_selectors_are_rejected(bad):
+    sample = random_instance(41)
+    result = fit_hte(sample, FitSpec(bandwidth=Common(0.6)))
+    with pytest.raises(NonFinite, match=f"{bad:g}"):
+        cate_at(result, [bad])
+    with pytest.raises(NonFinite, match=f"{bad:g}"):
+        contrast(result, Selector(np.array([1.0, bad])))
+    with pytest.raises(NonFinite, match=f"{bad:g}"):
+        fit_hte(sample, FitSpec(bandwidth=Common(0.6)), at=[(bad,)])
 
 
 def test_requested_points_become_records():

@@ -9,7 +9,7 @@ from oracles import (
     oracle_wls,
 )
 
-from rdhte.errors import SingularGram
+from rdhte.errors import NonPositiveBandwidth, SingularGram
 from rdhte.fitting import fit_side, side_design
 from rdhte.model import validate_sample
 
@@ -21,6 +21,13 @@ def test_side_design_empty_side():
     )
     assert rows.shape[0] == 0
     assert idx.size == 0
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf])
+def test_side_design_rejects_bad_bandwidths(h):
+    sample = random_instance(3, n=50)
+    with pytest.raises(NonPositiveBandwidth, match="finite and > 0"):
+        side_design(sample, "right", h, 1, 1, "triangular")
 
 
 def test_side_design_weight_at_cutoff():

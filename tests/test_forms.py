@@ -85,7 +85,6 @@ def test_forms_match_per_record_oracle(vce, kernel, d):
                     ).variance,
                     rbc_variance(
                         sample, result.left, result.right,
-                        result.pilot_left, result.pilot_right,
                         result.bias_left, result.bias_right,
                         evec, rec.nu, vce, sample.cluster,
                     ),

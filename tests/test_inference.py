@@ -350,8 +350,8 @@ def rbc_setup(seed, n=60, h=0.6):
     pieces = {}
     for side in ("left", "right"):
         b = pilot_bandwidth(sample, side, 1, 1)
-        pilot = fit_side(sample, side, b, 2, 2, "triangular")
-        bias = bias_constants(sample, side, 1, 1, "triangular", b, pilot)
+        bias = bias_constants(sample, side, 1, 1, "triangular", b)
+        pilot = bias.pilot_fit
         main = fit_side(sample, side, h, 1, 1, "triangular")
         pieces[side] = (main, pilot, bias)
     return sample, pieces
@@ -392,7 +392,7 @@ def test_rbc_variance_matches_loop_oracle():
     (l, pl, bl), (r, pr, br) = pieces["left"], pieces["right"]
     for w, lead in ((np.array([1.0]), 1.0), (np.array([1.0]), 0.0), (np.array([0.0]), 1.0)):
         evec = extractor_vector(0, 1, 1, w, lead=lead)
-        got = rbc_variance(sample, l, r, pl, pr, bl, br, evec, 0, "hc0")
+        got = rbc_variance(sample, l, r, bl, br, evec, 0, "hc0")
         expect = oracle_rbc_variance(sample, pieces, evec)
         assert got == pytest.approx(expect, rel=1e-10)
 
@@ -401,8 +401,8 @@ def test_rbc_variance_weight_ordering():
     sample, pieces = rbc_setup(16)
     (l, pl, bl), (r, pr, br) = pieces["left"], pieces["right"]
     evec = extractor_vector(0, 1, 1, np.array([1.0]))
-    v0 = rbc_variance(sample, l, r, pl, pr, bl, br, evec, 0, "hc0")
-    v3 = rbc_variance(sample, l, r, pl, pr, bl, br, evec, 0, "hc3")
+    v0 = rbc_variance(sample, l, r, bl, br, evec, 0, "hc0")
+    v3 = rbc_variance(sample, l, r, bl, br, evec, 0, "hc3")
     assert v3 >= v0 > 0.0
 
 
@@ -426,13 +426,13 @@ def test_rbc_variance_exceeds_plain_on_linear_dgp():
     fits = {}
     for side in ("left", "right"):
         b = pilot_bandwidth(sample, side, 1, 1)
-        pilot = fit_side(sample, side, b, 2, 2, "triangular")
-        bias = bias_constants(sample, side, 1, 1, "triangular", b, pilot)
+        bias = bias_constants(sample, side, 1, 1, "triangular", b)
+        pilot = bias.pilot_fit
         fits[side] = (fit_side(sample, side, b, 1, 1, "triangular"), pilot, bias)
     (l, pl, bl), (r, pr, br) = fits["left"], fits["right"]
     evec = extractor_vector(0, 1, 1, np.array([1.0]))
     plain = coef_variance(l, r, evec, 0, "hc0").variance
-    corrected = rbc_variance(sample, l, r, pl, pr, bl, br, evec, 0, "hc0")
+    corrected = rbc_variance(sample, l, r, bl, br, evec, 0, "hc0")
     assert corrected >= plain
 
 
@@ -442,8 +442,8 @@ def test_combined_influence_annihilates_constants_for_difference_selector():
     evec = extractor_vector(0, 1, 1, np.array([1.0]), lead=0.0)
     for side in ("left", "right"):
         b = pilot_bandwidth(flat, side, 1, 1)
-        pilot = fit_side(flat, side, b, 2, 2, "triangular")
-        bias = bias_constants(flat, side, 1, 1, "triangular", b, pilot)
+        bias = bias_constants(flat, side, 1, 1, "triangular", b)
+        pilot = bias.pilot_fit
         main = fit_side(flat, side, 0.6, 1, 1, "triangular")
         union, omega, resid, _ = _influence_pieces(flat, main, pilot, bias, evec, 0)
         # weights reproduce zero on any constant outcome
@@ -457,12 +457,12 @@ def test_rbc_variance_zero_for_constant_outcome():
     fits = {}
     for side in ("left", "right"):
         b = pilot_bandwidth(flat, side, 1, 1)
-        pilot = fit_side(flat, side, b, 2, 2, "triangular")
-        bias = bias_constants(flat, side, 1, 1, "triangular", b, pilot)
+        bias = bias_constants(flat, side, 1, 1, "triangular", b)
+        pilot = bias.pilot_fit
         fits[side] = (fit_side(flat, side, 0.6, 1, 1, "triangular"), pilot, bias)
     (l, pl, bl), (r, pr, br) = fits["left"], fits["right"]
     evec = extractor_vector(0, 1, 1, np.array([1.0]), lead=0.0)
-    assert rbc_variance(flat, l, r, pl, pr, bl, br, evec, 0, "hc0") < 1e-24
+    assert rbc_variance(flat, l, r, bl, br, evec, 0, "hc0") < 1e-24
 
 
 def test_rbc_variance_cluster_matches_loop_oracle():
@@ -471,7 +471,7 @@ def test_rbc_variance_cluster_matches_loop_oracle():
     rng = np.random.default_rng(21)
     labels = rng.integers(0, 12, sample.n)
     evec = extractor_vector(0, 1, 1, np.array([1.0]))
-    got = rbc_variance(sample, l, r, pl, pr, bl, br, evec, 0, "cluster", labels)
+    got = rbc_variance(sample, l, r, bl, br, evec, 0, "cluster", labels)
 
     total = 0.0
     for side in ("left", "right"):

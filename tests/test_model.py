@@ -195,6 +195,21 @@ def test_fitspec_validation():
         FitSpec(bandwidth=Common(0.0))
 
 
+@pytest.mark.parametrize(
+    "bandwidth",
+    [
+        Common(float("nan")),
+        Common(float("inf")),
+        Fixed(0.3, float("inf")),
+        Fixed(float("nan"), 0.3),
+        Fixed(0.3, -0.1),
+    ],
+)
+def test_fitspec_rejects_non_finite_bandwidths(bandwidth):
+    with pytest.raises(NonPositiveBandwidth, match="finite and > 0"):
+        FitSpec(bandwidth=bandwidth)
+
+
 def test_fitspec_bandwidth_resolution():
     assert FitSpec(bandwidth=Common(0.4)).resolved_bandwidths() == (0.4, 0.4)
     assert FitSpec(bandwidth=Fixed(0.3, 0.5)).resolved_bandwidths() == (
