@@ -1,6 +1,7 @@
 """Bias and variance constants and MSE-optimal bandwidth selection.
 
-The selection pipeline per side is:
+fit_hte runs the first four steps per side for every bandwidth rule;
+MSE-optimal selection takes their bias constants and adds the last:
 
     pilot bandwidth b (rule of thumb, clamped)
       -> pilot fit of order (p+1, s+1) at b, giving the curvature
@@ -212,24 +213,19 @@ def variance_constants(
 class BandwidthSelection:
     """Outcome of MSE-optimal bandwidth selection.
 
-    Carries the selected bandwidths, the pilot bandwidths they were derived
-    from, the estimated constants (whose bias constants hold the pilot
-    fits), and a degeneracy flag set when the bias denominator needed
-    regularization.
+    Carries the selected bandwidths, the variance and bias contractions
+    they were derived from (the pilot stage is the caller's), and a
+    degeneracy flag set when the bias denominator needed regularization.
     """
 
     mode: str
     h_left: float
     h_right: float
-    pilot_left: float
-    pilot_right: float
     v_left: float
     v_right: float
     b_left: float
     b_right: float
     bias_degenerate: bool
-    bias_const_left: BiasConstants
-    bias_const_right: BiasConstants
 
 
 def _h_bounds(sample: RdSample, side: str, k_dim: int):
@@ -240,7 +236,12 @@ def _h_bounds(sample: RdSample, side: str, k_dim: int):
     return h_min, h_max
 
 
-def mse_bandwidth(sample: RdSample, spec: FitSpec) -> BandwidthSelection:
+def mse_bandwidth(
+    sample: RdSample,
+    spec: FitSpec,
+    bias_left: BiasConstants,
+    bias_right: BiasConstants,
+) -> BandwidthSelection:
     """MSE-optimal bandwidth(s) for the target (1, all-ones).
 
     The target is the linear functional whose MSE drives the choice: the
@@ -254,6 +255,8 @@ def mse_bandwidth(sample: RdSample, spec: FitSpec) -> BandwidthSelection:
         Supplies p, s, nu, kernel and the variance kind, and the mode
         ("one_sided" or "two_sided") when spec.bandwidth is Select; other
         bandwidth rules select two-sided.
+    bias_left, bias_right : BiasConstants
+        Each side's pilot stage; the variance is taken at its pilot_fit.h.
 
     Returns
     -------
@@ -261,9 +264,9 @@ def mse_bandwidth(sample: RdSample, spec: FitSpec) -> BandwidthSelection:
 
     Raises
     ------
-    TooFewObservations, SingularGram, BiasDegenerate
+    SingularGram, LeverageOne, TooFewClusters, BiasDegenerate
     """
-    p, s, nu, kernel = spec.p, spec.s, spec.nu, spec.kernel
+    p, s, nu, kernel, vce = spec.p, spec.s, spec.nu, spec.kernel, spec.vce
     d = sample.d
     bw = spec.bandwidth
     mode = bw.mode if isinstance(bw, Select) else "two_sided"
@@ -272,15 +275,12 @@ def mse_bandwidth(sample: RdSample, spec: FitSpec) -> BandwidthSelection:
     n = sample.n
     q = min(p, s)
     sides = ("left", "right")
-    pilots, bconsts, v_val = {}, {}, {}
-    for side in sides:
-        b = pilot_bandwidth(sample, side, p, s)
-        pilots[side] = b
-        bconsts[side] = bias_constants(sample, side, p, s, kernel, b)
-        vmat = variance_constants(sample, side, b, p, s, kernel, spec.vce)
-        v_val[side] = float(extractor @ vmat @ extractor)
-
-    b_val = {sd: bconsts[sd].contraction(extractor) for sd in sides}
+    pilots, v_val, b_val = {}, {}, {}
+    for sd, bias in zip(sides, (bias_left, bias_right)):
+        pilots[sd] = bias.pilot_fit.h
+        vmat = variance_constants(sample, sd, pilots[sd], p, s, kernel, vce)
+        v_val[sd] = float(extractor @ vmat @ extractor)
+        b_val[sd] = bias.contraction(extractor)
 
     factor = (1 + 2 * nu) / (2.0 * (1 + q - nu) * n)
     expo = 1.0 / (3 + 2 * q)
@@ -326,13 +326,9 @@ def mse_bandwidth(sample: RdSample, spec: FitSpec) -> BandwidthSelection:
         mode=mode,
         h_left=h_left,
         h_right=h_right,
-        pilot_left=pilots["left"],
-        pilot_right=pilots["right"],
         v_left=v_val["left"],
         v_right=v_val["right"],
         b_left=b_val["left"],
         b_right=b_val["right"],
         bias_degenerate=degen,
-        bias_const_left=bconsts["left"],
-        bias_const_right=bconsts["right"],
     )

@@ -245,8 +245,9 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
                     f"{path}: column {name!r} appears more than once in "
                     "the header"
                 )
+        # a column named in several roles is read once
         out: dict[str, list[str]] = {name: [] for name in columns}
-        want = [(name, index[name]) for name in columns]
+        want = [(name, index[name]) for name in out]
         for row in reader:
             for name, j in want:
                 out[name].append(row[j] if j < len(row) else "")

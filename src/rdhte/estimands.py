@@ -245,10 +245,10 @@ def fit_hte(
 ) -> HteResult:
     """Estimate heterogeneous RD effects on both sides of the cutoff.
 
-    Resolves bandwidths (running MSE-optimal selection when the
-    specification asks for it), fits the interacted local polynomial on
-    each side, and builds the default estimand report plus any requested
-    covariate evaluation points.
+    Runs each side's pilot stage, resolves bandwidths (MSE-optimal
+    selection when the specification asks for it), fits the interacted
+    local polynomial on each side, and builds the default estimand report
+    plus any requested covariate evaluation points.
 
     Parameters
     ----------
@@ -288,21 +288,18 @@ def fit_hte(
     if len(kinds) != d:
         raise DimensionMismatch(f"expected {d} kinds, got {len(kinds)}")
 
+    bias_left, bias_right = (
+        bias_constants(
+            sample, side, p, s, kernel, pilot_bandwidth(sample, side, p, s)
+        )
+        for side in ("left", "right")
+    )
     selection: Optional[BandwidthSelection] = None
     if isinstance(spec.bandwidth, Select):
-        selection = mse_bandwidth(sample, spec)
+        selection = mse_bandwidth(sample, spec, bias_left, bias_right)
         h_left, h_right = selection.h_left, selection.h_right
-        bias_left = selection.bias_const_left
-        bias_right = selection.bias_const_right
     else:
         h_left, h_right = spec.resolved_bandwidths()
-        bias_left, bias_right = (
-            bias_constants(
-                sample, side, p, s, kernel,
-                pilot_bandwidth(sample, side, p, s),
-            )
-            for side in ("left", "right")
-        )
 
     left = fit_side(sample, "left", h_left, p, s, kernel)
     right = fit_side(sample, "right", h_right, p, s, kernel)

@@ -81,8 +81,6 @@ class SideFit:
         Number of observations with positive kernel weight.
     idx : ndarray (m,)
         Row indices of in-window observations in the original sample.
-    u : ndarray (m,)
-        Scaled distances of in-window observations.
     kvals : ndarray (m,)
         Kernel values K(u_i) (without the 1/h factor).
     design : ndarray (m, k)
@@ -91,8 +89,6 @@ class SideFit:
         Full sample size entering the 1/(n h) normalizations.
     p, s, d : int
         Basis layout parameters.
-    kernel : str
-        Kernel name used.
     """
 
     side: str
@@ -104,14 +100,12 @@ class SideFit:
     leverages: np.ndarray
     eff_n: int
     idx: np.ndarray
-    u: np.ndarray
     kvals: np.ndarray
     design: np.ndarray
     n_total: int
     p: int
     s: int
     d: int
-    kernel: str
 
     @property
     def n_coef(self) -> int:
@@ -220,7 +214,7 @@ def fit_side(
         Gram's reciprocal condition number falls below 1e-12 (collinear
         covariates within the window).
     """
-    rows, _, idx, u, kv = side_design(sample, side, h, p, s, kernel)
+    rows, _, idx, _, kv = side_design(sample, side, h, p, s, kernel)
     n = sample.n
     k = rows.shape[1]
     if idx.size < k:
@@ -256,12 +250,10 @@ def fit_side(
         leverages=np.einsum("ij,ij->i", q, q),
         eff_n=int(idx.size),
         idx=idx,
-        u=u,
         kvals=kv,
         design=rows,
         n_total=n,
         p=p,
         s=s,
         d=sample.d,
-        kernel=kernel,
     )

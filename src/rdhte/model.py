@@ -234,6 +234,8 @@ def validate_sample(
         w_arr = np.asarray(w, dtype=float)
         if w_arr.ndim == 1:
             w_arr = w_arr[:, None]
+        if w_arr.ndim != 2:
+            raise LengthMismatch("w must be one- or two-dimensional")
         if w_arr.shape[0] != n:
             raise LengthMismatch(
                 f"y has length {n}, w has {w_arr.shape[0]} rows"
@@ -241,6 +243,8 @@ def validate_sample(
     cl = None
     if cluster is not None:
         cl_raw = np.asarray(cluster)
+        if cl_raw.ndim != 1:
+            raise LengthMismatch("cluster must be one-dimensional")
         if cl_raw.shape[0] != n:
             raise LengthMismatch(
                 f"y has length {n}, cluster has length {cl_raw.shape[0]}"

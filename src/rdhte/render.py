@@ -158,11 +158,6 @@ def render_csv(result: HteResult) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
     for rec in result.records:
-        h_cell = (
-            repr(rec.h_left)
-            if rec.h_left == rec.h_right
-            else f"{rec.h_left!r}/{rec.h_right!r}"
-        )
         writer.writerow(
             [
                 rec.label,
@@ -170,7 +165,8 @@ def render_csv(result: HteResult) -> str:
                 f"[{rec.ci_low!r}; {rec.ci_high!r}]",
                 repr(rec.p_value),
                 rec.eff_n,
-                h_cell,
+                # format(h, "") is repr(h) for a float: full precision
+                _h_cell(rec.h_left, rec.h_right, ""),
             ]
         )
     return buf.getvalue()

@@ -8,8 +8,8 @@ preset has a closed-form true effect at the cutoff.
 Replication r of a run seeded with s draws from
 numpy.random.default_rng((s, r)), so replications can be re-ordered or
 partitioned across workers without changing any drawn value; reports
-aggregate over the replication-indexed arrays, which makes them
-bit-for-bit reproducible for a given (seed, reps).
+aggregate the records of the successful replications in replication
+order, which makes them bit-for-bit reproducible for a given (seed, reps).
 """
 
 from __future__ import annotations
@@ -262,53 +262,32 @@ def monte_carlo(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    n_t = len(targets)
-    point = np.full((n_t, reps), np.nan)
-    rbc = np.full((n_t, reps), np.nan)
-    se_plug = np.full((n_t, reps), np.nan)
-    se_rbc = np.full((n_t, reps), np.nan)
-    covered = np.zeros((n_t, reps), dtype=bool)
-    zero_se = np.zeros((n_t, reps), dtype=bool)
-    h_mean = np.full(reps, np.nan)
-    ok = np.zeros(reps, dtype=bool)
-    labels = [""] * n_t
-
+    kept = []  # the target records of each successful replication, in order
     for rep in range(reps):
         sample = gen_sample(config, n, (seed, rep))
         try:
             result = fit_hte(sample, spec)
-            recs = [_target_record(result, t) for t, _ in targets]
+            kept.append([_target_record(result, t) for t, _ in targets])
         except EstimationError:
-            continue
-        ok[rep] = True
-        h_mean[rep] = 0.5 * (result.h_left + result.h_right)
-        for j, (rec, (_, truth)) in enumerate(zip(recs, targets)):
-            labels[j] = rec.label
-            point[j, rep] = rec.point
-            rbc[j, rep] = rec.rbc_point
-            se_plug[j, rep] = rec.se
-            se_rbc[j, rep] = rec.rbc_se
-            covered[j, rep] = rec.ci_low <= truth <= rec.ci_high
-            # numerically-zero intervals (exact-fit DGPs leave float-noise
-            # residuals) make coverage meaningless just like exact zeros
-            tol = 1e-12 * max(1.0, abs(rec.rbc_point))
-            zero_se[j, rep] = rec.zero_se or rec.rbc_se <= tol
+            pass
 
-    n_ok = int(ok.sum())
+    n_ok = len(kept)
     if n_ok == 0:
         raise AllReplicationsFailed(
             f"all {reps} replications failed estimation"
         )
 
     out = []
-    for j, (_, truth) in enumerate(targets):
-        pt = point[j, ok]
-        rb = rbc[j, ok]
+    # zip(*kept) regroups the records by target
+    for (_, truth), recs in zip(targets, zip(*kept)):
+        pt = np.array([rec.point for rec in recs])
+        rb = np.array([rec.rbc_point for rec in recs])
+        h = np.array([0.5 * (rec.h_left + rec.h_right) for rec in recs])
         err = pt - truth
         err_rbc = rb - truth
         out.append(
             TargetReport(
-                label=labels[j],
+                label=recs[0].label,
                 truth=float(truth),
                 reps_ok=n_ok,
                 mean_bias=float(np.mean(err)),
@@ -317,12 +296,20 @@ def monte_carlo(
                 rmse_rbc=float(np.sqrt(np.mean(err_rbc**2))),
                 sd=float(np.std(pt, ddof=1)) if n_ok > 1 else 0.0,
                 sd_rbc=float(np.std(rb, ddof=1)) if n_ok > 1 else 0.0,
-                mean_se_plugin=float(np.mean(se_plug[j, ok])),
-                mean_se_rbc=float(np.mean(se_rbc[j, ok])),
-                coverage=float(np.mean(covered[j, ok])),
+                mean_se_plugin=float(np.mean([rec.se for rec in recs])),
+                mean_se_rbc=float(np.mean([rec.rbc_se for rec in recs])),
+                coverage=float(np.mean(
+                    [rec.ci_low <= truth <= rec.ci_high for rec in recs]
+                )),
                 level=spec.level,
-                mean_h=float(np.mean(h_mean[ok])),
-                degenerate=bool(np.any(zero_se[j, ok])),
+                mean_h=float(np.mean(h)),
+                # numerically-zero intervals (exact-fit DGPs leave float-noise
+                # residuals) make coverage meaningless just like exact zeros
+                degenerate=any(
+                    rec.zero_se
+                    or rec.rbc_se <= 1e-12 * max(1.0, abs(rec.rbc_point))
+                    for rec in recs
+                ),
             )
         )
     return McReport(

@@ -98,7 +98,9 @@ def long_regression(sample: RdSample, left: SideFit, right: SideFit):
     its T-interacted blocks the right-minus-left coefficient differences.
     """
     idx = np.concatenate([left.idx, right.idx])
-    u = np.concatenate([left.u, right.u])
+    u = np.concatenate(
+        [(sample.x[fit.idx] - sample.cutoff) / fit.h for fit in (left, right)]
+    )
     t = np.concatenate([np.zeros(left.idx.size), np.ones(right.idx.size)])
     base = design_rows(u, sample.w[idx], left.p, left.s)
     kv = np.concatenate([left.kvals, right.kvals])

@@ -207,6 +207,18 @@ def test_variance_constants_match_brute_force():
     assert float(e @ vc @ e) == pytest.approx(expect, rel=1e-10)
 
 
+def _select(sample, spec):
+    """mse_bandwidth after the pilot stage that fit_hte runs before it."""
+    p, s, kernel = spec.p, spec.s, spec.kernel
+    bias = [
+        bias_constants(
+            sample, side, p, s, kernel, pilot_bandwidth(sample, side, p, s)
+        )
+        for side in ("left", "right")
+    ]
+    return mse_bandwidth(sample, spec, *bias)
+
+
 def test_mse_bandwidth_formula_arithmetic():
     # two-sided order-1 case: ((1/(4n)) * V / Bdiff^2)^(1/5)
     assert (0.25 * 1.0 / 1.0) ** 0.2 == pytest.approx(0.757858, abs=5e-7)
@@ -215,10 +227,13 @@ def test_mse_bandwidth_formula_arithmetic():
 def test_mse_bandwidth_reproduces_formula_from_constants():
     sample = random_instance(43, n=600, d=1)
     spec = FitSpec()
-    sel = mse_bandwidth(sample, spec)
+    sel = _select(sample, spec)
     v_sum = sel.v_left + sel.v_right
     b_diff = sel.b_right - sel.b_left
-    h_ref = np.sqrt(sel.pilot_left * sel.pilot_right)
+    h_ref = np.sqrt(
+        pilot_bandwidth(sample, "left", 1, 1)
+        * pilot_bandwidth(sample, "right", 1, 1)
+    )
     reg = BIAS_REG_EPS * v_sum / (sample.n * h_ref)
     raw = (v_sum / (4.0 * sample.n * (b_diff**2 + reg))) ** 0.2
     assert sel.h_left == sel.h_right
@@ -246,9 +261,9 @@ def test_quadrupling_n_shrinks_h_at_fixed_constants():
 def test_y_scaling_leaves_h_unchanged():
     sample = random_instance(47, n=500, d=1)
     spec = FitSpec()
-    sel = mse_bandwidth(sample, spec)
+    sel = _select(sample, spec)
     scaled = validate_sample(7.0 * sample.y, sample.x, 0.0, sample.w)
-    sel_scaled = mse_bandwidth(scaled, spec)
+    sel_scaled = _select(scaled, spec)
     assert sel_scaled.v_left == pytest.approx(49.0 * sel.v_left, rel=1e-9)
     assert sel_scaled.b_left == pytest.approx(7.0 * sel.b_left, rel=1e-9)
     assert sel_scaled.h_left == pytest.approx(sel.h_left, rel=1e-9)
@@ -262,9 +277,9 @@ def test_x_scale_equivariance():
     )
     sample = gen_sample(cfg, 800, 31)
     spec = FitSpec()
-    sel = mse_bandwidth(sample, spec)
+    sel = _select(sample, spec)
     scaled = validate_sample(sample.y, 2.0 * sample.x, 0.0)
-    sel_scaled = mse_bandwidth(scaled, spec)
+    sel_scaled = _select(scaled, spec)
     assert sel_scaled.h_left / sel.h_left == pytest.approx(2.0, rel=1e-3)
 
 
@@ -273,7 +288,7 @@ def test_degenerate_bias_flag_on_exact_zero_constants():
     # exactly zero, the flag fires, and the bandwidth falls to its clamp
     rng = np.random.default_rng(99)
     sample = validate_sample(np.zeros(400), rng.uniform(-1, 1, 400), 0.0)
-    sel = mse_bandwidth(sample, FitSpec())
+    sel = _select(sample, FitSpec())
     assert sel.bias_degenerate
     assert np.isfinite(sel.h_left) and sel.h_left > 0
 
@@ -285,7 +300,7 @@ def test_noiseless_linear_dgp_keeps_finite_bandwidth():
         noise=("constant", 0.0),
     )
     sample = gen_sample(cfg, 400, 99)
-    sel = mse_bandwidth(sample, FitSpec())
+    sel = _select(sample, FitSpec())
     assert np.isfinite(sel.h_left) and sel.h_left > 0
 
 
@@ -297,13 +312,13 @@ def test_noisy_linear_dgp_still_selects():
     )
     for rep in range(5):
         sample = gen_sample(cfg, 400, (99, rep))
-        sel = mse_bandwidth(sample, FitSpec())
+        sel = _select(sample, FitSpec())
         assert np.isfinite(sel.h_left) and sel.h_left > 0
 
 
 def test_one_sided_mode():
     sample = random_instance(53, n=600, d=1)
-    sel = mse_bandwidth(sample, FitSpec(bandwidth=Select("one_sided")))
+    sel = _select(sample, FitSpec(bandwidth=Select("one_sided")))
     assert sel.mode == "one_sided"
     assert sel.h_left > 0 and sel.h_right > 0
 

@@ -515,3 +515,45 @@ def test_cli_json_equals_library_with_integer_cluster_ids(tmp_path):
         labels=["w0"],
     )
     assert text == render_json(lib)
+
+
+def test_load_csv_reads_a_repeated_column_once(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("y,x\n1,0.1\n2,0.2\n3,0.3\n")
+    raw = load_csv(str(path), ["y", "x", "y"])
+    assert raw == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
+
+
+def test_cli_heterogeneity_by_the_cluster_column(tmp_path):
+    path = tmp_path / "d.csv"
+    sample = gen_sample(canonical_preset(), 600, 5)
+    ids = np.arange(sample.n) % 25
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(["y", "x", "c"])
+        for i in range(sample.n):
+            wtr.writerow([repr(float(sample.y[i])), repr(float(sample.x[i])),
+                          int(ids[i])])
+    text, code = run(parse_config(cli_args(
+        path, "--hetero", "c", "--cluster", "c", "--vce", "cluster",
+        "--bw", "0.3", "--format", "json",
+    )))
+    assert code == 0
+
+    lib = fit_hte(
+        validate_sample(sample.y, sample.x, 0.0, ids.astype(float), ids),
+        FitSpec(bandwidth=Common(0.3), vce="cluster"),
+        labels=["c"],
+        kinds=["continuous"],
+    )
+    assert text == render_json(lib)
+
+
+def test_cli_repeated_hetero_column_is_collinear(tmp_path):
+    path = tmp_path / "d.csv"
+    write_sample_csv(path)
+    text, code = run(parse_config(cli_args(
+        path, "--hetero", "w0", "--hetero", "w0", "--bw", "0.3",
+    )))
+    assert code == 3
+    assert "singular Gram matrix" in text

@@ -24,7 +24,7 @@ from rdhte.estimands import (
     long_map_matrix,
 )
 from rdhte.fitting import fit_side
-from rdhte.model import Common, FitSpec, Select, validate_sample
+from rdhte.model import Common, Fixed, FitSpec, Select, validate_sample
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +338,31 @@ def test_each_fit_computed_once(monkeypatch, bandwidth, fits):
     sample = random_instance(41, n=400)
     side_fits = _count_calls(monkeypatch, "fitting", "fit_side")
     moments = _count_calls(monkeypatch, "bandwidth", "moment_vectors")
+    pilots = _count_calls(monkeypatch, "bandwidth", "pilot_bandwidth")
+    biases = _count_calls(monkeypatch, "bandwidth", "bias_constants")
     fit_hte(sample, FitSpec(bandwidth=bandwidth), at=[(0.5,)])
     assert len(side_fits) == fits
     assert moments == []
+    # one pilot stage per side, whatever the bandwidth rule
+    assert len(pilots) == 2
+    assert len(biases) == 2
+
+
+@pytest.mark.parametrize("mode", ["two_sided", "one_sided"])
+@pytest.mark.parametrize("vce", ["hc3", "hc1"])
+def test_selected_fit_equals_fixed_fit_at_its_bandwidths(mode, vce):
+    sample = random_instance(42, n=500)
+    selected = fit_hte(
+        sample, FitSpec(bandwidth=Select(mode), vce=vce), at=[(0.5,)]
+    )
+    fixed = fit_hte(
+        sample,
+        FitSpec(bandwidth=Fixed(selected.h_left, selected.h_right), vce=vce),
+        at=[(0.5,)],
+    )
+    assert fixed.records == selected.records
+    assert fixed.pilot_left.h == selected.pilot_left.h
+    assert fixed.pilot_right.h == selected.pilot_right.h
 
 
 # ---------------------------------------------------------------------------

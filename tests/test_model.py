@@ -57,6 +57,21 @@ def test_length_mismatch():
         validate_sample(np.zeros(5), np.zeros(4), 0.0)
 
 
+@pytest.mark.parametrize(
+    "cluster",
+    [np.zeros((5, 1)), np.zeros((5, 2)), 3],
+    ids=["n_by_1", "n_by_2", "scalar"],
+)
+def test_badly_shaped_cluster_is_length_mismatch(cluster):
+    with pytest.raises(LengthMismatch, match="cluster must be one-dim"):
+        validate_sample(np.zeros(5), np.zeros(5), 0.0, cluster=cluster)
+
+
+def test_three_dimensional_w_is_length_mismatch():
+    with pytest.raises(LengthMismatch, match="w must be"):
+        validate_sample(np.zeros(5), np.zeros(5), 0.0, np.zeros((5, 1, 1)))
+
+
 def test_cluster_relabeled_to_codes():
     sample = validate_sample(
         np.zeros(4),
