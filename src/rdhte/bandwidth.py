@@ -10,8 +10,8 @@ MSE-optimal selection takes their bias constants and adds the last:
          off as blocks of the pilot Gram
       -> bias constants (two channels: running-variable curvature and
          covariate-coefficient curvature)
-      -> variance constants: sandwich contraction of the main-order fit
-         at b with the requested heteroskedasticity weighting
+      -> variance constants: plug-in sandwich contraction of the
+         main-order fit at b with the requested variance kind
 
 and the optimal bandwidth trades the squared bias contraction against the
 variance contraction at the rate implied by the polynomial orders.
@@ -27,7 +27,7 @@ import numpy as np
 from .basis import extractor_vector, n_params
 from .errors import BiasDegenerate, TooFewObservations
 from .fitting import SideFit, fit_side, side_design
-from .inference import _sandwich, _side_meat
+from .inference import plugin_form
 from .model import FitSpec, RdSample, Select
 
 __all__ = [
@@ -196,17 +196,16 @@ def variance_constants(
     kernel: str,
     vce: str,
 ) -> np.ndarray:
-    """Sandwich variance matrix of one side at bandwidth h.
+    """Plug-in variance matrix of one side at bandwidth h.
 
-    Returns the k x k matrix Gram^-1 meat Gram^-1 of the main-order fit at
-    h, its meat weighted by the requested HC kind or summed within
-    clusters; an extractor e contracts it as e' M e. Unlike the reported
-    plug-in form (inference.plugin_form), it leaves out the cluster
-    degrees-of-freedom factor.
+    Returns inference.plugin_form of the main-order fit at h: the k x k
+    matrix f Gram^-1 meat Gram^-1, its meat weighted by the requested HC
+    kind or summed within the sample's clusters, so the selector and the
+    reported plug-in variances share one definition. An extractor e
+    contracts it as e' M e.
     """
     fit = fit_side(sample, side, h, p, s, kernel)
-    meat = _side_meat(fit, vce, sample.cluster, sample.n_clusters)
-    return _sandwich(fit.gram, meat)
+    return plugin_form(fit, vce, sample.cluster)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .errors import (
     EstimationError,
     InputError,
     MissingColumn,
+    MissingLabel,
     ParseError,
 )
 from .estimands import fit_hte
@@ -188,7 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Turn an argument vector into a RunConfig (argparse exits 2 on usage
     errors)."""
-    ns = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.vce == "cluster" and ns.cluster is None:
+        parser.error("--vce cluster requires --cluster")
     if ns.bw is not None:
         bandwidth = Common(ns.bw)
     elif ns.bw_side is not None:
@@ -312,9 +316,12 @@ def build_result(config: RunConfig):
         expand_raw, CovariateSpec(tuple(col_specs))
     )
 
-    cluster = (
-        np.asarray(raw[config.cluster]) if config.cluster is not None else None
-    )
+    cluster = None
+    if config.cluster is not None:
+        cells = raw[config.cluster]
+        if "" in cells:
+            raise MissingLabel(cells.index("") + 1, config.cluster)
+        cluster = np.asarray(cells)
     sample = validate_sample(
         y, x, config.cutoff, w if w.shape[1] else None, cluster
     )

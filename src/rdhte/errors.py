@@ -32,6 +32,13 @@ class NonFinite(InputError):
         super().__init__(f"non-finite value at {where}")
 
 
+class MissingLabel(InputError):
+    def __init__(self, row: int, column: str):
+        self.row = row
+        self.column = column
+        super().__init__(f"missing label at row {row}, column {column!r}")
+
+
 class LengthMismatch(InputError):
     pass
 

@@ -5,8 +5,10 @@ Meat matrices weight squared residuals by the SQUARED kernel value,
     V = (1/(n h)) sum_i w_i K(u_i)^2 r_i r_i' u_hat_i^2,
 
 matching the first-order variance of the kernel-weighted score (the score
-itself carries one kernel factor, so its variance carries two) and making
-the all-singleton cluster meat coincide with the HC0 meat exactly.
+itself carries one kernel factor, so its variance carries two). The
+cluster meat sums the scores s_i = K(u_i) r_i u_hat_i within each cluster
+g first, V = (1/(n h)) sum_g s_g s_g', so singleton clusters give the HC0
+meat; its sandwich carries the degrees-of-freedom factor n/(n - p - 1 - d).
 
 Every estimand is a linear functional e'theta of the side fits, and each
 side's estimate of it, plain or bias-corrected, is linear in the
@@ -118,19 +120,17 @@ def meat_matrix(fit: SideFit, weights: np.ndarray) -> np.ndarray:
     )
 
 
-def cluster_meat(
-    fit: SideFit, cluster: Optional[np.ndarray], n_clusters: int
-) -> np.ndarray:
+def cluster_meat(fit: SideFit, cluster: Optional[np.ndarray]) -> np.ndarray:
     """Cluster-robust meat matrix for one side.
 
-    Sums kernel-weighted score cross-products within clusters:
+    The HC0 meat of meat_matrix with the kernel-weighted scores summed
+    within clusters:
 
-        V = (1/(G h)) sum_g (sum_{i in g} K_i r_i u_hat_i)
+        V = (1/(n h)) sum_g (sum_{i in g} K_i r_i u_hat_i)
                             (sum_{i in g} K_i r_i u_hat_i)'
 
-    with G = n_clusters, the number of distinct clusters in the full
-    sample (RdSample.n_clusters). The small-sample degrees-of-freedom
-    factor is applied later, at contraction.
+    with n the full sample size. The degrees-of-freedom factor
+    n/(n - p - 1 - d) is applied at contraction (plugin_form).
 
     Raises
     ------
@@ -140,7 +140,7 @@ def cluster_meat(
     """
     scores = fit.design * (fit.kvals * fit.residuals)[:, None]
     sums = _cluster_sums(fit.side, cluster, fit.idx, scores)
-    return sums.T @ sums / (n_clusters * fit.h)
+    return sums.T @ sums / (fit.n_total * fit.h)
 
 
 def _cluster_sums(
@@ -177,38 +177,25 @@ def _cluster_sums(
 
 
 def _df_factor(fit: SideFit) -> float:
-    # (G-1)n/((G-1)(n-p-1-d)) as stated; the cluster count cancels
+    """Cluster degrees-of-freedom factor n/(n - p - 1 - d)."""
     return fit.n_total / (fit.n_total - fit.p - 1 - fit.d)
 
 
-def _side_meat(fit: SideFit, vce: str, cluster, n_clusters):
-    """Meat matrix of one side for the variance kind vce."""
-    if vce == "cluster":
-        return cluster_meat(fit, cluster, n_clusters)
-    return meat_matrix(fit, hc_weights(vce, fit))
-
-
-def _sandwich(gram: np.ndarray, meat: np.ndarray) -> np.ndarray:
-    """Gram^-1 meat Gram^-1, by two solves against the Gram."""
-    return np.linalg.solve(gram, np.linalg.solve(gram, meat).T).T
-
-
 def plugin_form(
-    fit: SideFit,
-    vce: str,
-    cluster: Optional[np.ndarray],
-    n_clusters: Optional[int],
+    fit: SideFit, vce: str, cluster: Optional[np.ndarray]
 ) -> np.ndarray:
     """Plug-in quadratic form of one side.
 
-    Returns the k x k matrix P = f Gram^-1 meat Gram^-1, with f the cluster
-    degrees-of-freedom factor for vce "cluster" and 1 otherwise
-    (n_clusters as in cluster_meat; unused by HC kinds). The side's
-    plug-in contraction of an extractor e is e' P e.
+    Returns the k x k matrix P = f Gram^-1 meat Gram^-1: cluster_meat and
+    the degrees-of-freedom factor f for vce "cluster", else the HC meat and
+    f = 1. The side's plug-in contraction of an extractor e is e' P e.
     """
-    meat = _side_meat(fit, vce, cluster, n_clusters)
-    factor = _df_factor(fit) if vce == "cluster" else 1.0
-    return factor * _sandwich(fit.gram, meat)
+    if vce == "cluster":
+        meat, factor = cluster_meat(fit, cluster), _df_factor(fit)
+    else:
+        meat, factor = meat_matrix(fit, hc_weights(vce, fit)), 1.0
+    gram = fit.gram
+    return factor * np.linalg.solve(gram, np.linalg.solve(gram, meat).T).T
 
 
 def rbc_form(
@@ -216,7 +203,6 @@ def rbc_form(
     fit: SideFit,
     bias: BiasConstants,
     vce: str,
-    cluster: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Bias-corrected quadratic form of one side.
 
@@ -227,7 +213,7 @@ def rbc_form(
     bias.pilot_fit (last k columns); D holds the squared pilot-surface
     residuals times the HC weights of the pilot leverages. For vce
     "cluster" the rows of A, scaled by the residuals, are summed within
-    clusters before the product and R carries the degrees-of-freedom
+    sample.cluster before the product and R carries the degrees-of-freedom
     factor. The side's bias-corrected variance of an extractor e at
     derivative order nu is e~' R e~ with e~ = [e; -h^(1+q-nu) e].
 
@@ -282,7 +268,7 @@ def rbc_form(
 
     if vce == "cluster":
         a *= resid[:, None]
-        sums = _cluster_sums(fit.side, cluster, rows, a)
+        sums = _cluster_sums(fit.side, sample.cluster, rows, a)
         return _df_factor(fit) * (sums.T @ sums)
     name = f"{pilot.side} side pilot fit"
     weights = _leverage_weights(vce, pilot, lev, name)
@@ -326,10 +312,9 @@ def side_forms(
     sample: RdSample, fit: SideFit, bias: BiasConstants, vce: str
 ) -> SideForms:
     """Both quadratic forms of one side, with the sample's cluster labels."""
-    cluster = sample.cluster
     return SideForms(
-        plugin=plugin_form(fit, vce, cluster, sample.n_clusters),
-        rbc=rbc_form(sample, fit, bias, vce, cluster),
+        plugin=plugin_form(fit, vce, sample.cluster),
+        rbc=rbc_form(sample, fit, bias, vce),
         h=fit.h,
         n_total=fit.n_total,
         q=min(fit.p, fit.s),
@@ -361,14 +346,13 @@ def coef_variance(
     Each side's contraction is e' P e with P its plug-in form (see
     plugin_form). The two sides use disjoint samples, so the variance is
     the sum of the contractions, each scaled by 1/(n h^(2 nu + 1)).
-    For vce "cluster", G is the number of distinct labels in cluster.
+    For vce "cluster", n_clusters reports the number of distinct labels
+    in cluster.
     """
     g = None
     if vce == "cluster" and cluster is not None:
         g = int(np.unique(cluster).size)
-    p_left, p_right = (
-        plugin_form(fit, vce, cluster, g) for fit in (left, right)
-    )
+    p_left, p_right = (plugin_form(fit, vce, cluster) for fit in (left, right))
     c_left = float(extractor @ p_left @ extractor)
     c_right = float(extractor @ p_right @ extractor)
     var = c_left / (
@@ -393,19 +377,18 @@ def rbc_variance(
     extractor: np.ndarray,
     nu: int,
     vce: str,
-    cluster: Optional[np.ndarray] = None,
 ) -> float:
     """Variance of the bias-corrected contrast.
 
     Each side contributes e~' R e~ with R its bias-corrected form (see
     rbc_form) and e~ = [e; -h^(1+q-nu) e], with each side's pilot fit read
-    from its bias constants. Cluster aggregation stays within sides (the
-    two windows are disjoint) and carries the same degrees-of-freedom
-    factor as the uncorrected cluster variance.
+    from its bias constants. Cluster aggregation, over sample.cluster,
+    stays within sides (the two windows are disjoint) and carries the
+    same degrees-of-freedom factor as the uncorrected cluster variance.
     """
     total = 0.0
     for fit, bias in ((left, bias_left), (right, bias_right)):
-        form = rbc_form(sample, fit, bias, vce, cluster)
+        form = rbc_form(sample, fit, bias, vce)
         ext = _rbc_extractor(extractor, fit.h, min(fit.p, fit.s), nu)
         total += float(ext @ form @ ext)
     return total

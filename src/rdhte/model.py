@@ -24,6 +24,7 @@ from .errors import (
     DegenerateQuantiles,
     EmptySample,
     LengthMismatch,
+    MissingLabel,
     NonFinite,
     NonPositiveBandwidth,
     NuOutOfRange,
@@ -89,9 +90,9 @@ class RdSample:
         Cluster codes 0..G-1 for cluster-robust variance (validate_sample
         relabels any labels to these dense codes).
 
-    The per-side views, the cluster count, and the covariate kinds and
-    ranges are cached on the instance, so its arrays must not change after
-    construction; dataclasses.replace gives a new sample with fresh caches.
+    The per-side views and the covariate kinds and ranges are cached on
+    the instance, so its arrays must not change after construction;
+    dataclasses.replace gives a new sample with fresh caches.
     """
 
     y: np.ndarray
@@ -107,13 +108,6 @@ class RdSample:
     @property
     def d(self) -> int:
         return self.w.shape[1]
-
-    @cached_property
-    def n_clusters(self) -> Optional[int]:
-        """Number of clusters G, read once per sample from the dense codes."""
-        if self.cluster is None:
-            return None
-        return int(self.cluster.max()) + 1
 
     @cached_property
     def w_kinds(self) -> tuple[str, ...]:
@@ -207,7 +201,7 @@ def validate_sample(
     w : array-like, shape (n, d), optional
         Heterogeneity covariates; omitted or empty means d = 0.
     cluster : array-like, shape (n,), optional
-        Integer-codeable cluster labels.
+        Cluster labels, numbers or text; a None or NaN label is rejected.
 
     Returns
     -------
@@ -217,7 +211,7 @@ def validate_sample(
 
     Raises
     ------
-    EmptySample, LengthMismatch, NonFinite
+    EmptySample, LengthMismatch, NonFinite, MissingLabel
     """
     y = np.ascontiguousarray(np.asarray(y, dtype=float))
     x = np.ascontiguousarray(np.asarray(x, dtype=float))
@@ -249,6 +243,11 @@ def validate_sample(
             raise LengthMismatch(
                 f"y has length {n}, cluster has length {cl_raw.shape[0]}"
             )
+        if cl_raw.dtype.kind in "fcO":
+            # None, or NaN: the one label unequal to itself
+            missing = (cl_raw != cl_raw) | np.equal(cl_raw, None)
+            if missing.any():
+                raise MissingLabel(int(np.argmax(missing)), "cluster")
         # relabel to dense integer codes; preserves grouping only
         _, cl = np.unique(cl_raw, return_inverse=True)
     if not np.isfinite(cutoff):
@@ -321,6 +320,7 @@ def _expand_categorical(name: str, values, baseline: Optional[str]):
 
 def _expand_quantile_bins(name: str, values, k: int):
     vals = np.asarray(values, dtype=float)
+    _check_finite(name, vals)
     if np.unique(vals).size < k:
         raise DegenerateQuantiles(
             f"column {name!r}: need >= {k} distinct values for {k} bins"

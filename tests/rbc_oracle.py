@@ -82,7 +82,7 @@ def _plugin_contraction(fit, extractor, vce, cluster):
     if vce == "cluster":
         scores = fit.design * (fit.kvals * fit.residuals)[:, None]
         sums = _cluster_sums(fit.side, cluster, fit.idx, scores)
-        meat = sums.T @ sums / (np.unique(cluster).size * fit.h)
+        meat = sums.T @ sums / (fit.n_total * fit.h)
         factor = _df_factor(fit)
     else:
         scale = hc_weights(vce, fit) * fit.kvals**2 * fit.residuals**2

@@ -274,7 +274,7 @@ def test_criterion_8_hc_and_cluster_algebra():
     # singleton clusters: meat equals HC0 meat, contraction adds the
     # degrees-of-freedom factor n/(n - p - 1 - d)
     labels = np.arange(sample.n)
-    v_cl = cluster_meat(fit, labels, sample.n)
+    v_cl = cluster_meat(fit, labels)
     cl_err = float(np.max(np.abs(v_cl - v0))) / float(np.max(np.abs(v0)))
     left = fit_side(sample, "left", 0.7, 1, 1, "triangular")
     evec = extractor_vector(0, 1, 1, np.array([1.0]))

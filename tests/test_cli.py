@@ -117,6 +117,7 @@ def test_parse_config_bare_hetero_defers_kind():
         BASE + ["--hetero", "income:zzz"],
         BASE + ["--at", "a,b"],
         BASE + ["--kernel", "gauss"],
+        BASE + ["--vce", "cluster"],  # no --cluster column
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -384,6 +385,33 @@ def test_cluster_flag_reaches_inference(tmp_path):
     text, code = run(config)
     assert code == 0
     assert json.loads(text)["vce"] == "cluster"
+
+
+def _set_cell(path, row, col, value):
+    """Overwrite one cell; row 1 is the first data row."""
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_empty_cluster_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    write_sample_csv(path)
+    _set_cell(path, 7, 3, "")
+    argv = cli_args(path, "--cluster", "cid", "--vce", "cluster", "--bw", "0.3")
+    assert main(argv) == 2
+    assert "missing label at row 7, column 'cid'" in capsys.readouterr().err
+
+
+def test_quantile_bins_nan_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    write_sample_csv(path, income=True)
+    _set_cell(path, 5, 4, "nan")
+    assert main(cli_args(path, "--hetero", "income:q2", "--bw", "0.3")) == 2
+    err = capsys.readouterr().err
+    assert "non-finite value" in err and "column 'income'" in err
 
 
 def test_estimation_failure_exits_3(tmp_path):

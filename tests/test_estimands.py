@@ -405,7 +405,7 @@ def test_records_cost_no_window_work(monkeypatch, vce):
     assert all(len(c) == 2 for c in form_calls.values())
 
 
-def test_select_cluster_fit_counts_clusters_once(monkeypatch):
+def test_select_cluster_fit_runs_no_full_sample_unique(monkeypatch):
     base = random_instance(45, n=400)
     labels = np.random.default_rng(45).integers(0, 30, base.n)
     sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
@@ -416,22 +416,39 @@ def test_select_cluster_fit_counts_clusters_once(monkeypatch):
         full_sample_uniques.append(ar is sample.cluster)
         return unique(ar, *args, **kwargs)
 
-    inference = importlib.import_module("rdhte.inference")
-    cluster_meat = inference.cluster_meat
-    counts_used = []
-
-    def recording_meat(fit, cluster, n_clusters):
-        counts_used.append(n_clusters)
-        return cluster_meat(fit, cluster, n_clusters)
-
     monkeypatch.setattr(np, "unique", counting_unique)
-    monkeypatch.setattr(inference, "cluster_meat", recording_meat)
     fit_hte(sample, FitSpec(bandwidth=Select(), vce="cluster"))
-    # two for the variance constants, two for the plug-in forms, each
-    # handed the count read once from the sample's dense codes
-    assert counts_used == [30] * 4
+    # the cluster sums group each window's labels only
+    assert full_sample_uniques
     assert sum(full_sample_uniques) == 0
-    assert sample.n_clusters == 30
+
+
+def test_clusters_outside_every_window_leave_the_fit_unchanged():
+    base = random_instance(49, n=2000)
+    labels = np.random.default_rng(50).integers(0, 30, base.n)
+    sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
+    specs = [
+        FitSpec(bandwidth=Common(0.3), vce="cluster"),
+        FitSpec(bandwidth=Select(), vce="cluster"),
+    ]
+    before = [fit_hte(sample, spec, at=[(0.5,)]) for spec in specs]
+    # rows in no main or pilot window become clusters of their own
+    inside = np.zeros(sample.n, dtype=bool)
+    for res in before:
+        for fit in (res.left, res.right, res.pilot_left, res.pilot_right):
+            inside[fit.idx] = True
+    outside = np.flatnonzero(~inside)
+    assert outside.size > sample.n // 5
+    labels = labels.copy()
+    labels[outside] = 30 + np.arange(outside.size)
+    relabeled = validate_sample(base.y, base.x, 0.0, base.w, labels)
+    for spec, old in zip(specs, before):
+        new = fit_hte(relabeled, spec, at=[(0.5,)])
+        assert new.selection == old.selection
+        assert [rec.variance for rec in new.records] == [
+            rec.variance for rec in old.records
+        ]
+        assert new.records == old.records
 
 
 def test_missing_cluster_labels_raise_from_fit_hte():

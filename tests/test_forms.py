@@ -86,7 +86,7 @@ def test_forms_match_per_record_oracle(vce, kernel, d):
                     rbc_variance(
                         sample, result.left, result.right,
                         result.bias_left, result.bias_right,
-                        evec, rec.nu, vce, sample.cluster,
+                        evec, rec.nu, vce,
                     ),
                 )
                 assert public == pytest.approx((var, rbc), rel=TOL, abs=0)

@@ -5,6 +5,8 @@ as computed before side fits moved to a single QR factorization and the
 bias constants to blocks of the pilot Gram. Those changes reorder floating
 point work only, so every number must agree to 1e-10: relative for scale
 quantities, and relative to the record's ``rbc_se`` for point-like ones.
+``cluster_nu1`` was recomputed when the plug-in cluster meat took the HC0
+scaling 1/(n h) in place of 1/(G h).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from rdhte.inference import (
     rbc_variance,
 )
 from rdhte.model import Common, Fixed, FitSpec, validate_sample
-from rdhte.simulate import canonical_preset, inflated_curvature_preset, monte_carlo, true_cate
+from rdhte.simulate import canonical_preset, gen_sample, inflated_curvature_preset, monte_carlo, true_cate
 
 
 def brute_meat(fit, weights):
@@ -180,14 +180,15 @@ def cluster_fixture():
 def test_cluster_meat_matches_hand_computation():
     sample, labels = cluster_fixture()
     fit = fit_side(sample, "right", 1.0, 1, 1, "triangular")
-    g = 4
-    meat = cluster_meat(fit, labels, g)
+    meat = cluster_meat(fit, labels)
     sums = {}
     for pos, i in enumerate(fit.idx):
         score = fit.design[pos] * fit.kvals[pos] * fit.residuals[pos]
         key = int(labels[i])
         sums[key] = sums.get(key, 0.0) + score
-    hand = sum(np.outer(v, v) for v in sums.values()) / (g * fit.h)
+    hand = sum(np.outer(v, v) for v in sums.values()) / (
+        fit.n_total * fit.h
+    )
     assert meat == pytest.approx(hand, rel=1e-13)
 
 
@@ -195,7 +196,7 @@ def test_all_singleton_clusters_reduce_to_hc0_meat():
     sample = random_instance(7, n=60)
     fit = fit_side(sample, "right", 0.8, 1, 1, "triangular")
     labels = np.arange(sample.n)
-    meat = cluster_meat(fit, labels, sample.n)
+    meat = cluster_meat(fit, labels)
     assert meat == pytest.approx(
         meat_matrix(fit, hc_weights("hc0", fit)), rel=1e-12
     )
@@ -217,9 +218,9 @@ def test_single_cluster_in_window_rejected():
     sample, _ = cluster_fixture()
     fit = fit_side(sample, "right", 1.0, 1, 1, "triangular")
     with pytest.raises(TooFewClusters):
-        cluster_meat(fit, np.array([5, 5, 5, 5, 0, 1, 2, 3]), 5)
+        cluster_meat(fit, np.array([5, 5, 5, 5, 0, 1, 2, 3]))
     with pytest.raises(TooFewClusters):
-        cluster_meat(fit, None, None)
+        cluster_meat(fit, None)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +472,8 @@ def test_rbc_variance_cluster_matches_loop_oracle():
     rng = np.random.default_rng(21)
     labels = rng.integers(0, 12, sample.n)
     evec = extractor_vector(0, 1, 1, np.array([1.0]))
-    got = rbc_variance(sample, l, r, bl, br, evec, 0, "cluster", labels)
+    clustered = validate_sample(sample.y, sample.x, 0.0, sample.w, labels)
+    got = rbc_variance(clustered, l, r, bl, br, evec, 0, "cluster")
 
     total = 0.0
     for side in ("left", "right"):
@@ -484,6 +486,24 @@ def test_rbc_variance_cluster_matches_loop_oracle():
         df = fit.n_total / (fit.n_total - fit.p - 1 - fit.d)
         total += df * sum(v**2 for v in sums.values())
     assert got == pytest.approx(total, rel=1e-12)
+
+
+def test_cluster_se_tracks_monte_carlo_dispersion():
+    # iid draws with cluster labels drawn independently of the data: the
+    # cluster-robust plug-in se must match the spread of the estimates
+    config = canonical_preset()
+    rng = np.random.default_rng(717)
+    spec = FitSpec(bandwidth=Common(0.5), vce="cluster")
+    points, ses = [], []
+    for rep in range(200):
+        base = gen_sample(config, 2000, (717, rep))
+        labels = rng.integers(0, 40, base.n)
+        sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
+        records = fit_hte(sample, spec).records
+        points.append([rec.point for rec in records])
+        ses.append([rec.se for rec in records])
+    ratio = np.mean(ses, axis=0) / np.std(points, axis=0, ddof=1)
+    assert np.all((0.8 <= ratio) & (ratio <= 1.25)), ratio
 
 
 def test_rbc_se_tracks_monte_carlo_dispersion():

@@ -7,11 +7,13 @@ from rdhte.errors import (
     BandwidthUnresolved,
     DegenerateQuantiles,
     LengthMismatch,
+    MissingLabel,
     NonFinite,
     NonPositiveBandwidth,
     NuOutOfRange,
     UnknownLevel,
 )
+from rdhte.estimands import fit_hte
 from rdhte.model import (
     ColumnSpec,
     Common,
@@ -82,16 +84,35 @@ def test_cluster_relabeled_to_codes():
     assert sample.cluster.tolist() == [1, 0, 1, 2]
 
 
-def test_cluster_count_same_for_integer_and_text_labels():
+def test_integer_and_text_cluster_labels_give_the_same_fit():
     rng = np.random.default_rng(3)
     ids = rng.integers(0, 40, 300)
     x = rng.uniform(-1, 1, 300)
-    counts = [
-        validate_sample(np.zeros(300), x, 0.0, cluster=labels).n_clusters
+    y = x + (x >= 0) + rng.standard_normal(300)
+    spec = FitSpec(bandwidth=Select(), vce="cluster")
+    fits = [
+        fit_hte(validate_sample(y, x, 0.0, cluster=labels), spec)
         for labels in (ids, ids.astype(str), [f"s{i}" for i in ids])
     ]
-    assert counts == [np.unique(ids).size] * 3
-    assert validate_sample(np.zeros(300), x, 0.0).n_clusters is None
+    for other in fits[1:]:
+        assert other.selection == fits[0].selection
+        assert other.records == fits[0].records
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [1.0, 2.0, np.nan, 3.0, 1.0, 2.0],
+        ["a", "b", None, "c", "a", "b"],
+        np.array(["a", "b", np.nan, "c", "a", "b"], dtype=object),
+        [1, 2, None, 3, 1, 2],
+    ],
+    ids=["float_nan", "text_none", "text_nan", "int_none"],
+)
+def test_missing_cluster_label_is_input_error(labels):
+    with pytest.raises(MissingLabel) as err:
+        validate_sample(np.zeros(6), np.linspace(-1, 1, 6), 0, cluster=labels)
+    assert (err.value.row, err.value.column) == (2, "cluster")
 
 
 def test_categorical_expansion():
@@ -176,6 +197,17 @@ def test_quantile_bins_frozen_quartiles():
             float(v >= 6.25),
         ]
         assert row.tolist() == expect
+
+
+@pytest.mark.parametrize("bins", [2, 4])
+def test_quantile_bins_reject_non_finite(bins):
+    vals = [1.0, 2.0, 3.0, 4.0, np.nan, 5.0, 6.0, 7.0]
+    with pytest.raises(NonFinite) as err:
+        expand_covariates(
+            {"v": vals},
+            CovariateSpec((ColumnSpec("v", "quantile_bins", bins=bins),)),
+        )
+    assert (err.value.row, err.value.column) == (4, "v")
 
 
 def test_quantile_bins_degenerate():
