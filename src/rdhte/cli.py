@@ -1,5 +1,8 @@
 """Command line front end: CSV in, estimates out.
 
+It only turns argument and CSV text into values and leaves every check to
+the library; errors about a data cell cite its 1-based row and CSV header.
+
 Exit codes: 0 success, 2 malformed input or usage, 3 estimation failure.
 """
 
@@ -18,10 +21,10 @@ from .errors import (
     InputError,
     MissingColumn,
     MissingLabel,
+    NonFinite,
     ParseError,
 )
 from .estimands import fit_hte
-from .kernels import resolve_kernel
 from .model import (
     ColumnSpec,
     Common,
@@ -37,10 +40,13 @@ from .render import render_csv, render_json, render_table
 
 __all__ = ["RunConfig", "parse_config", "load_csv", "run", "main"]
 
+_HETERO_SYNTAX = "COL[:cat|:bin|:cont[^k]|:q<k>]"
+_HETERO_KINDS = {"cat": "categorical", "bin": "binary", "cont": "continuous"}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one CLI invocation needs."""
+    """Everything one CLI invocation needs; spec holds the fit settings."""
 
     data: str
     outcome: str
@@ -48,58 +54,37 @@ class RunConfig:
     cutoff: float
     hetero: tuple[tuple[str, Optional[ColumnSpec]], ...] = ()
     cluster: Optional[str] = None
-    kernel: str = "triangular"
-    p: int = 1
-    s: int = 1
-    deriv: int = 0
-    bandwidth: Fixed | Common | Select = field(default_factory=Select)
-    vce: str = "hc3"
-    level: float = 0.95
+    spec: FitSpec = field(default_factory=FitSpec)
     at: tuple[tuple[float, ...], ...] = ()
     fmt: str = "table"
 
 
 def _hetero_token(token: str):
-    """Parse one --hetero flag: name[:cat|:bin|:cont[^k]|:q<k>].
+    """Parse one --hetero flag: COL[:cat|:bin|:cont[^k]|:q<k>].
 
     A bare name defers the kind to the loaded data: non-numeric columns
     become categorical, numeric 0/1 columns binary, other numeric columns
-    continuous.
+    continuous. ColumnSpec checks k; a bad token is a usage error.
     """
     name, _, suffix = token.partition(":")
-    if not name:
-        raise argparse.ArgumentTypeError(f"empty column name in {token!r}")
-    if not suffix:
+    if name and not suffix:
         return name, None
-    if suffix == "cat":
-        return name, ColumnSpec(name, "categorical")
-    if suffix == "bin":
-        return name, ColumnSpec(name, "binary")
-    if suffix == "cont":
-        return name, ColumnSpec(name, "continuous")
-    if suffix.startswith("cont^"):
-        try:
+    try:
+        if not name:
+            raise ValueError("empty column name")
+        if suffix in _HETERO_KINDS:
+            return name, ColumnSpec(name, _HETERO_KINDS[suffix])
+        if suffix.startswith("cont^"):
             power = int(suffix[5:])
-        except ValueError:
-            power = 0
-        if power < 1:
-            raise argparse.ArgumentTypeError(
-                f"bad power in {token!r}; expected cont^<k> with k >= 1"
-            )
-        return name, ColumnSpec(name, "continuous", power_max=power)
-    if suffix.startswith("q"):
-        try:
+            return name, ColumnSpec(name, "continuous", power_max=power)
+        if suffix.startswith("q"):
             bins = int(suffix[1:])
-        except ValueError:
-            bins = 0
-        if bins < 2:
-            raise argparse.ArgumentTypeError(
-                f"bad bin count in {token!r}; expected q<k> with k >= 2"
-            )
-        return name, ColumnSpec(name, "quantile_bins", bins=bins)
-    raise argparse.ArgumentTypeError(
-        f"unknown column specifier {suffix!r} in {token!r}"
-    )
+            return name, ColumnSpec(name, "quantile_bins", bins=bins)
+        raise ValueError(f"unknown column specifier {suffix!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad value {token!r} ({exc}); expected {_HETERO_SYNTAX}"
+        ) from None
 
 
 def _at_points(token: str):
@@ -133,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         type=_hetero_token,
-        metavar="COL[:cat|:bin|:cont[^k]|:q<k>]",
+        metavar=_HETERO_SYNTAX,
         help="heterogeneity column (repeatable); bare names infer their "
         "kind from the data",
     )
@@ -188,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Turn an argument vector into a RunConfig (argparse exits 2 on usage
-    errors)."""
+    errors); the FitSpec raises InputError for an invalid setting."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.vce == "cluster" and ns.cluster is None:
@@ -200,6 +185,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     else:
         mode = "one_sided" if ns.bw_select == "one" else "two_sided"
         bandwidth = Select(mode=mode)
+    spec = FitSpec(p=ns.p, s=ns.s, nu=ns.deriv, kernel=ns.kernel,
+                   bandwidth=bandwidth, vce=ns.vce, level=ns.level)
     return RunConfig(
         data=ns.data,
         outcome=ns.outcome,
@@ -207,13 +194,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         cutoff=ns.cutoff,
         hetero=tuple(ns.hetero),
         cluster=ns.cluster,
-        kernel=resolve_kernel(ns.kernel),
-        p=ns.p,
-        s=ns.s,
-        deriv=ns.deriv,
-        bandwidth=bandwidth,
-        vce=ns.vce,
-        level=ns.level,
+        spec=spec,
         at=ns.at,
         fmt=ns.fmt,
     )
@@ -272,20 +253,10 @@ def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
 
 
 def build_result(config: RunConfig):
-    """Load, validate, and fit; shared by run() and the tests."""
-    try:
-        spec = FitSpec(
-            p=config.p,
-            s=config.s,
-            nu=config.deriv,
-            kernel=config.kernel,
-            bandwidth=config.bandwidth,
-            vce=config.vce,
-            level=config.level,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    """Load, validate, and fit; shared by run() and the tests.
 
+    A NonFinite or MissingLabel cites its cell as ParseError does: by
+    1-based data row and CSV header."""
     names = [config.outcome, config.running]
     names += [name for name, _ in config.hetero]
     if config.cluster is not None:
@@ -312,20 +283,27 @@ def build_result(config: RunConfig):
             col = ColumnSpec(name, kind)
         col_specs.append(col)
         expand_raw[name] = values
-    w, labels, kinds = expand_covariates(
-        expand_raw, CovariateSpec(tuple(col_specs))
-    )
 
     cluster = None
     if config.cluster is not None:
-        cells = raw[config.cluster]
-        if "" in cells:
-            raise MissingLabel(cells.index("") + 1, config.cluster)
-        cluster = np.asarray(cells)
-    sample = validate_sample(
-        y, x, config.cutoff, w if w.shape[1] else None, cluster
-    )
-    return fit_hte(sample, spec, at=config.at, labels=labels, kinds=kinds)
+        cluster = np.asarray(raw[config.cluster])
+    headers = {}  # expand_covariates names columns by their headers
+    try:
+        w, labels, kinds = expand_covariates(
+            expand_raw, CovariateSpec(tuple(col_specs))
+        )
+        headers = {"y": config.outcome, "x": config.running,
+                   "cluster": config.cluster}
+        sample = validate_sample(
+            y, x, config.cutoff, w if w.shape[1] else None, cluster
+        )
+    except (NonFinite, MissingLabel) as exc:
+        if exc.row < 0:
+            raise
+        column = headers.get(exc.column, exc.column)
+        raise type(exc)(exc.row + 1, column) from None
+    return fit_hte(sample, config.spec, at=config.at, labels=labels,
+                   kinds=kinds)
 
 
 def run(config: RunConfig) -> tuple[str, int]:
@@ -346,8 +324,10 @@ def run(config: RunConfig) -> tuple[str, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    config = parse_config(sys.argv[1:] if argv is None else list(argv))
-    text, code = run(config)
+    try:
+        text, code = run(parse_config(sys.argv[1:] if argv is None else argv))
+    except InputError as exc:
+        text, code = f"error: {exc}\n", 2
     if code == 0:
         sys.stdout.write(text)
     else:

@@ -17,6 +17,10 @@ class InputError(RdhteError):
     """Malformed or inconsistent input."""
 
 
+class InvalidSetting(InputError, ValueError):
+    """A setting outside its domain: order, kernel, vce, level, ..."""
+
+
 class EstimationError(RdhteError):
     """Estimation failed on statistically degenerate data."""
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidSetting
+
 __all__ = ["KERNELS", "kernel_eval"]
 
 #: canonical kernel names, also accepted from the CLI in abbreviated form
@@ -25,7 +27,9 @@ def resolve_kernel(kind: str) -> str:
     """Map a kernel name or its three-letter form to the canonical name."""
     name = _ALIASES.get(kind, kind)
     if name not in KERNELS:
-        raise ValueError(f"unknown kernel {kind!r}; expected one of {KERNELS}")
+        raise InvalidSetting(
+            f"unknown kernel {kind!r}; expected one of {KERNELS}"
+        )
     return name
 
 

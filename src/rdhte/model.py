@@ -23,6 +23,8 @@ from .errors import (
     BandwidthUnresolved,
     DegenerateQuantiles,
     EmptySample,
+    InputError,
+    InvalidSetting,
     LengthMismatch,
     MissingLabel,
     NonFinite,
@@ -201,7 +203,8 @@ def validate_sample(
     w : array-like, shape (n, d), optional
         Heterogeneity covariates; omitted or empty means d = 0.
     cluster : array-like, shape (n,), optional
-        Cluster labels, numbers or text; a None or NaN label is rejected.
+        Cluster labels, numbers or text; a None, NaN or empty-text label
+        is missing and rejected, as are labels that mix numbers and text.
 
     Returns
     -------
@@ -211,7 +214,7 @@ def validate_sample(
 
     Raises
     ------
-    EmptySample, LengthMismatch, NonFinite, MissingLabel
+    EmptySample, LengthMismatch, NonFinite, MissingLabel, InputError
     """
     y = np.ascontiguousarray(np.asarray(y, dtype=float))
     x = np.ascontiguousarray(np.asarray(x, dtype=float))
@@ -236,20 +239,31 @@ def validate_sample(
             )
     cl = None
     if cluster is not None:
-        cl_raw = np.asarray(cluster)
+        # a sequence is read as objects, or None and NaN among text would
+        # become the labels 'None' and 'nan'
+        obj = None if isinstance(cluster, np.ndarray) else object
+        cl_raw = np.asarray(cluster, dtype=obj)
         if cl_raw.ndim != 1:
             raise LengthMismatch("cluster must be one-dimensional")
         if cl_raw.shape[0] != n:
             raise LengthMismatch(
                 f"y has length {n}, cluster has length {cl_raw.shape[0]}"
             )
+        # None, NaN (the one label unequal to itself) or empty text
+        missing = np.zeros(n, dtype=bool)
         if cl_raw.dtype.kind in "fcO":
-            # None, or NaN: the one label unequal to itself
-            missing = (cl_raw != cl_raw) | np.equal(cl_raw, None)
-            if missing.any():
-                raise MissingLabel(int(np.argmax(missing)), "cluster")
+            missing |= (cl_raw != cl_raw) | np.equal(cl_raw, None)
+        if cl_raw.dtype.kind in "UO":
+            missing |= cl_raw == ""
+        if missing.any():
+            raise MissingLabel(int(np.argmax(missing)), "cluster")
         # relabel to dense integer codes; preserves grouping only
-        _, cl = np.unique(cl_raw, return_inverse=True)
+        try:
+            _, cl = np.unique(cl_raw, return_inverse=True)
+        except TypeError:
+            raise InputError(
+                "column 'cluster' mixes numbers and text"
+            ) from None
     if not np.isfinite(cutoff):
         raise NonFinite(-1, "cutoff")
     _check_finite("y", y)
@@ -287,11 +301,11 @@ class ColumnSpec:
     def __post_init__(self):
         kinds = ("continuous", "binary", "categorical", "quantile_bins")
         if self.kind not in kinds:
-            raise ValueError(f"unknown column kind {self.kind!r}")
+            raise InvalidSetting(f"unknown column kind {self.kind!r}")
         if self.kind == "continuous" and self.power_max < 1:
-            raise ValueError("continuous power_max must be >= 1")
+            raise InvalidSetting("continuous power_max must be >= 1")
         if self.kind == "quantile_bins" and self.bins < 2:
-            raise ValueError("quantile_bins requires bins >= 2")
+            raise InvalidSetting("quantile_bins requires bins >= 2")
 
 
 @dataclass(frozen=True)
@@ -445,7 +459,7 @@ class Select:
 
     def __post_init__(self):
         if self.mode not in ("one_sided", "two_sided"):
-            raise ValueError(f"unknown selection mode {self.mode!r}")
+            raise InvalidSetting(f"unknown selection mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -480,16 +494,16 @@ class FitSpec:
 
     def __post_init__(self):
         if self.p < 0 or self.s < 0:
-            raise ValueError("polynomial orders must be >= 0")
+            raise InvalidSetting("polynomial orders must be >= 0")
         if not 0 <= self.nu <= min(self.p, self.s):
             raise NuOutOfRange(
                 f"nu={self.nu} outside [0, min(p,s)={min(self.p, self.s)}]"
             )
         object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
         if self.vce not in ("hc0", "hc1", "hc2", "hc3", "cluster"):
-            raise ValueError(f"unknown vce {self.vce!r}")
+            raise InvalidSetting(f"unknown vce {self.vce!r}")
         if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
+            raise InvalidSetting("level must be in (0, 1)")
         if not isinstance(self.bandwidth, Select):
             for h in self.resolved_bandwidths():
                 # false for nan too

@@ -35,16 +35,14 @@ __all__ = [
     "inflated_curvature_preset",
 ]
 
-#: covariate laws: ("binary", p), ("uniform", lo, hi),
-#: ("categorical", p_0..p_{k-1}) which expands to k-1 indicator columns
-#: (category 0 is the omitted baseline)
-_COVARIATE_KINDS = ("binary", "uniform", "categorical")
-
 #: running-variable laws: ("uniform", lo, hi) or ("beta", a, b) rescaled
 #: to [-1, 1]
 _RUNNING_KINDS = ("uniform", "beta")
 
 
+# covariate laws: ("binary", p), ("uniform", lo, hi),
+# ("categorical", p_0..p_{k-1}) which expands to k-1 indicator columns
+# (category 0 is the omitted baseline); an unknown law raises here
 def _law_columns(law) -> int:
     kind = law[0]
     if kind in ("binary", "uniform"):
@@ -83,9 +81,6 @@ class DgpConfig:
                 f"covariate columns, got {len(self.lam_left)} left / "
                 f"{len(self.lam_right)} right"
             )
-        for law in self.covariates:
-            if law[0] not in _COVARIATE_KINDS:
-                raise ValueError(f"unknown covariate law {law[0]!r}")
         if self.running[0] not in _RUNNING_KINDS:
             raise ValueError(f"unknown running law {self.running[0]!r}")
         if self.noise[0] not in ("constant", "affine"):

@@ -10,7 +10,7 @@ import pytest
 
 import rdhte.cli
 from rdhte.cli import RunConfig, build_result, load_csv, main, parse_config, run
-from rdhte.errors import InputError, MissingColumn, ParseError
+from rdhte.errors import InputError, InvalidSetting, MissingColumn, ParseError
 from rdhte.estimands import EstimandRecord, fit_hte
 from rdhte.model import (
     ColumnSpec,
@@ -76,23 +76,23 @@ def test_parse_config_full_flag_set():
         ("age", ColumnSpec("age", "continuous", power_max=2)),
     )
     assert cfg.cluster == "cid"
-    assert cfg.kernel == "epanechnikov"
-    assert (cfg.p, cfg.s, cfg.deriv) == (2, 1, 1)
-    assert cfg.bandwidth == Common(0.3)
-    assert cfg.vce == "hc1"
-    assert cfg.level == 0.9
+    assert cfg.spec.kernel == "epanechnikov"
+    assert (cfg.spec.p, cfg.spec.s, cfg.spec.nu) == (2, 1, 1)
+    assert cfg.spec.bandwidth == Common(0.3)
+    assert cfg.spec.vce == "hc1"
+    assert cfg.spec.level == 0.9
     assert cfg.at == ((0.5,), (0.75,))
     assert cfg.fmt == "json"
 
 
 def test_parse_config_bandwidth_variants():
-    assert parse_config(BASE).bandwidth == Select(mode="two_sided")
-    assert parse_config(BASE + ["--bw-select", "one"]).bandwidth == Select(
-        mode="one_sided"
-    )
-    assert parse_config(BASE + ["--bw-side", "0.2", "0.3"]).bandwidth == Fixed(
-        0.2, 0.3
-    )
+    assert parse_config(BASE).spec.bandwidth == Select(mode="two_sided")
+    assert parse_config(
+        BASE + ["--bw-select", "one"]
+    ).spec.bandwidth == Select(mode="one_sided")
+    assert parse_config(
+        BASE + ["--bw-side", "0.2", "0.3"]
+    ).spec.bandwidth == Fixed(0.2, 0.3)
 
 
 def test_parse_config_multicoordinate_at():
@@ -124,6 +124,22 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         parse_config(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("token", ["income:q1", "income:cont^0", ":q4",
+                                   "income:zzz", "income:qx"])
+def test_bad_hetero_token_states_the_syntax(capsys, token):
+    with pytest.raises(SystemExit):
+        parse_config(BASE + ["--hetero", token])
+    err = capsys.readouterr().err
+    assert f"argument --hetero: bad value {token!r}" in err
+    assert "expected COL[:cat|:bin|:cont[^k]|:q<k>]" in err
+
+
+def test_parse_config_rejects_invalid_settings_before_reading_data():
+    # BASE names a file that does not exist
+    with pytest.raises(InvalidSetting, match="level"):
+        parse_config(BASE + ["--level", "1.5"])
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +421,22 @@ def test_empty_cluster_cell_exits_2(tmp_path, capsys):
     assert "missing label at row 7, column 'cid'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["earn", "score", "y"])
+def test_non_finite_cell_cites_csv_row_and_header(tmp_path, capsys, column):
+    # a covariate named y: the outcome's library name is no CSV header
+    path = tmp_path / "d.csv"
+    rows = [["earn", "score", "y"]]
+    rows += [[f"{i % 3}", f"{(i - 20) / 20}", f"{i % 2}"] for i in range(40)]
+    rows[3][rows[0].index(column)] = "nan"
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    argv = ["--data", str(path), "--outcome", "earn", "--running", "score",
+            "--cutoff", "0", "--hetero", "y", "--bw", "0.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: non-finite value at row 3, column {column!r}\n"
+    )
+
+
 def test_quantile_bins_nan_cell_exits_2(tmp_path, capsys):
     path = tmp_path / "d.csv"
     write_sample_csv(path, income=True)
@@ -425,6 +457,21 @@ def test_estimation_failure_exits_3(tmp_path):
     text, code = run(config)
     assert code == 3
     assert text.startswith("error:")
+
+
+@pytest.mark.parametrize("bandwidth", [["--bw", "0.3"], []])
+def test_covariate_constant_inside_the_window_exits_3(
+    tmp_path, capsys, bandwidth
+):
+    path = tmp_path / "d.csv"
+    sample = gen_sample(canonical_preset(), 600, 5)
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(["y", "x", "far"])
+        for y, x in zip(sample.y, sample.x):
+            wtr.writerow([repr(float(y)), repr(float(x)), int(abs(x) > 0.9)])
+    assert main(cli_args(path, "--hetero", "far", *bandwidth)) == 3
+    assert "singular Gram matrix" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from rdhte.errors import (
     BandwidthUnresolved,
     DegenerateQuantiles,
+    InputError,
     LengthMismatch,
     MissingLabel,
     NonFinite,
@@ -14,6 +15,7 @@ from rdhte.errors import (
     UnknownLevel,
 )
 from rdhte.estimands import fit_hte
+from rdhte.kernels import resolve_kernel
 from rdhte.model import (
     ColumnSpec,
     Common,
@@ -106,13 +108,26 @@ def test_integer_and_text_cluster_labels_give_the_same_fit():
         ["a", "b", None, "c", "a", "b"],
         np.array(["a", "b", np.nan, "c", "a", "b"], dtype=object),
         [1, 2, None, 3, 1, 2],
+        np.array(["a", "b", "", "c", "a", "b"]),
+        ["a", "b", float("nan"), "c", "a", "b"],
     ],
-    ids=["float_nan", "text_none", "text_nan", "int_none"],
+    ids=["float_nan", "text_none", "text_nan", "int_none", "text_empty",
+         "text_list_nan"],
 )
 def test_missing_cluster_label_is_input_error(labels):
     with pytest.raises(MissingLabel) as err:
         validate_sample(np.zeros(6), np.linspace(-1, 1, 6), 0, cluster=labels)
     assert (err.value.row, err.value.column) == (2, "cluster")
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.array([1, "a", 2, "b", 1, "a"], dtype=object), [1, "a", 2, "b", 1, "a"]],
+    ids=["array", "list"],
+)
+def test_cluster_labels_mixing_numbers_and_text_are_input_error(labels):
+    with pytest.raises(InputError, match="column 'cluster'"):
+        validate_sample(np.zeros(6), np.linspace(-1, 1, 6), 0, cluster=labels)
 
 
 def test_categorical_expansion():
@@ -240,6 +255,20 @@ def test_fitspec_validation():
         FitSpec(level=1.0)
     with pytest.raises(NonPositiveBandwidth):
         FitSpec(bandwidth=Common(0.0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FitSpec(level=1.5),
+        lambda: ColumnSpec("a", "continuous", power_max=0),
+        lambda: resolve_kernel("gauss"),
+    ],
+    ids=["level", "power", "kernel"],
+)
+def test_invalid_settings_are_input_errors(make):
+    with pytest.raises(InputError):
+        make()
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,11 @@ def test_lam_length_must_match_covariate_columns():
         )
 
 
+def test_unknown_covariate_law_is_named():
+    with pytest.raises(ValueError, match="unknown covariate law 'gamma'"):
+        DgpConfig(covariates=(("gamma", 2.0),))
+
+
 # ---------------------------------------------------------------------------
 # true effects
 
