@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -42,6 +43,8 @@ __all__ = ["RunConfig", "parse_config", "load_csv", "run", "main"]
 
 _HETERO_SYNTAX = "COL[:cat|:bin|:cont[^k]|:q<k>]"
 _HETERO_KINDS = {"cat": "categorical", "bin": "binary", "cont": "continuous"}
+#: load_csv reads whole lines until a block holds at least this many chars
+_BLOCK_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,14 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
     """Read the named columns from a headered CSV (UTF-8, BOM tolerated).
 
     Values come back as strings; numeric parsing happens per binding so
-    parse errors can cite the exact cell.
+    parse errors can cite the exact cell. Every line after the header is
+    one row: a blank line is a row of empty cells, missing trailing cells
+    are empty and extra cells are ignored.
+
+    The file is read in blocks of whole lines, about 1 MiB each, so no
+    file-sized text is held. A block without a quote character is split
+    column-wise in one pass; from the first block that holds one, the rest
+    of the file goes through csv.reader, which parses RFC 4180 quoting.
 
     Raises
     ------
@@ -232,11 +242,50 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
                 )
         # a column named in several roles is read once
         out: dict[str, list[str]] = {name: [] for name in columns}
-        want = [(name, index[name]) for name in out]
-        for row in reader:
-            for name, j in want:
-                out[name].append(row[j] if j < len(row) else "")
+        want = [(out[name], index[name]) for name in out]
+        ncol = len(header)
+        while want:
+            lines = fh.readlines(_BLOCK_CHARS)
+            if not lines:
+                break
+            text = "".join(lines)
+            if '"' in text:
+                for row in csv.reader(itertools.chain(lines, fh)):
+                    for values, j in want:
+                        values.append(row[j] if j < len(row) else "")
+                break
+            cells = _split_block(text, len(lines), ncol)
+            for values, j in want:
+                values.extend(cells[j::ncol])
     return out
+
+
+def _split_block(text: str, nrows: int, ncol: int) -> list[str]:
+    """The cells of nrows unquoted lines as one row-major list, ncol a row.
+
+    Each line ends at one line end (LF, CRLF or CR), save perhaps the
+    file's last. Lines with fewer cells are padded with empty ones and
+    lines with more are cut to ncol.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    # every line end is followed by a comma, so each cell holds at most one
+    # line end, at its end: the block is regular iff it has nrows * ncol
+    # cells and all nrows line ends sit in the cells of the last column
+    cells = text.replace("\n", "\n,").split(",")
+    cells.pop()
+    last = "".join(cells[ncol - 1::ncol])
+    if len(cells) == nrows * ncol and last.count("\n") == nrows:
+        cells[ncol - 1::ncol] = last.split("\n")[:-1]
+        return cells
+    # some line is blank, short or long: pad or cut each line to ncol
+    fill = "," * (ncol - 1)
+    cells = []
+    for row in text.split("\n")[:-1]:
+        cells += (row + fill).split(",")[:ncol]
+    return cells
 
 
 def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
@@ -284,9 +333,7 @@ def build_result(config: RunConfig):
         col_specs.append(col)
         expand_raw[name] = values
 
-    cluster = None
-    if config.cluster is not None:
-        cluster = np.asarray(raw[config.cluster])
+    cluster = None if config.cluster is None else raw[config.cluster]
     headers = {}  # expand_covariates names columns by their headers
     try:
         w, labels, kinds = expand_covariates(

@@ -149,11 +149,14 @@ def _cluster_sums(
     idx: np.ndarray,
     values: np.ndarray,
 ) -> np.ndarray:
-    """Sums of values over the clusters of the window rows idx.
+    """Sums of values (m or m x k) over the clusters of the window rows
+    idx, one row per cluster.
 
     Clusters are ordered by first appearance in the window, which depends
     only on the row order and not on how the labels were coded, so integer
-    and text cluster ids give bit-identical sums.
+    and text cluster ids give bit-identical sums. Each column is summed by
+    np.bincount, which adds in row order as np.add.at does, so the sums
+    are bit-identical to np.add.at's too.
 
     Raises
     ------
@@ -171,9 +174,12 @@ def _cluster_sums(
         )
     rank = np.empty(uniq.size, dtype=np.intp)
     rank[np.argsort(first)] = np.arange(uniq.size)
-    sums = np.zeros((uniq.size,) + values.shape[1:])
-    np.add.at(sums, rank[codes], values)
-    return sums
+    slots = rank[codes]
+    sums = np.column_stack([
+        np.bincount(slots, weights=col, minlength=uniq.size)
+        for col in values.reshape(slots.size, -1).T
+    ])
+    return sums.reshape((uniq.size,) + values.shape[1:])
 
 
 def _df_factor(fit: SideFit) -> float:

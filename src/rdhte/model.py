@@ -45,6 +45,7 @@ __all__ = [
     "Select",
     "validate_sample",
     "expand_covariates",
+    "label_codes",
 ]
 
 
@@ -175,6 +176,34 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def _is_missing(label) -> bool:
+    """None, NaN (the one label unequal to itself) or empty text."""
+    return label is None or label != label or label == ""
+
+
+def label_codes(labels) -> tuple[list, np.ndarray]:
+    """Sorted distinct labels, and each label's position among them.
+
+    Numeric arrays are coded by np.unique; anything else by a set and a
+    dict lookup per label, which beats np.unique's sort of every label on
+    text and objects.
+
+    Raises
+    ------
+    TypeError
+        If the labels cannot be ordered, e.g. numbers mixed with text.
+    """
+    if isinstance(labels, np.ndarray):
+        if labels.dtype.kind in "biufc":
+            levels, codes = np.unique(labels, return_inverse=True)
+            return levels.tolist(), codes
+        labels = labels.tolist()
+    levels = sorted(set(labels))
+    index = dict(zip(levels, range(len(levels))))
+    codes = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+    return levels, codes
+
+
 def _check_finite(name: str, arr: np.ndarray) -> None:
     bad = ~np.isfinite(arr)
     if bad.any():
@@ -249,21 +278,17 @@ def validate_sample(
             raise LengthMismatch(
                 f"y has length {n}, cluster has length {cl_raw.shape[0]}"
             )
-        # None, NaN (the one label unequal to itself) or empty text
-        missing = np.zeros(n, dtype=bool)
-        if cl_raw.dtype.kind in "fcO":
-            missing |= (cl_raw != cl_raw) | np.equal(cl_raw, None)
-        if cl_raw.dtype.kind in "UO":
-            missing |= cl_raw == ""
-        if missing.any():
-            raise MissingLabel(int(np.argmax(missing)), "cluster")
-        # relabel to dense integer codes; preserves grouping only
+        # relabel to dense integer codes; preserves grouping only. None
+        # cannot be ordered, so a failed sort may still be a missing label
         try:
-            _, cl = np.unique(cl_raw, return_inverse=True)
+            levels, cl = label_codes(cl_raw)
         except TypeError:
-            raise InputError(
-                "column 'cluster' mixes numbers and text"
-            ) from None
+            levels = None
+        if levels is None or any(map(_is_missing, levels)):
+            for row, label in enumerate(cl_raw.tolist()):
+                if _is_missing(label):
+                    raise MissingLabel(row, "cluster")
+            raise InputError("column 'cluster' mixes numbers and text")
     if not np.isfinite(cutoff):
         raise NonFinite(-1, "cutoff")
     _check_finite("y", y)
@@ -316,18 +341,23 @@ class CovariateSpec:
 
 
 def _expand_categorical(name: str, values, baseline: Optional[str]):
-    labels = np.asarray([str(v) for v in values])
-    levels = sorted(set(labels.tolist()))
+    # levels are the values' text; text values are coded as they are
+    try:
+        levels, codes = label_codes(values)
+    except TypeError:
+        levels = None
+    if levels is None or not all(isinstance(lev, str) for lev in levels):
+        levels, codes = label_codes([str(v) for v in values])
     base = levels[0] if baseline is None else str(baseline)
     if base not in levels:
         raise UnknownLevel(
             f"baseline level {base!r} not observed in column {name!r}"
         )
     cols, names = [], []
-    for lev in levels:
+    for j, lev in enumerate(levels):
         if lev == base:
             continue
-        cols.append((labels == lev).astype(float))
+        cols.append((codes == j).astype(float))
         names.append(f"{name}={lev}")
     return cols, names
 
@@ -421,10 +451,13 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
             vals = np.asarray(values, dtype=float)
             _check_finite(cs.name, vals)
             for power in range(1, cs.power_max + 1):
-                cols.append(vals**power)
-                labels.append(
-                    cs.name if power == 1 else f"{cs.name}^{power}"
-                )
+                label = cs.name if power == 1 else f"{cs.name}^{power}"
+                # a finite value may overflow once raised to the power
+                with np.errstate(over="ignore"):
+                    col = vals**power
+                _check_finite(label, col)
+                cols.append(col)
+                labels.append(label)
                 kinds.append("continuous")
     if not cols:
         return np.empty((n_ref or 0, 0)), labels, kinds

@@ -3,16 +3,20 @@
 Each takes a different route to a quantity the package computes: a
 single-point basis builder, a window found by scanning every row,
 weighted least squares through the normal equations, a side fit through
-scipy's QR with an explicit Q, and the long interacted regression whose
-blocks the two one-sided fits must reproduce.
+scipy's QR with an explicit Q, the long interacted regression whose
+blocks the two one-sided fits must reproduce, a CSV reader that takes
+every row through csv.reader, and within-cluster sums by np.add.at.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 import scipy.linalg
 
 from rdhte.basis import design_rows, poly_basis
+from rdhte.errors import InputError, MissingColumn
 from rdhte.fitting import SideFit, fit_side
 from rdhte.kernels import kernel_eval
 from rdhte.model import RdSample
@@ -125,3 +129,43 @@ def long_short_max_relative_error(
     )
     scale = max(float(np.max(np.abs(short))), 1e-300)
     return float(np.max(np.abs(coef - short))) / scale
+
+
+def reference_load_csv(path, columns) -> dict[str, list[str]]:
+    """The named columns of a headered CSV, every row through csv.reader.
+
+    Short rows are padded with empty cells and extra cells are ignored, as
+    in rdhte.cli.load_csv, which must return the same lists.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file, header row required")
+        for name in columns:
+            if name not in header:
+                raise MissingColumn(name)
+            if header.count(name) > 1:
+                raise InputError(f"{path}: column {name!r} appears more "
+                                 "than once in the header")
+        out = {name: [] for name in columns}
+        want = [(name, header.index(name)) for name in out]
+        for row in reader:
+            for name, j in want:
+                out[name].append(row[j] if j < len(row) else "")
+    return out
+
+
+def add_at_cluster_sums(cluster, idx, values) -> np.ndarray:
+    """Sums of values over the clusters of rows idx by np.add.at, one row
+    per cluster in order of first appearance in idx."""
+    labels = cluster[idx]
+    uniq, first, codes = np.unique(
+        labels, return_index=True, return_inverse=True
+    )
+    rank = np.empty(uniq.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(uniq.size)
+    sums = np.zeros((uniq.size,) + values.shape[1:])
+    np.add.at(sums, rank[codes], values)
+    return sums

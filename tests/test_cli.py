@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +16,11 @@ from rdhte.estimands import EstimandRecord, fit_hte
 from rdhte.model import (
     ColumnSpec,
     Common,
+    CovariateSpec,
     Fixed,
     FitSpec,
     Select,
+    expand_covariates,
     validate_sample,
 )
 from rdhte.render import render_json, render_table
@@ -437,6 +440,19 @@ def test_non_finite_cell_cites_csv_row_and_header(tmp_path, capsys, column):
     )
 
 
+def test_power_overflow_cites_csv_row_and_power(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    write_sample_csv(path, income=True)
+    _set_cell(path, 4, 4, "1e200")
+    argv = cli_args(path, "--hetero", "income:cont^2", "--bw", "0.3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: non-finite value at row 4, column 'income^2'\n"
+    )
+
+
 def test_quantile_bins_nan_cell_exits_2(tmp_path, capsys):
     path = tmp_path / "d.csv"
     write_sample_csv(path, income=True)
@@ -632,3 +648,30 @@ def test_cli_repeated_hetero_column_is_collinear(tmp_path):
     )))
     assert code == 3
     assert "singular Gram matrix" in text
+
+
+def test_quoted_crlf_csv_equals_library(tmp_path):
+    # quoted header and text cells, CRLF line ends, a level with a comma
+    sample = gen_sample(canonical_preset(), 600, 9)
+    groups = np.array(["a", "b,c", 'd "e"'])[np.arange(sample.n) % 3]
+    path = tmp_path / "q.csv"
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh, lineterminator="\r\n",
+                         quoting=csv.QUOTE_NONNUMERIC)
+        wtr.writerow(["y", "x", "g"])
+        for y, x, g in zip(sample.y, sample.x, groups):
+            wtr.writerow([float(y), float(x), str(g)])
+    head = path.read_bytes()[:40]
+    assert head.startswith(b'"y","x","g"\r\n') and b'"b,c"' in path.read_bytes()
+    text, code = run(parse_config(cli_args(
+        path, "--hetero", "g:cat", "--bw", "0.4", "--format", "json",
+    )))
+    assert code == 0
+
+    w, labels, kinds = expand_covariates(
+        {"g": groups.tolist()}, CovariateSpec((ColumnSpec("g", "categorical"),))
+    )
+    assert labels == ["g=b,c", 'g=d "e"']
+    lib = fit_hte(validate_sample(sample.y, sample.x, 0.0, w),
+                  FitSpec(bandwidth=Common(0.4)), labels=labels, kinds=kinds)
+    assert text == render_json(lib)

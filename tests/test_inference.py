@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 from conftest import random_instance
+from oracles import add_at_cluster_sums
 from rbc_oracle import _influence_pieces
 
 import rdhte
@@ -23,6 +24,7 @@ from rdhte.inference import (
     ci_pvalue,
     cluster_meat,
     coef_variance,
+    _cluster_sums,
     hc_weights,
     meat_matrix,
     rbc_variance,
@@ -212,6 +214,30 @@ def test_singleton_cluster_variance_is_df_scaled_hc0():
     df = sample.n / (sample.n - 1 - 1 - 1)
     assert v_cl.variance == pytest.approx(df * v_hc0.variance, rel=1e-12)
     assert v_cl.n_clusters == sample.n
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_cluster_sums_are_bitwise_add_at(case):
+    rng = np.random.default_rng([29, case])
+    n = int(rng.integers(2, 4_000))
+    m = int(rng.integers(2, min(n, 3_000) + 1))
+    g = int(rng.integers(2, 501))
+    k = int(rng.integers(1, 25))
+    cluster = rng.integers(0, g, n)
+    idx = np.sort(rng.choice(n, m, replace=False))
+    values = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-8, 9, k)
+    if np.unique(cluster[idx]).size < 2:
+        cluster[idx[0]] = g
+    sums = _cluster_sums("right", cluster, idx, values)
+    assert sums.tobytes() == add_at_cluster_sums(cluster, idx, values).tobytes()
+    # one row per cluster, in order of first appearance in the window
+    firsts = list(dict.fromkeys(cluster[idx].tolist()))
+    assert sums.shape == (len(firsts), k)
+    for row, label in zip(sums, firsts):
+        np.testing.assert_allclose(
+            row, values[cluster[idx] == label].sum(axis=0),
+            rtol=1e-12, atol=1e-12 * np.abs(values).sum(axis=0).max(),
+        )
 
 
 def test_single_cluster_in_window_rejected():

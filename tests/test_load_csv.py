@@ -1,0 +1,143 @@
+"""cli.load_csv against a reader that takes every row through csv.reader.
+
+load_csv splits quote-free blocks of lines itself and hands the rest of
+the file to csv.reader from the first quote on; on every input it must
+return the lists the reference reader returns.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rdhte.cli
+from rdhte.cli import build_result, load_csv, parse_config
+from rdhte.errors import ParseError
+
+from oracles import reference_load_csv
+
+NAMES = ("a", "b", "c", "d")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+# unquoted cells hold no quote, comma or line end; quoted ones hold anything
+plain_cells = st.text(alphabet="01.-e xé \t;", max_size=5)
+quoted_cells = st.text(alphabet='0a ,"\n\ré', max_size=6).map(
+    lambda s: '"' + s.replace('"', '""') + '"'
+)
+rows = st.lists(
+    st.one_of(plain_cells, plain_cells, quoted_cells), max_size=len(NAMES) + 2
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV file's text: header, then blank, short, regular and long rows
+    with mixed line ends, optionally a BOM and no final line end."""
+    header = [draw(st.sampled_from(['a', '"a"']))] + list(NAMES[1:])
+    body = draw(st.lists(rows, max_size=12))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(body) + 1,
+                         max_size=len(body) + 1))
+    lines = [",".join(header)] + [",".join(row) for row in body]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+def _write(tmp_path, text, name="t.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def _assert_same_parse_errors(got, expected):
+    for name in expected:
+        outcomes = []
+        for values in (got[name], expected[name]):
+            try:
+                rdhte.cli._parse_numeric(name, values)
+                outcomes.append(None)
+            except ParseError as exc:
+                outcomes.append((exc.row, exc.value))
+        assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), block=st.sampled_from([1, 7, 40, 1 << 20]),
+       columns=st.sampled_from([NAMES, ("d", "a"), ("c",), ("b", "b")]))
+def test_load_csv_equals_the_reference_reader(
+    tmp_path_factory, text, block, columns
+):
+    # small blocks put block boundaries and the quote handoff anywhere
+    path = _write(tmp_path_factory.mktemp("csv"), text)
+    expected = reference_load_csv(path, columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rdhte.cli, "_BLOCK_CHARS", block)
+        got = load_csv(path, columns)
+    assert got == expected
+    _assert_same_parse_errors(got, expected)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("a,b\n1,2\n\n3\n4,5,6\n", {"a": ["1", "", "3", "4"],
+                                   "b": ["2", "", "", "5"]}),
+        ("a,b\n1\n2,3,4\n", {"a": ["1", "2"], "b": ["", "3"]}),
+        ("a,b\r\n1,2\r\n3,4", {"a": ["1", "3"], "b": ["2", "4"]}),
+        ("a,b\r1,2\r3,4\r", {"a": ["1", "3"], "b": ["2", "4"]}),
+        ('"a",b\r\n"x,y",2\r\n"q""r","s\nt"\r\n',
+         {"a": ["x,y", 'q"r'], "b": ["2", "s\nt"]}),
+    ],
+    ids=["blank_short_long", "short_then_long", "crlf_no_final_end", "lone_cr", "quoted"],
+)
+def test_load_csv_dialect(tmp_path, text, expected):
+    path = _write(tmp_path, text)
+    assert load_csv(path, ["a", "b"]) == expected
+    assert reference_load_csv(path, ["a", "b"]) == expected
+
+
+def test_load_csv_across_blocks_and_the_quote_handoff(tmp_path):
+    # about 2.5 MB in 1 MiB blocks: blank, short and long rows and a bad
+    # number in the first two blocks, the first quote in the third
+    rng = np.random.default_rng(17)
+    cells = [[repr(float(v)) for v in rng.standard_normal(40_000)]
+             for _ in range(3)]
+    lines = [f"{y},{x},{g}" for y, x, g in zip(*cells)]
+    for first in (10, 20_000):
+        lines[first] = ""
+        lines[first + 1] = lines[first + 1].rsplit(",", 1)[0]
+        lines[first + 2] += ",extra,cells"
+    lines[5] = "oops," + lines[5].split(",", 1)[1]
+    lines[20_003] = "1.5,nope," + lines[20_003].rsplit(",", 1)[1]
+    lines[38_000] = '"2.5",' + lines[38_000].split(",", 1)[1]
+    lines[38_001] = '3,"4,5",' + lines[38_001].rsplit(",", 1)[1]
+    lines[38_002] = '"",0.1,"two\nlines"'
+    text = "y,x,g\r\n" + "\r\n".join(lines) + "\r\n"
+    starts = np.cumsum([len(line) + 2 for line in lines]) + 7
+    assert starts[13] < 1 << 20
+    assert 1 << 20 < starts[19_999] < starts[20_003] < 2 << 20
+    assert text.index('"') > 2 << 20
+    path = _write(tmp_path, text)
+
+    expected = reference_load_csv(path, ["y", "x", "g"])
+    got = load_csv(path, ["y", "x", "g"])
+    assert got == expected
+    assert [got[name][20_000] for name in "yxg"] == ["", "", ""]
+    assert got["g"][20_001] == "" and got["x"][20_003] == "nope"
+    assert got["x"][38_001] == "4,5" and got["g"][38_002] == "two\nlines"
+    _assert_same_parse_errors(got, expected)
+
+    # the CLI cites the 1-based data row of the first bad cell
+    for name, row, value in (("y", 6, "oops"), ("x", 11, "")):
+        config = parse_config(["--data", path, "--outcome", name,
+                               "--running", "g", "--cutoff", "0"])
+        with pytest.raises(ParseError) as exc:
+            build_result(config)
+        assert (exc.value.row, exc.value.column, exc.value.value) == (
+            row, name, value
+        )

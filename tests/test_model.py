@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from rdhte.model import (
     FitSpec,
     Select,
     expand_covariates,
+    label_codes,
     validate_sample,
 )
 
@@ -157,6 +160,40 @@ def test_categorical_unknown_baseline():
         )
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [["c", "a", "c", "b"], np.array(["c", "a", "c", "b"]),
+     np.array(["c", "a", "c", "b"], dtype=object), [3, 1, 3, 2],
+     np.array([3.0, 1.0, 3.0, 2.0]), np.array([30, 10, 30, 20])],
+    ids=["text_list", "text_array", "object_array", "int_list",
+         "float_array", "int_array"],
+)
+def test_label_codes_match_np_unique(labels):
+    levels, codes = label_codes(labels)
+    uniq, inverse = np.unique(np.asarray(labels), return_inverse=True)
+    assert levels == uniq.tolist()
+    assert codes.dtype == np.intp
+    assert codes.tolist() == inverse.tolist() == [2, 0, 2, 1]
+
+
+def test_label_codes_reject_numbers_mixed_with_text():
+    with pytest.raises(TypeError):
+        label_codes([1, "a", 2])
+
+
+def test_categorical_levels_are_the_values_text():
+    # numbers are coded by their text, which sorts "10" before "2"
+    w, labels, _ = expand_covariates(
+        {"g": [10, 2, 10, 1.5], "h": [1, "a", 1, "a"]},
+        CovariateSpec((ColumnSpec("g", "categorical"),
+                       ColumnSpec("h", "categorical"))),
+    )
+    assert labels == ["g=10", "g=2", "h=a"]
+    np.testing.assert_array_equal(
+        w, [[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1]]
+    )
+
+
 def test_categorical_exclusive_indicators():
     rng = np.random.default_rng(3)
     values = rng.choice(list("abcd"), size=50).tolist()
@@ -175,6 +212,15 @@ def test_continuous_powers():
     assert labels == ["income", "income^2"]
     assert kinds == ["continuous", "continuous"]
     np.testing.assert_array_equal(w, [[1, 1], [2, 4], [3, 9]])
+
+
+def test_power_overflow_is_non_finite_at_the_power():
+    spec = CovariateSpec((ColumnSpec("inc", "continuous", power_max=3),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite) as err:
+            expand_covariates({"inc": [2.0, 1e120, 1e200, 3.0]}, spec)
+    assert (err.value.row, err.value.column) == (2, "inc^2")
 
 
 def test_binary_passthrough_and_rejection():
