@@ -4,29 +4,33 @@ fit_hte runs the first four steps per side for every bandwidth rule;
 MSE-optimal selection takes their bias constants and adds the last:
 
     pilot bandwidth b (rule of thumb, clamped)
-      -> pilot fit of order (p+1, s+1) at b, giving the curvature
+      -> pilot fit of order (p+1, s+1) at b, its QR factoring the
+         main-order (p, s) columns first, giving the curvature
          coefficients that enter the bias formula
-      -> Gram and kernel moment vectors of the main-order basis at b, read
-         off as blocks of the pilot Gram
+      -> the main-order fit at b, read off that factorization: its R is
+         the leading block of the pilot's R, and its Gram and kernel
+         moment vectors are blocks of the pilot Gram
       -> bias constants (two channels: running-variable curvature and
          covariate-coefficient curvature)
       -> variance constants: plug-in sandwich contraction of the
          main-order fit at b with the requested variance kind
 
 and the optimal bandwidth trades the squared bias contraction against the
-variance contraction at the rate implied by the polynomial orders.
+variance contraction at the rate implied by the polynomial orders. No
+main-order fit is run at b: one QR per side serves the pilot and the
+main order, and a fixed-bandwidth fit never builds the main-order fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .basis import extractor_vector, n_params
 from .errors import BiasDegenerate, TooFewObservations
-from .fitting import SideFit, fit_side, side_design
+from .fitting import SideFit, fit_side, nested_fit, side_design
 from .inference import plugin_form
 from .model import FitSpec, RdSample, Select
 
@@ -126,15 +130,29 @@ class BiasConstants:
     (s+1)!, are the columns of Gram^-1 phi when p >= s; every other row is
     zero. Gram, zeta and phi are the main-order quantities at the pilot
     bandwidth, all blocks of pilot_fit.gram.
+
+    The pilot's QR factored the main-order columns first, so with its R
+    split as [[R11, R12], [0, R22]] the main-order Gram is R11'R11 and
+    [zeta, phi] is R11' times the top columns of R12: the routes are
+    R11^-1 R12 there, a product with the stored R^-1, and no Gram is
+    solved. main_fit, the main-order fit at the pilot bandwidth, is read
+    off the same factorization on first use only.
     """
 
     pilot_fit: SideFit
     routes: np.ndarray
+    sample: RdSample = field(repr=False)
 
     @cached_property
     def bias(self) -> np.ndarray:
         """Main-order bias vector routes' pilot_fit.theta."""
         return self.routes.T @ self.pilot_fit.theta
+
+    @cached_property
+    def main_fit(self) -> SideFit:
+        """The main-order (p, s) fit at the pilot bandwidth (nested_fit)."""
+        pilot = self.pilot_fit
+        return nested_fit(self.sample, pilot, pilot.p - 1, pilot.s - 1)
 
     def contraction(self, extractor: np.ndarray) -> float:
         """Bias contraction for a given extractor vector."""
@@ -153,10 +171,12 @@ def bias_constants(
 
     A pilot fit of order (p+1, s+1) at the pilot bandwidth supplies the
     curvature coefficients. The main-order basis is a subset of the pilot
-    basis on the same window, so the main-order Gram and the moment vectors
-    of moment_vectors (zeta at a=p, phi at a=s) are blocks of the pilot
-    Gram: zeta is its u^(p+1) column and phi its W_l u^(s+1) columns,
-    restricted to the main-order rows. No main-order fit is run.
+    basis on the same window, and the pilot's QR factors those columns
+    first, so the main-order quantities at the pilot bandwidth are read off
+    the pilot fit: the moment vectors of moment_vectors (zeta at a=p, phi
+    at a=s) are the pilot Gram's u^(p+1) and W_l u^(s+1) columns on the
+    main-order rows, and the routes come from the leading rows of the
+    pilot's R (see BiasConstants). No main-order fit is run.
 
     Raises
     ------
@@ -165,8 +185,6 @@ def bias_constants(
         principal block of the pilot Gram, is then no worse conditioned).
     """
     d = sample.d
-    pilot_fit = fit_side(sample, side, pilot_b, p + 1, s + 1, kernel)
-
     # positions in the pilot basis: the main-order basis, and the top
     # powers the bias reads: u^(p+1) for the running-variable channel
     # (p <= s) and W_l u^(s+1) for the covariate channel (p >= s); both
@@ -178,34 +196,27 @@ def bias_constants(
     top = ([p + 1] if p <= s else []) + (
         (cov_start + s + 1).tolist() if p >= s else []
     )
+    # the QR factors the main-order columns first, then the top powers
+    order = np.concatenate([main, [p + 1], cov_start + s + 1])
+    pilot_fit = fit_side(sample, side, pilot_b, p + 1, s + 1, kernel, order)
 
-    gram = pilot_fit.gram
-    routes = np.zeros((pilot_fit.n_coef, main.size))
-    routes[top] = np.linalg.solve(
-        gram[np.ix_(main, main)], gram[np.ix_(main, top)]
-    ).T
-    return BiasConstants(pilot_fit=pilot_fit, routes=routes)
+    k = main.size
+    routes = np.zeros((order.size, k))
+    routes[top] = (pilot_fit.r_inv[main, :k] @ pilot_fit.r[:k, top]).T
+    return BiasConstants(pilot_fit=pilot_fit, routes=routes, sample=sample)
 
 
-def variance_constants(
-    sample: RdSample,
-    side: str,
-    h: float,
-    p: int,
-    s: int,
-    kernel: str,
-    vce: str,
-) -> np.ndarray:
-    """Plug-in variance matrix of one side at bandwidth h.
+def variance_constants(bias: BiasConstants, vce: str) -> np.ndarray:
+    """Plug-in variance matrix of one side at its pilot bandwidth.
 
-    Returns inference.plugin_form of the main-order fit at h: the k x k
+    Returns inference.plugin_form of bias.main_fit, the main-order fit at
+    the pilot bandwidth read off the pilot's factorization: the k x k
     matrix f Gram^-1 meat Gram^-1, its meat weighted by the requested HC
     kind or summed within the sample's clusters, so the selector and the
     reported plug-in variances share one definition. An extractor e
     contracts it as e' M e.
     """
-    fit = fit_side(sample, side, h, p, s, kernel)
-    return plugin_form(fit, vce, sample.cluster)
+    return plugin_form(bias.main_fit, vce, bias.sample.cluster)
 
 
 @dataclass(frozen=True)
@@ -251,11 +262,12 @@ def mse_bandwidth(
     ----------
     sample : RdSample
     spec : FitSpec
-        Supplies p, s, nu, kernel and the variance kind, and the mode
+        Supplies p, s, nu and the variance kind, and the mode
         ("one_sided" or "two_sided") when spec.bandwidth is Select; other
         bandwidth rules select two-sided.
     bias_left, bias_right : BiasConstants
-        Each side's pilot stage; the variance is taken at its pilot_fit.h.
+        Each side's pilot stage; the variance is that of its main_fit, at
+        pilot_fit.h.
 
     Returns
     -------
@@ -265,7 +277,7 @@ def mse_bandwidth(
     ------
     SingularGram, LeverageOne, TooFewClusters, BiasDegenerate
     """
-    p, s, nu, kernel, vce = spec.p, spec.s, spec.nu, spec.kernel, spec.vce
+    p, s, nu, vce = spec.p, spec.s, spec.nu, spec.vce
     d = sample.d
     bw = spec.bandwidth
     mode = bw.mode if isinstance(bw, Select) else "two_sided"
@@ -277,7 +289,7 @@ def mse_bandwidth(
     pilots, v_val, b_val = {}, {}, {}
     for sd, bias in zip(sides, (bias_left, bias_right)):
         pilots[sd] = bias.pilot_fit.h
-        vmat = variance_constants(sample, sd, pilots[sd], p, s, kernel, vce)
+        vmat = variance_constants(bias, vce)
         v_val[sd] = float(extractor @ vmat @ extractor)
         b_val[sd] = bias.contraction(extractor)
 

@@ -306,6 +306,16 @@ def build_result(config: RunConfig):
 
     A NonFinite or MissingLabel cites its cell as ParseError does: by
     1-based data row and CSV header."""
+    sample, labels, kinds = _load_sample(config)
+    return fit_hte(sample, config.spec, at=config.at, labels=labels,
+                   kinds=kinds)
+
+
+def _load_sample(config: RunConfig):
+    """The validated sample, covariate labels and kinds of the CSV input.
+
+    The text columns die when this returns, so they are not held while the
+    sample is fitted."""
     names = [config.outcome, config.running]
     names += [name for name, _ in config.hetero]
     if config.cluster is not None:
@@ -349,8 +359,7 @@ def build_result(config: RunConfig):
             raise
         column = headers.get(exc.column, exc.column)
         raise type(exc)(exc.row + 1, column) from None
-    return fit_hte(sample, config.spec, at=config.at, labels=labels,
-                   kinds=kinds)
+    return sample, labels, kinds
 
 
 def run(config: RunConfig) -> tuple[str, int]:

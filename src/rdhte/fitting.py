@@ -8,18 +8,26 @@ Conventions shared by every formula downstream:
 with n the TOTAL sample size (both sides), so constants match across the
 bias, variance, and bandwidth formulas. Each side fit factors the
 square-root-weighted design A = sqrt(K(u_i)/(n h)) r(u_i, W_i) once by
-Householder QR, A = QR, keeping R and the k reflectors but never forming Q.
-That one factorization gives
+Householder QR, A = QR, keeping R and R^-1 (numpy's raw mode skips
+forming Q). That one factorization gives
   - the coefficients R^-1 (Q' sqrt(w) y), with Q' sqrt(w) y formed by
-    applying the k reflectors to the vector in O(m k), so the solve has
-    the accuracy of Householder least squares (Bjorck 1996, Numerical
-    Methods for Least Squares Problems, sec. 2.4), not of the normal
-    equations;
+    applying the k reflectors to the vector in O(m k), so they have the
+    accuracy of Householder least squares (Bjorck 1996, Numerical Methods
+    for Least Squares Problems, sec. 2.4), not of the normal equations;
   - the Gram's reciprocal condition number (sigma_min/sigma_max of R,
     squared);
-  - the leverages as the squared row norms of A R^-1, which is Q.
+  - the leverages as the squared row norms of A R^-1, which is Q;
+  - every product with Gram^-1 downstream, as R^-1 R^-T (SideFit.solve_gram
+    and the plug-in sandwich), so no linear system is solved against a Gram.
 The Gram itself is summed directly, never inverted, so the Gram of a
 sub-basis on the same window is an exact block of it.
+
+A fit may factor its columns in any order. Householder QR factors the
+leading columns first, so when the columns of a sub-basis lead, the
+leading block of R is the sub-basis fit's own R on the same window, and
+nested_fit reads that fit off the factorization with no second QR: the
+pilot fit of order (p+1, s+1) at the pilot bandwidth serves the
+main-order fit at that bandwidth this way.
 
 Windows are found without scanning the sample. RdSample.side_view holds
 each side's rows sorted by d = |x - c|, built once per sample, so the rows
@@ -32,12 +40,12 @@ window of m rows and k coefficients, independent of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import design_rows, scaling_diag
+from .basis import design_rows, n_params, scaling_diag
 from .errors import NonPositiveBandwidth, SingularGram
 from .kernels import kernel_eval
 from .model import RdSample
@@ -47,6 +55,7 @@ __all__ = [
     "SideDesign",
     "side_design",
     "fit_side",
+    "nested_fit",
 ]
 
 #: Gram reciprocal-condition threshold below which the fit is refused
@@ -64,8 +73,22 @@ class SideFit:
     h : float
         Bandwidth used.
     gram : ndarray (k, k)
-        Scaled Gram matrix (see module docstring); equal to R'R for the
-        thin QR factor R of the square-root-weighted design.
+        Scaled Gram matrix (see module docstring), summed directly; equal
+        to r'r.
+    order : ndarray (k,)
+        Order in which the QR factored the basis columns: A[:, order] = QR
+        with R upper triangular.
+    r : ndarray (k, k)
+        R with its columns put back in basis order, so A = Q r; r[:, order]
+        is upper triangular.
+    r_inv : ndarray (k, k)
+        r^-1, which is R^-1 with its rows in basis order. It serves every
+        product with the Gram's inverse, Gram^-1 = r_inv r_inv'; it gives
+        theta_norm = r_inv qty and the leverages, the squared row norms of
+        A r_inv = Q.
+    qty : ndarray (k,)
+        Q' sqrt(w) y, the weighted outcome rotated by the QR's reflectors;
+        its first j entries belong to the first j factored columns.
     theta : ndarray (k,)
         Coefficients on raw powers of (x - c) and their covariate
         interactions (the scaling matrix is already applied).
@@ -76,7 +99,7 @@ class SideFit:
         In-window residuals y_i - r(x_i - c, W_i)' theta.
     leverages : ndarray (m,)
         Diagonal of the weighted projection matrix for in-window rows: the
-        squared row norms of A R^-1, the thin QR factor Q.
+        squared row norms of A r_inv, the thin QR factor Q.
     eff_n : int
         Number of observations with positive kernel weight.
     idx : ndarray (m,)
@@ -94,6 +117,10 @@ class SideFit:
     side: str
     h: float
     gram: np.ndarray
+    order: np.ndarray
+    r: np.ndarray
+    r_inv: np.ndarray
+    qty: np.ndarray
     theta: np.ndarray
     theta_norm: np.ndarray
     residuals: np.ndarray
@@ -112,8 +139,8 @@ class SideFit:
         return self.theta.shape[0]
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve gram @ z = rhs (rhs may be a matrix)."""
-        return np.linalg.solve(self.gram, rhs)
+        """Gram^-1 rhs (rhs may be a matrix), as r_inv r_inv' rhs."""
+        return self.r_inv @ (self.r_inv.T @ rhs)
 
 
 class SideDesign(NamedTuple):
@@ -182,7 +209,13 @@ def _apply_qt(hh: np.ndarray, tau: np.ndarray, b: np.ndarray):
 
 
 def fit_side(
-    sample: RdSample, side: str, h: float, p: int, s: int, kernel: str
+    sample: RdSample,
+    side: str,
+    h: float,
+    p: int,
+    s: int,
+    kernel: str,
+    order: Optional[np.ndarray] = None,
 ) -> SideFit:
     """Fit the one-sided interacted local polynomial by weighted least squares.
 
@@ -196,16 +229,21 @@ def fit_side(
         Main and interaction polynomial orders.
     kernel : str
         Kernel name.
+    order : ndarray of int, optional
+        A permutation of the basis columns: the order in which the QR
+        factors them (default: basis order). Putting a sub-basis first lets
+        nested_fit read that sub-basis fit off this one.
 
     Returns
     -------
     SideFit
 
     The weighted design is factored by one Householder QR (numpy's "raw"
-    mode, which skips forming Q). R gives the conditioning check; the
-    reflectors, applied to the weighted outcome, give Q' sqrt(w) y for a
-    back substitution on R; and the leverages are the squared row norms
-    of A R^-1 (one matrix product with a k x k inverse).
+    mode, which skips forming Q). R gives the conditioning check and its
+    triangular inverse R^-1; the reflectors, applied to the weighted
+    outcome, give Q' sqrt(w) y, which R^-1 carries to the coefficients; and
+    the leverages are the squared row norms of A R^-1 (one matrix product
+    with a k x k inverse).
 
     Raises
     ------
@@ -223,7 +261,13 @@ def fit_side(
     wts = kv / (n * h)
     sqw = np.sqrt(wts)
     # column-major, so the reflectors come back as contiguous rows of hh
-    a = np.multiply(rows, sqw[:, None], order="F")
+    if order is None:
+        a = np.multiply(rows, sqw[:, None], order="F")
+    else:
+        # gathered straight into a, with no m x k temporary
+        a = np.take(rows, order, axis=1, out=np.empty_like(rows, order="F"),
+                    mode="clip")
+        a *= sqw[:, None]
     hh, tau = np.linalg.qr(a, mode="raw")
     r = np.triu(hh[:, :k].T)
     sv = np.linalg.svd(r, compute_uv=False)
@@ -231,22 +275,32 @@ def fit_side(
     if rcond < RCOND_MIN:
         raise SingularGram(side, rcond)
 
-    qty = _apply_qt(hh, tau, sqw * sample.y[idx])[:k]
-    # R is upper triangular, so the LU inside solve and inv pivots on its
-    # diagonal and reduces to back substitution
-    beta = np.linalg.solve(r, qty)
+    # a copy, so the fit does not hold the m-vector it was rotated in
+    qty = _apply_qt(hh, tau, sqw * sample.y[idx])[:k].copy()
+    # R is upper triangular, so the LU inside inv pivots on its diagonal
+    # and reduces to back substitution
+    r_inv = np.linalg.inv(r)
     # the reflectors are spent: A R^-1, which is Q, overwrites them
-    q = np.matmul(a, np.linalg.inv(r), out=hh.T)
-    theta = beta / scaling_diag(h, p, s, sample.d)
-    resid = sample.y[idx] - rows @ beta
+    q = np.matmul(a, r_inv, out=hh.T)
+    if order is None:
+        order = np.arange(k)
+    else:
+        # back to basis order: the columns of R, the rows of R^-1
+        back = np.argsort(order)
+        r, r_inv = r[:, back], r_inv[back]
+    beta = r_inv @ qty
 
     return SideFit(
         side=side,
         h=float(h),
         gram=(rows * wts[:, None]).T @ rows,
-        theta=theta,
+        order=order,
+        r=r,
+        r_inv=r_inv,
+        qty=qty,
+        theta=beta / scaling_diag(h, p, s, sample.d),
         theta_norm=beta,
-        residuals=resid,
+        residuals=sample.y[idx] - rows @ beta,
         leverages=np.einsum("ij,ij->i", q, q),
         eff_n=int(idx.size),
         idx=idx,
@@ -256,4 +310,40 @@ def fit_side(
         p=p,
         s=s,
         d=sample.d,
+    )
+
+
+def nested_fit(sample: RdSample, fit: SideFit, p: int, s: int) -> SideFit:
+    """The order-(p, s) fit on fit's window, read off fit's factorization.
+
+    fit must have factored the order-(p, s) basis columns first: fit.order
+    starts with their positions in fit's basis. Householder QR factors the
+    leading columns on their own, so the leading k x k block of fit's R is
+    the order-(p, s) design's R, and the first k entries of fit.qty are its
+    Q' sqrt(w) y. The result equals fit_side(sample, fit.side, fit.h, p, s,
+    kernel) up to rounding, on the same window, with no QR, window search
+    or basis evaluation of its own.
+    """
+    k = n_params(p, s, sample.d)
+    cols = fit.order[:k]
+    r_inv = fit.r_inv[cols, :k]
+    qty = fit.qty[:k]
+    beta = r_inv @ qty
+    rows = fit.design[:, cols]
+    sqw = np.sqrt(fit.kvals / (fit.n_total * fit.h))
+    q = (rows * sqw[:, None]) @ r_inv
+    return replace(
+        fit,
+        gram=fit.gram[np.ix_(cols, cols)],
+        order=np.arange(k),
+        r=fit.r[:k, cols],
+        r_inv=r_inv,
+        qty=qty,
+        theta=beta / scaling_diag(fit.h, p, s, sample.d),
+        theta_norm=beta,
+        residuals=sample.y[fit.idx] - rows @ beta,
+        leverages=np.einsum("ij,ij->i", q, q),
+        design=rows,
+        p=p,
+        s=s,
     )

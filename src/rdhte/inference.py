@@ -194,14 +194,15 @@ def plugin_form(
 
     Returns the k x k matrix P = f Gram^-1 meat Gram^-1: cluster_meat and
     the degrees-of-freedom factor f for vce "cluster", else the HC meat and
-    f = 1. The side's plug-in contraction of an extractor e is e' P e.
+    f = 1. Gram^-1 is applied as fit.r_inv fit.r_inv', the fit's own
+    factorization. The side's plug-in contraction of an extractor e is
+    e' P e.
     """
     if vce == "cluster":
         meat, factor = cluster_meat(fit, cluster), _df_factor(fit)
     else:
         meat, factor = meat_matrix(fit, hc_weights(vce, fit)), 1.0
-    gram = fit.gram
-    return factor * np.linalg.solve(gram, np.linalg.solve(gram, meat).T).T
+    return factor * fit.solve_gram(fit.solve_gram(meat).T).T
 
 
 def rbc_form(

@@ -13,6 +13,7 @@ empirical-quantile bins with the lowest bin as the dropped baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -56,8 +57,10 @@ class SideView:
     Attributes
     ----------
     order : ndarray of int, shape (n_side,)
-        Row positions of the side's observations, ascending in d (ties in
-        any order); int32 when the sample has fewer than 2^31 rows.
+        Row positions of the side's observations, ascending in d, ties in d
+        by x moving away from the cutoff, so order also sorts x (ascending
+        on the right, descending on the left); int32 when the sample has
+        fewer than 2^31 rows.
     dist : ndarray, shape (n_side,)
         Those distances, sorted.
     sd, iqr : float
@@ -142,15 +145,21 @@ class RdSample:
         if side not in views:
             pos = np.flatnonzero(self.side_mask(side))
             x_side = self.x[pos]
+            # x - c rounds monotonically in x, so sorting x away from the
+            # cutoff sorts the distances too, and the quartiles of x are
+            # reads; a prefix cut by value never splits ties, so no stable
+            # sort
+            sorter = np.argsort(x_side)
             sd = iqr = float("nan")
             if pos.size >= 2:
                 sd = float(np.std(x_side, ddof=1))
-                q25, q75 = np.quantile(x_side, [0.25, 0.75])
-                iqr = float(q75 - q25)
+                iqr = _quantile(x_side, sorter, 0.75) - _quantile(
+                    x_side, sorter, 0.25
+                )
+            if side == "left":
+                sorter = sorter[::-1]
             dist = np.subtract(x_side, self.cutoff, out=x_side)
             np.abs(dist, out=dist)
-            # a prefix cut by value never splits ties, so no stable sort
-            sorter = np.argsort(dist)
             if self.n < 2**31:
                 pos = pos.astype(np.int32)
             views[side] = SideView(pos[sorter], dist[sorter], sd, iqr)
@@ -163,6 +172,24 @@ class RdSample:
         if side == "left":
             return self.x < self.cutoff
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _quantile(x: np.ndarray, sorter: np.ndarray, q: float) -> float:
+    """np.quantile(x, q) of at least two values, read through x's argsort.
+
+    Numpy's default (linear) method, operation for operation, so the
+    result is numpy's bit for bit; it reads two elements where
+    np.quantile copies and partitions x.
+    """
+    n = x.size
+    virtual = n * q + (1 - q) - 1
+    j = math.floor(virtual)
+    gamma = virtual - j
+    lo, hi = x[sorter[j]], x[sorter[min(j + 1, n - 1)]]
+    diff = hi - lo
+    if gamma >= 0.5:
+        return float(hi - diff * (1 - gamma))
+    return float(lo + diff * gamma)
 
 
 def is_binary(values) -> bool:

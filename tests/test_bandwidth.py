@@ -183,7 +183,8 @@ def test_variance_constants_zero_for_noiseless_in_span():
         noise=("constant", 0.0),
     )
     sample = gen_sample(cfg, 500, 21)
-    vc = variance_constants(sample, "right", 0.4, 1, 1, "triangular", "hc0")
+    bias = bias_constants(sample, "right", 1, 1, "triangular", 0.4)
+    vc = variance_constants(bias, "hc0")
     e = extractor_vector(0, 1, 1, np.zeros(0))
     assert float(e @ vc @ e) == pytest.approx(0.0, abs=1e-20)
 
@@ -191,7 +192,8 @@ def test_variance_constants_zero_for_noiseless_in_span():
 def test_variance_constants_match_brute_force():
     sample = random_instance(41, n=200, d=0)
     h = 0.5
-    vc = variance_constants(sample, "right", h, 1, 1, "triangular", "hc0")
+    bias = bias_constants(sample, "right", 1, 1, "triangular", h)
+    vc = variance_constants(bias, "hc0")
     fit = fit_side(sample, "right", h, 1, 1, "triangular")
     n = sample.n
     meat = np.zeros((2, 2))
@@ -351,11 +353,64 @@ def test_bias_constants_read_main_order_blocks_of_pilot_gram(p, s):
         top = ([p + 1] if p <= s else []) + (
             list(cov + s + 1) if p >= s else []
         )
+        # the routes are R11^-1 R12, products with the pilot's R^-1, and
+        # agree with the main-order Gram solved against the Gram block
         expect = np.zeros_like(bc.routes)
         expect[top] = np.linalg.solve(
             main.gram, pilot_gram[np.ix_(sub, top)]
         ).T
-        np.testing.assert_array_equal(bc.routes, expect)
+        np.testing.assert_allclose(
+            bc.routes, expect, rtol=0, atol=1e-12 * np.abs(expect).max()
+        )
         np.testing.assert_array_equal(
             bc.bias, bc.routes.T @ bc.pilot_fit.theta
         )
+
+
+def _assert_close(actual, desired, rel=1e-12):
+    """Equal within rel times desired's largest entry."""
+    np.testing.assert_allclose(
+        actual, desired, rtol=0, atol=rel * np.abs(desired).max()
+    )
+
+
+@pytest.mark.parametrize("kernel", ["triangular", "uniform", "epanechnikov"])
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("p,s", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_main_fit_read_off_pilot_equals_standalone_fit(p, s, d, kernel):
+    sample = random_instance(61 + d, n=600, d=d, binary=False)
+    main_pos = np.concatenate(
+        [np.arange(p + 1)]
+        + [(p + 2) + (s + 2) * ell + np.arange(s + 1) for ell in range(d)]
+    )
+    top = ([p + 1] if p <= s else []) + (
+        [(p + 2) + (s + 2) * ell + s + 1 for ell in range(d)] if p >= s else []
+    )
+    for side in ("left", "right"):
+        b = pilot_bandwidth(sample, side, p, s)
+        bc = bias_constants(sample, side, p, s, kernel, b)
+        nested = bc.main_fit
+        assert nested is bc.main_fit
+        alone = fit_side(sample, side, b, p, s, kernel)
+        np.testing.assert_array_equal(nested.idx, alone.idx)
+        assert nested.eff_n == alone.eff_n
+        assert (nested.p, nested.s, nested.h) == (p, s, b)
+        for name in ("theta_norm", "theta", "residuals", "leverages", "gram"):
+            _assert_close(getattr(nested, name), getattr(alone, name))
+        # the factor and its inverse agree with the fit's own Gram
+        np.testing.assert_allclose(
+            nested.r_inv @ nested.r, np.eye(alone.n_coef), atol=1e-12
+        )
+        _assert_close(nested.r.T @ nested.r, alone.gram)
+
+        # the routes equal the main-order Gram solved against the pilot
+        # Gram's top columns, as they were computed before
+        gram = bc.pilot_fit.gram
+        expect = np.zeros_like(bc.routes)
+        expect[top] = np.linalg.solve(
+            gram[np.ix_(main_pos, main_pos)], gram[np.ix_(main_pos, top)]
+        ).T
+        if top:
+            _assert_close(bc.routes, expect)
+        else:
+            np.testing.assert_array_equal(bc.routes, expect)

@@ -332,16 +332,21 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize(
     "bandwidth, fits",
-    [(Select(), 6), (Select("one_sided"), 6), (Common(0.5), 4)],
+    [(Select(), 4), (Select("one_sided"), 4), (Common(0.5), 4)],
 )
 def test_each_fit_computed_once(monkeypatch, bandwidth, fits):
     sample = random_instance(41, n=400)
     side_fits = _count_calls(monkeypatch, "fitting", "fit_side")
+    nested = _count_calls(monkeypatch, "fitting", "nested_fit")
     moments = _count_calls(monkeypatch, "bandwidth", "moment_vectors")
     pilots = _count_calls(monkeypatch, "bandwidth", "pilot_bandwidth")
     biases = _count_calls(monkeypatch, "bandwidth", "bias_constants")
     fit_hte(sample, FitSpec(bandwidth=bandwidth), at=[(0.5,)])
+    # a pilot and a main-order fit per side; the selector's main-order fit
+    # at the pilot bandwidth is read off the pilot's factorization, and a
+    # fixed-bandwidth fit never builds it
     assert len(side_fits) == fits
+    assert len(nested) == (2 if isinstance(bandwidth, Select) else 0)
     assert moments == []
     # one pilot stage per side, whatever the bandwidth rule
     assert len(pilots) == 2
@@ -403,6 +408,22 @@ def test_records_cost_no_window_work(monkeypatch, vce):
     contrast(result, Selector(np.array([0.0, 1.0]), nu=1))
     assert all(calls == [] for calls in work)
     assert all(len(c) == 2 for c in form_calls.values())
+
+
+def test_side_views_run_no_quantile(monkeypatch):
+    sample = random_instance(46, n=400)
+    quantiles = []
+    quantile = np.quantile
+
+    def counting_quantile(*args, **kwargs):
+        quantiles.append(args)
+        return quantile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "quantile", counting_quantile)
+    fit_hte(sample, FitSpec(bandwidth=Select()))
+    assert np.isfinite(sample.side_view("left").iqr)
+    assert np.isfinite(sample.side_view("right").iqr)
+    assert quantiles == []
 
 
 def test_select_cluster_fit_runs_no_full_sample_unique(monkeypatch):

@@ -265,8 +265,13 @@ def test_doubling_kernel_values_leaves_variance_unchanged():
     evec = extractor_vector(0, 1, 1, np.array([0.0]))
 
     def doubled(fit):
+        # the Gram doubles, so its factor r grows by sqrt(2)
         return dataclasses.replace(
-            fit, kvals=2.0 * fit.kvals, gram=2.0 * fit.gram
+            fit,
+            kvals=2.0 * fit.kvals,
+            gram=2.0 * fit.gram,
+            r=np.sqrt(2.0) * fit.r,
+            r_inv=fit.r_inv / np.sqrt(2.0),
         )
 
     for vce in ("hc0", "hc1", "hc2", "hc3"):

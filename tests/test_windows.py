@@ -7,6 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import random_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import full_scan_window
 
 import rdhte.fitting
@@ -123,6 +125,50 @@ def test_side_view_sorts_each_side():
         assert view.iqr == float(
             np.quantile(x_side, 0.75) - np.quantile(x_side, 0.25)
         )
+
+
+# values from a small pool of anchors and their next few floats, so most
+# rows tie and many differ by an ulp; x - c then often rounds distinct
+# values to one distance
+_anchored = st.tuples(
+    st.floats(-10.0, 10.0, allow_nan=False), st.integers(0, 3)
+).map(lambda t: float(t[0] + t[1] * np.spacing(t[0])))
+_pools = st.lists(_anchored, min_size=1, max_size=6)
+_values = _pools.flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=60)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cutoff=st.one_of(
+        st.sampled_from([0.0, 0.1, -2.5]),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    ),
+    left=_values,
+    right=_values,
+)
+def test_side_view_quartiles_equal_np_quantile_bitwise(cutoff, left, right):
+    # a left and a right draw, each put on its side of the cutoff
+    left, right = np.array(left), np.array(right)
+    x = np.concatenate([
+        np.where(left < cutoff, left, 2 * cutoff - left - 1.0),
+        np.where(right >= cutoff, right, 2 * cutoff - right + 1.0),
+    ])
+    sample = _sample(np.random.default_rng(0).permutation(x), cutoff)
+    for side in SIDES:
+        view = sample.side_view(side)
+        x_side = sample.x[sample.side_mask(side)]
+        if x_side.size < 2:
+            assert np.isnan(view.iqr) and np.isnan(view.sd)
+            continue
+        q25, q75 = np.quantile(x_side, [0.25, 0.75])
+        assert np.float64(view.iqr).tobytes() == (q75 - q25).tobytes()
+        assert view.sd == float(np.std(x_side, ddof=1))
+        # the order sorts x away from the cutoff and the distances upward
+        away = sample.x[view.order] * (1.0 if side == "right" else -1.0)
+        assert np.all(np.diff(away) >= 0)
+        assert np.all(np.diff(view.dist) >= 0)
 
 
 def test_fixed_bandwidth_fit_evaluates_kernel_on_window_rows(monkeypatch):
