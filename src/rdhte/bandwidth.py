@@ -7,9 +7,9 @@ MSE-optimal selection takes their bias constants and adds the last:
       -> pilot fit of order (p+1, s+1) at b, its QR factoring the
          main-order (p, s) columns first, giving the curvature
          coefficients that enter the bias formula
-      -> the main-order fit at b, read off that factorization: its R is
-         the leading block of the pilot's R, and its Gram and kernel
-         moment vectors are blocks of the pilot Gram
+      -> the main-order fit at b, read off that factorization: with the
+         pilot's R split as [[R11, R12], [0, R22]], its R is R11, its Gram
+         R11'R11 and its kernel moment vectors R11' times columns of R12
       -> bias constants (two channels: running-variable curvature and
          covariate-coefficient curvature)
       -> variance constants: plug-in sandwich contraction of the
@@ -32,7 +32,7 @@ from .basis import extractor_vector, n_params
 from .errors import BiasDegenerate, TooFewObservations
 from .fitting import SideFit, fit_side, nested_fit, side_design
 from .inference import plugin_form
-from .model import FitSpec, RdSample, Select
+from .model import FitSpec, RdSample
 
 __all__ = [
     "BiasConstants",
@@ -109,11 +109,7 @@ def pilot_bandwidth(sample: RdSample, side: str, p: int, s: int) -> float:
     spread = min(view.sd, view.iqr / 1.349)
     b = 2.576 * spread * n_side ** (-1.0 / (2 * max(p, s) + 5))
     # clamp from below so the window keeps enough points for the pilot fit
-    m_min = min(5 * (p + 2), n_side)
-    # a Python float, so the selection's flags compared against it are
-    # bools that JSON accepts, not numpy bools
-    b_floor = float(view.dist[m_min - 1]) * (1.0 + 1e-9)
-    return max(b, b_floor)
+    return max(b, view.radius(min(5 * (p + 2), n_side)))
 
 
 @dataclass(frozen=True)
@@ -129,14 +125,14 @@ class BiasConstants:
     (s+1)-th derivatives of the covariate coefficient functions over
     (s+1)!, are the columns of Gram^-1 phi when p >= s; every other row is
     zero. Gram, zeta and phi are the main-order quantities at the pilot
-    bandwidth, all blocks of pilot_fit.gram.
+    bandwidth.
 
     The pilot's QR factored the main-order columns first, so with its R
     split as [[R11, R12], [0, R22]] the main-order Gram is R11'R11 and
     [zeta, phi] is R11' times the top columns of R12: the routes are
     R11^-1 R12 there, a product with the stored R^-1, and no Gram is
-    solved. main_fit, the main-order fit at the pilot bandwidth, is read
-    off the same factorization on first use only.
+    formed or solved. main_fit, the main-order fit at the pilot bandwidth,
+    is read off the same factorization on first use only.
     """
 
     pilot_fit: SideFit
@@ -173,16 +169,16 @@ def bias_constants(
     curvature coefficients. The main-order basis is a subset of the pilot
     basis on the same window, and the pilot's QR factors those columns
     first, so the main-order quantities at the pilot bandwidth are read off
-    the pilot fit: the moment vectors of moment_vectors (zeta at a=p, phi
-    at a=s) are the pilot Gram's u^(p+1) and W_l u^(s+1) columns on the
-    main-order rows, and the routes come from the leading rows of the
-    pilot's R (see BiasConstants). No main-order fit is run.
+    the pilot fit's R: the main-order Gram is R11'R11, and the moment
+    vectors of moment_vectors (zeta at a=p, phi at a=s) are R11' times the
+    u^(p+1) and W_l u^(s+1) columns of R12, so the routes are R11^-1 R12
+    (see BiasConstants). No main-order fit is run.
 
     Raises
     ------
     SingularGram
-        If the pilot fit at pilot_b is singular (the main-order Gram, a
-        principal block of the pilot Gram, is then no worse conditioned).
+        If the pilot fit at pilot_b is singular (the main-order Gram
+        R11'R11 is then no worse conditioned).
     """
     d = sample.d
     # positions in the pilot basis: the main-order basis, and the top
@@ -239,11 +235,8 @@ class BandwidthSelection:
 
 
 def _h_bounds(sample: RdSample, side: str, k_dim: int):
-    dist = sample.side_view(side).dist
-    m = min(k_dim + 2, dist.size)
-    h_min = dist[m - 1] * (1.0 + 1e-9)
-    h_max = dist[-1] * (1.0 + 1e-9)
-    return h_min, h_max
+    view = sample.side_view(side)
+    return view.radius(min(k_dim + 2, view.n)), view.radius(view.n)
 
 
 def mse_bandwidth(
@@ -262,9 +255,8 @@ def mse_bandwidth(
     ----------
     sample : RdSample
     spec : FitSpec
-        Supplies p, s, nu and the variance kind, and the mode
-        ("one_sided" or "two_sided") when spec.bandwidth is Select; other
-        bandwidth rules select two-sided.
+        Supplies p, s, nu, the variance kind, and the mode ("one_sided" or
+        "two_sided"); spec.bandwidth must be a Select.
     bias_left, bias_right : BiasConstants
         Each side's pilot stage; the variance is that of its main_fit, at
         pilot_fit.h.
@@ -279,8 +271,7 @@ def mse_bandwidth(
     """
     p, s, nu, vce = spec.p, spec.s, spec.nu, spec.vce
     d = sample.d
-    bw = spec.bandwidth
-    mode = bw.mode if isinstance(bw, Select) else "two_sided"
+    mode = spec.bandwidth.mode
     extractor = extractor_vector(nu, p, s, np.ones(d))
 
     n = sample.n

@@ -19,8 +19,8 @@ forming Q). That one factorization gives
   - the leverages as the squared row norms of A R^-1, which is Q;
   - every product with Gram^-1 downstream, as R^-1 R^-T (SideFit.solve_gram
     and the plug-in sandwich), so no linear system is solved against a Gram.
-The Gram itself is summed directly, never inverted, so the Gram of a
-sub-basis on the same window is an exact block of it.
+The Gram itself is never formed: it is R'R, and any block of it that a
+formula needs is a product of columns of R.
 
 A fit may factor its columns in any order. Householder QR factors the
 leading columns first, so when the columns of a sub-basis lead, the
@@ -31,16 +31,18 @@ main-order fit at that bandwidth this way.
 
 Windows are found without scanning the sample. RdSample.side_view holds
 each side's rows sorted by d = |x - c|, built once per sample, so the rows
-with d <= h(1 + 1e-9) are a prefix found by one binary search. The kernel
-runs on that prefix only, the rows with K(u) > 0 form the window, and they
-are put back in ascending row order, so every sum over a window runs in
-the same order as a full scan would. A side fit costs O(m k^2) for a
-window of m rows and k coefficients, independent of n.
+with d <= h WINDOW_SLACK (1 + 1e-9) are a prefix found by one binary
+search. The kernel runs on that prefix only, the rows with K(u) > 0 form
+the window, and they are put back in ascending row order, so every sum
+over a window runs in the same order as a full scan would. A side fit
+costs O(m k^2) for a window of m rows and k coefficients, independent of
+n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -48,7 +50,7 @@ import numpy as np
 from .basis import design_rows, n_params, scaling_diag
 from .errors import NonPositiveBandwidth, SingularGram
 from .kernels import kernel_eval
-from .model import RdSample
+from .model import WINDOW_SLACK, RdSample
 
 __all__ = [
     "SideFit",
@@ -72,15 +74,13 @@ class SideFit:
         "left" or "right".
     h : float
         Bandwidth used.
-    gram : ndarray (k, k)
-        Scaled Gram matrix (see module docstring), summed directly; equal
-        to r'r.
     order : ndarray (k,)
         Order in which the QR factored the basis columns: A[:, order] = QR
         with R upper triangular.
     r : ndarray (k, k)
-        R with its columns put back in basis order, so A = Q r; r[:, order]
-        is upper triangular.
+        R with its columns put back in basis order, so A = Q r and the
+        scaled Gram (see module docstring) is r'r; r[:, order] is upper
+        triangular.
     r_inv : ndarray (k, k)
         r^-1, which is R^-1 with its rows in basis order. It serves every
         product with the Gram's inverse, Gram^-1 = r_inv r_inv'; it gives
@@ -89,19 +89,13 @@ class SideFit:
     qty : ndarray (k,)
         Q' sqrt(w) y, the weighted outcome rotated by the QR's reflectors;
         its first j entries belong to the first j factored columns.
-    theta : ndarray (k,)
-        Coefficients on raw powers of (x - c) and their covariate
-        interactions (the scaling matrix is already applied).
     theta_norm : ndarray (k,)
-        Coefficients on normalized powers u = (x-c)/h; theta_norm equals
-        scaling_diag(h) * theta.
+        Coefficients on normalized powers u = (x-c)/h.
     residuals : ndarray (m,)
         In-window residuals y_i - r(x_i - c, W_i)' theta.
     leverages : ndarray (m,)
         Diagonal of the weighted projection matrix for in-window rows: the
         squared row norms of A r_inv, the thin QR factor Q.
-    eff_n : int
-        Number of observations with positive kernel weight.
     idx : ndarray (m,)
         Row indices of in-window observations in the original sample.
     kvals : ndarray (m,)
@@ -112,20 +106,20 @@ class SideFit:
         Full sample size entering the 1/(n h) normalizations.
     p, s, d : int
         Basis layout parameters.
+
+    theta, eff_n and n_coef are derived from the fields above, so a copy
+    made by dataclasses.replace keeps them in step.
     """
 
     side: str
     h: float
-    gram: np.ndarray
     order: np.ndarray
     r: np.ndarray
     r_inv: np.ndarray
     qty: np.ndarray
-    theta: np.ndarray
     theta_norm: np.ndarray
     residuals: np.ndarray
     leverages: np.ndarray
-    eff_n: int
     idx: np.ndarray
     kvals: np.ndarray
     design: np.ndarray
@@ -134,9 +128,20 @@ class SideFit:
     s: int
     d: int
 
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Coefficients on raw powers of (x - c) and their covariate
+        interactions: theta_norm / scaling_diag(h)."""
+        return self.theta_norm / scaling_diag(self.h, self.p, self.s, self.d)
+
+    @property
+    def eff_n(self) -> int:
+        """Number of observations with positive kernel weight."""
+        return self.idx.size
+
     @property
     def n_coef(self) -> int:
-        return self.theta.shape[0]
+        return self.qty.size
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """Gram^-1 rhs (rhs may be a matrix), as r_inv r_inv' rhs."""
@@ -164,7 +169,7 @@ def _window(sample: RdSample, side: str, h: float, kernel: str):
     """Indices, scaled distances, and kernel values of one side's window."""
     view = sample.side_view(side)
     # |(x - c)/h| <= 1 implies |x - c| <= h, so this prefix holds the window
-    stop = np.searchsorted(view.dist, h * (1.0 + 1e-9), side="right")
+    stop = np.searchsorted(view.dist, h * WINDOW_SLACK, side="right")
     rows = np.sort(view.order[:stop])
     u = (sample.x[rows] - sample.cutoff) / h
     kv = kernel_eval(u, kernel)
@@ -258,16 +263,13 @@ def fit_side(
     if idx.size < k:
         raise SingularGram(side, 0.0)
 
-    wts = kv / (n * h)
-    sqw = np.sqrt(wts)
-    # column-major, so the reflectors come back as contiguous rows of hh
-    if order is None:
-        a = np.multiply(rows, sqw[:, None], order="F")
-    else:
-        # gathered straight into a, with no m x k temporary
-        a = np.take(rows, order, axis=1, out=np.empty_like(rows, order="F"),
-                    mode="clip")
-        a *= sqw[:, None]
+    order = np.arange(k) if order is None else order
+    # gathered straight into a column-major a, so the reflectors come back
+    # as contiguous rows of hh, with no m x k temporary
+    a = np.take(rows, order, axis=1, out=np.empty_like(rows, order="F"),
+                mode="clip")
+    sqw = np.sqrt(kv / (n * h))
+    a *= sqw[:, None]
     hh, tau = np.linalg.qr(a, mode="raw")
     r = np.triu(hh[:, :k].T)
     sv = np.linalg.svd(r, compute_uv=False)
@@ -282,27 +284,21 @@ def fit_side(
     r_inv = np.linalg.inv(r)
     # the reflectors are spent: A R^-1, which is Q, overwrites them
     q = np.matmul(a, r_inv, out=hh.T)
-    if order is None:
-        order = np.arange(k)
-    else:
-        # back to basis order: the columns of R, the rows of R^-1
-        back = np.argsort(order)
-        r, r_inv = r[:, back], r_inv[back]
+    # back to basis order: the columns of R, the rows of R^-1
+    back = np.argsort(order)
+    r, r_inv = r[:, back], r_inv[back]
     beta = r_inv @ qty
 
     return SideFit(
         side=side,
         h=float(h),
-        gram=(rows * wts[:, None]).T @ rows,
         order=order,
         r=r,
         r_inv=r_inv,
         qty=qty,
-        theta=beta / scaling_diag(h, p, s, sample.d),
         theta_norm=beta,
         residuals=sample.y[idx] - rows @ beta,
         leverages=np.einsum("ij,ij->i", q, q),
-        eff_n=int(idx.size),
         idx=idx,
         kvals=kv,
         design=rows,
@@ -334,12 +330,10 @@ def nested_fit(sample: RdSample, fit: SideFit, p: int, s: int) -> SideFit:
     q = (rows * sqw[:, None]) @ r_inv
     return replace(
         fit,
-        gram=fit.gram[np.ix_(cols, cols)],
         order=np.arange(k),
         r=fit.r[:k, cols],
         r_inv=r_inv,
         qty=qty,
-        theta=beta / scaling_diag(fit.h, p, s, sample.d),
         theta_norm=beta,
         residuals=sample.y[fit.idx] - rows @ beta,
         leverages=np.einsum("ij,ij->i", q, q),

@@ -49,6 +49,10 @@ __all__ = [
     "label_codes",
 ]
 
+#: relative widening of a window's radius, so rounding in |x - c| and in
+#: (x - c) / h cannot drop a row from the window
+WINDOW_SLACK = 1.0 + 1e-9
+
 
 @dataclass(frozen=True)
 class SideView:
@@ -76,6 +80,12 @@ class SideView:
     @property
     def n(self) -> int:
         return self.dist.size
+
+    def radius(self, m: int) -> float:
+        """Bandwidth whose window holds the side's m nearest rows: the m-th
+        distance widened by WINDOW_SLACK, as a Python float, so flags
+        compared against it are bools that JSON accepts."""
+        return float(self.dist[m - 1] * WINDOW_SLACK)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Independent oracles the tests check the estimator against.
 
 Each takes a different route to a quantity the package computes: a
-single-point basis builder, a window found by scanning every row,
-weighted least squares through the normal equations, a side fit through
-scipy's QR with an explicit Q, the long interacted regression whose
-blocks the two one-sided fits must reproduce, a CSV reader that takes
-every row through csv.reader, and within-cluster sums by np.add.at.
+single-point basis builder, a window found by scanning every row, a side
+fit's Gram summed over its rows, weighted least squares through the
+normal equations, a side fit through scipy's QR with an explicit Q, the
+long interacted regression whose blocks the two one-sided fits must
+reproduce, a CSV reader that takes every row through csv.reader, and
+within-cluster sums by np.add.at.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ def full_scan_window(sample: RdSample, side: str, h: float, kernel: str):
     k_all = kernel_eval(u_all, kernel)
     idx = np.flatnonzero(sample.side_mask(side) & (k_all > 0.0))
     return idx, k_all[idx] / h, u_all[idx], k_all[idx]
+
+
+def gram(fit: SideFit) -> np.ndarray:
+    """The fit's scaled Gram (1/(n h)) sum_i K(u_i) r_i r_i', summed
+    directly over its window rows; fit_side never forms it (it is r'r)."""
+    wts = fit.kvals / (fit.n_total * fit.h)
+    return (fit.design * wts[:, None]).T @ fit.design
 
 
 def oracle_wls(design: np.ndarray, weights: np.ndarray, y: np.ndarray):

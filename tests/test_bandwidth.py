@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import random_instance
+import oracles
 from oracles import interacted_basis
 
 from rdhte.bandwidth import (
@@ -148,7 +149,7 @@ def test_bias_constants_hand_assembled():
     pilot = fit_side(sample, "right", b, 2, 2, "triangular")
     t0 = pilot.theta[2]
     t1 = pilot.theta[(1 + 2) + 0 * 3 + 2]
-    gram = fit_side(sample, "right", b, 1, 1, "triangular").gram
+    gram = oracles.gram(fit_side(sample, "right", b, 1, 1, "triangular"))
     zeta, phi = _loop_moments(sample, "right", b, 1, 1, 1, "triangular")
     b0 = np.linalg.solve(gram, zeta) * t0
     b1 = np.linalg.solve(gram, phi) @ np.array([t1])
@@ -203,7 +204,7 @@ def test_variance_constants_match_brute_force():
         r = np.array([1.0, u])
         meat += kv**2 * np.outer(r, r) * fit.residuals[pos] ** 2
     meat /= n * h
-    ginv = np.linalg.inv(fit.gram)
+    ginv = np.linalg.inv(oracles.gram(fit))
     e = extractor_vector(0, 1, 1, np.zeros(0))
     expect = float(e @ ginv @ meat @ ginv.T @ e)
     assert float(e @ vc @ e) == pytest.approx(expect, rel=1e-10)
@@ -336,8 +337,10 @@ def test_bias_constants_read_main_order_blocks_of_pilot_gram(p, s):
         b = pilot_bandwidth(sample, side, p, s)
         bc = bias_constants(sample, side, p, s, "triangular", b)
         main = fit_side(sample, side, b, p, s, "triangular")
-        pilot_gram = bc.pilot_fit.gram
-        np.testing.assert_array_equal(pilot_gram[np.ix_(sub, sub)], main.gram)
+        pilot_gram = oracles.gram(bc.pilot_fit)
+        np.testing.assert_array_equal(
+            pilot_gram[np.ix_(sub, sub)], oracles.gram(main)
+        )
 
         zeta, _ = moment_vectors(sample, side, b, p, s, p, "triangular")
         _, phi = moment_vectors(sample, side, b, p, s, s, "triangular")
@@ -357,7 +360,7 @@ def test_bias_constants_read_main_order_blocks_of_pilot_gram(p, s):
         # agree with the main-order Gram solved against the Gram block
         expect = np.zeros_like(bc.routes)
         expect[top] = np.linalg.solve(
-            main.gram, pilot_gram[np.ix_(sub, top)]
+            oracles.gram(main), pilot_gram[np.ix_(sub, top)]
         ).T
         np.testing.assert_allclose(
             bc.routes, expect, rtol=0, atol=1e-12 * np.abs(expect).max()
@@ -372,6 +375,31 @@ def _assert_close(actual, desired, rel=1e-12):
     np.testing.assert_allclose(
         actual, desired, rtol=0, atol=rel * np.abs(desired).max()
     )
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("p,s", [(1, 1), (2, 1), (1, 2)])
+def test_ordered_fit_equals_basis_order_fit(p, s, d):
+    # the pilot fit factors the main-order columns first: a permuted order
+    # whenever there are covariates, the basis order when d = 0
+    sample = random_instance(71 + d, n=600, d=d, binary=False)
+    for side in ("left", "right"):
+        b = pilot_bandwidth(sample, side, p, s)
+        pilot = bias_constants(sample, side, p, s, "triangular", b).pilot_fit
+        assert sorted(pilot.order) == list(range(pilot.n_coef))
+        if d:
+            assert list(pilot.order) != list(range(pilot.n_coef))
+        g = oracles.gram(pilot)
+        _assert_close(pilot.r.T @ pilot.r, g)
+        # a forward error of Gram^-1 Gram, so bounded by cond(Gram) eps; at
+        # cond ~ 7e4 it exceeds 1e-12 in the basis-order fit too
+        np.testing.assert_allclose(
+            pilot.solve_gram(g), np.eye(pilot.n_coef), rtol=0,
+            atol=np.linalg.cond(g) * np.finfo(float).eps,
+        )
+        plain = fit_side(sample, side, b, p + 1, s + 1, "triangular")
+        for name in ("theta_norm", "residuals", "leverages"):
+            _assert_close(getattr(pilot, name), getattr(plain, name))
 
 
 @pytest.mark.parametrize("kernel", ["triangular", "uniform", "epanechnikov"])
@@ -395,17 +423,18 @@ def test_main_fit_read_off_pilot_equals_standalone_fit(p, s, d, kernel):
         np.testing.assert_array_equal(nested.idx, alone.idx)
         assert nested.eff_n == alone.eff_n
         assert (nested.p, nested.s, nested.h) == (p, s, b)
-        for name in ("theta_norm", "theta", "residuals", "leverages", "gram"):
+        for name in ("theta_norm", "theta", "residuals", "leverages"):
             _assert_close(getattr(nested, name), getattr(alone, name))
+        _assert_close(oracles.gram(nested), oracles.gram(alone))
         # the factor and its inverse agree with the fit's own Gram
         np.testing.assert_allclose(
             nested.r_inv @ nested.r, np.eye(alone.n_coef), atol=1e-12
         )
-        _assert_close(nested.r.T @ nested.r, alone.gram)
+        _assert_close(nested.r.T @ nested.r, oracles.gram(alone))
 
         # the routes equal the main-order Gram solved against the pilot
         # Gram's top columns, as they were computed before
-        gram = bc.pilot_fit.gram
+        gram = oracles.gram(bc.pilot_fit)
         expect = np.zeros_like(bc.routes)
         expect[top] = np.linalg.solve(
             gram[np.ix_(main_pos, main_pos)], gram[np.ix_(main_pos, top)]
