@@ -9,7 +9,9 @@ point estimate, interval, and p-value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +26,13 @@ from .bandwidth import (
 from .basis import extractor_vector
 from .errors import DimensionMismatch, NonFinite
 from .fitting import SideFit, fit_side
-from .inference import SideForms, ci_pvalue, side_forms
+from .inference import (
+    ContrastForms,
+    SideForms,
+    ci_pvalue,
+    contrast_forms,
+    side_forms,
+)
 from .model import FitSpec, RdSample, Select
 
 __all__ = [
@@ -107,7 +115,10 @@ class HteResult:
     at the requested derivative order; records hold the default report set
     plus any requested evaluation points. The pilot fits are those of the
     bias constants. forms_left/forms_right hold each side's variance
-    quadratic forms; with them every further record costs O(k^2).
+    quadratic forms. Records read them combined over both sides into one
+    k x k form per derivative order (inference.ContrastForms), built on
+    first use and cached, so every further record costs four dot
+    products, O(k^2).
     """
 
     sample: RdSample
@@ -144,6 +155,22 @@ class HteResult:
     def eff_n(self) -> int:
         return self.left.eff_n + self.right.eff_n
 
+    @cached_property
+    def _forms_by_nu(self) -> dict:
+        return {}
+
+    def _contrast_forms(self, nu: int) -> ContrastForms:
+        """Both sides' fits and forms combined for a valid order nu."""
+        by_nu = self._forms_by_nu
+        if nu not in by_nu:
+            by_nu[nu] = contrast_forms(
+                (self.forms_left, self.forms_right),
+                (self.left.theta, self.right.theta),
+                (self.bias_left.bias, self.bias_right.bias),
+                nu,
+            )
+        return by_nu[nu]
+
     def record(self, label: str) -> EstimandRecord:
         """Look up a record by its label."""
         for rec in self.records:
@@ -160,27 +187,23 @@ def _make_record(
     nu: int,
     extrapolated: bool,
 ) -> EstimandRecord:
-    spec, left, right = result.spec, result.left, result.right
-    forms = (result.forms_left, result.forms_right)
-    p, s = spec.p, spec.s
-    evec = extractor_vector(nu, p, s, w, lead=lead)
-    point = float(evec @ (right.theta - left.theta))
-    var = sum(side.variance(evec, nu) for side in forms)
-    power = 1 + min(p, s) - nu
-    bias_term = right.h**power * result.bias_right.contraction(
-        evec
-    ) - left.h**power * result.bias_left.contraction(evec)
+    spec = result.spec
+    evec = extractor_vector(nu, spec.p, spec.s, w, lead=lead)
+    forms = result._contrast_forms(nu)
+    point = float(evec @ forms.jump)
+    var = float(evec @ forms.plugin @ evec)
+    bias_term = float(evec @ forms.bias)
     rbc = point - bias_term
-    rbc_var = sum(side.rbc_variance(evec, nu) for side in forms)
-    rbc_se = float(np.sqrt(max(rbc_var, 0.0)))
+    rbc_var = float(evec @ forms.rbc @ evec)
+    rbc_se = math.sqrt(max(rbc_var, 0.0))
     lo, hi, z, p_val, zero = ci_pvalue(rbc, rbc_se, spec.level)
     return EstimandRecord(
         label=label,
         lead=float(lead),
-        w=tuple(float(v) for v in np.atleast_1d(w)),
+        w=tuple(w.tolist()),
         nu=nu,
         point=point,
-        se=float(np.sqrt(max(var, 0.0))),
+        se=math.sqrt(max(var, 0.0)),
         variance=var,
         bias_estimate=bias_term,
         rbc_point=rbc,
@@ -194,8 +217,8 @@ def _make_record(
         zero_se=zero,
         extrapolated=extrapolated,
         eff_n=result.eff_n,
-        h_left=left.h,
-        h_right=right.h,
+        h_left=result.h_left,
+        h_right=result.h_right,
     )
 
 
@@ -223,17 +246,21 @@ def _cate_point(d: int, w) -> tuple[str, np.ndarray]:
         raise DimensionMismatch(
             f"evaluation point has {w_arr.size} entries, expected {d}"
         )
-    pretty = ", ".join(f"{v:g}" for v in w_arr)
-    if not np.isfinite(w_arr).all():
+    vals = w_arr.tolist()
+    pretty = ", ".join(f"{v:g}" for v in vals)
+    if not all(map(math.isfinite, vals)):
         raise NonFinite(-1, f"evaluation point w=({pretty})")
     return f"CATE at w=({pretty})", w_arr
 
 
 def _is_extrapolated(sample: RdSample, w: np.ndarray) -> bool:
+    """True iff some coordinate of w lies outside the observed [min, max]."""
     if sample.w_range is None:
         return False
-    lo, hi = sample.w_range
-    return bool(np.any(w < lo) or np.any(w > hi))
+    lo, hi = (bound.tolist() for bound in sample.w_range)
+    return any(
+        v < a or v > b for v, a, b in zip(w.tolist(), lo, hi, strict=True)
+    )
 
 
 def fit_hte(
@@ -334,7 +361,10 @@ def fit_hte(
         _make_record(result, label, lead, w, nu, extrap)
         for label, lead, w, extrap in plan
     )
-    return replace(result, records=records)
+    final = replace(result, records=records)
+    # same fits and forms, so the contraction forms carry over
+    final._forms_by_nu.update(result._forms_by_nu)
+    return final
 
 
 def cate_at(result: HteResult, w) -> EstimandRecord:

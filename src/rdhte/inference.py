@@ -27,12 +27,17 @@ pilot fit's top coefficients, on the bias contraction; D weights squared
 pilot-surface residuals by the selected HC weights of the pilot
 leverages (cluster: the rows of A are summed within clusters instead).
 The bias-corrected contrast e'theta - h^(1+q-nu) bias(e) then has
-variance e~' R e~ with e~ = [e; -h^(1+q-nu) e], so one R serves every
-derivative order nu, and each estimand costs O(k^2) once the forms exist.
+variance e~' R e~ with e~ = [e; -c e] and c = h^(1+q-nu), which is
+e' (R11 - c (R12 + R21) + c^2 R22) e in the k x k blocks of R, so one R
+serves every derivative order nu. contrast_forms sums, over the two
+sides, these k x k blocks, the scaled plug-in forms and the scaled bias
+vectors once per derivative order; each record is then four dot
+products, O(k^2) whatever the sample size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -50,6 +55,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SideForms",
+    "ContrastForms",
     "VarianceEstimate",
     "hc_weights",
     "meat_matrix",
@@ -57,6 +63,7 @@ __all__ = [
     "plugin_form",
     "rbc_form",
     "side_forms",
+    "contrast_forms",
     "coef_variance",
     "rbc_variance",
     "ci_pvalue",
@@ -283,9 +290,11 @@ def rbc_form(
     return a.T @ a
 
 
-def _rbc_extractor(extractor: np.ndarray, h: float, q: int, nu: int):
-    """[e; -h^(1+q-nu) e], the bias-corrected form's extractor."""
-    return np.concatenate([extractor, -(h ** (1 + q - nu)) * extractor])
+def _rbc_block_sum(rbc: np.ndarray, c: float) -> np.ndarray:
+    """R11 - c (R12 + R21) + c^2 R22: the k x k form whose contraction
+    e' (.) e is that of [e; -c e] against the 2k x 2k form R."""
+    k = rbc.shape[0] // 2
+    return rbc[:k, :k] - c * (rbc[:k, k:] + rbc[k:, :k]) + c * c * rbc[k:, k:]
 
 
 @dataclass(frozen=True)
@@ -293,8 +302,10 @@ class SideForms:
     """One side's plug-in and bias-corrected variance quadratic forms.
 
     plugin is plugin_form's k x k matrix and rbc is rbc_form's 2k x 2k
-    matrix; h, n_total and q = min(p, s) turn their contractions into the
-    side's variances at any derivative order nu.
+    matrix; h, n_total and q = min(p, s) scale them to the side's
+    variances at a derivative order nu. Records do not contract them one
+    side at a time: contrast_forms combines both sides into one k x k
+    form per derivative order.
     """
 
     plugin: np.ndarray
@@ -303,16 +314,23 @@ class SideForms:
     n_total: int
     q: int
 
-    def variance(self, extractor: np.ndarray, nu: int) -> float:
-        """Plug-in variance of the side's extractor'theta."""
-        return float(extractor @ self.plugin @ extractor) / (
-            self.n_total * self.h ** (2 * nu + 1)
-        )
 
-    def rbc_variance(self, extractor: np.ndarray, nu: int) -> float:
-        """Variance of the side's bias-corrected extractor'theta."""
-        ext = _rbc_extractor(extractor, self.h, self.q, nu)
-        return float(ext @ self.rbc @ ext)
+@dataclass(frozen=True)
+class ContrastForms:
+    """Right-minus-left contraction forms at one derivative order nu.
+
+    For an extractor e: the point estimate is e' jump, the bias estimate
+    e' bias, the plug-in variance e' plugin e and the bias-corrected
+    variance e' rbc e. jump is theta_right - theta_left; bias is
+    sum_s +-c_s bias_s with c_s = h_s^(1+q-nu); plugin is
+    sum_s P_s / (n h_s^(2 nu + 1)); rbc is
+    sum_s R11 - c_s (R12 + R21) + c_s^2 R22 over the blocks of R_s.
+    """
+
+    jump: np.ndarray
+    bias: np.ndarray
+    plugin: np.ndarray
+    rbc: np.ndarray
 
 
 def side_forms(
@@ -325,6 +343,29 @@ def side_forms(
         h=fit.h,
         n_total=fit.n_total,
         q=min(fit.p, fit.s),
+    )
+
+
+def contrast_forms(
+    forms: tuple[SideForms, SideForms],
+    thetas: tuple[np.ndarray, np.ndarray],
+    biases: tuple[np.ndarray, np.ndarray],
+    nu: int,
+) -> ContrastForms:
+    """Combine both sides into the ContrastForms of derivative order nu.
+
+    forms, thetas and biases are (left, right) pairs of each side's
+    variance forms, coefficients and main-order bias vector
+    (BiasConstants.bias).
+    """
+    scale = [f.h ** (1 + f.q - nu) for f in forms]
+    plugin = [f.plugin / (f.n_total * f.h ** (2 * nu + 1)) for f in forms]
+    rbc = [_rbc_block_sum(f.rbc, c) for f, c in zip(forms, scale)]
+    return ContrastForms(
+        jump=thetas[1] - thetas[0],
+        bias=scale[1] * biases[1] - scale[0] * biases[0],
+        plugin=plugin[0] + plugin[1],
+        rbc=rbc[0] + rbc[1],
     )
 
 
@@ -396,8 +437,8 @@ def rbc_variance(
     total = 0.0
     for fit, bias in ((left, bias_left), (right, bias_right)):
         form = rbc_form(sample, fit, bias, vce)
-        ext = _rbc_extractor(extractor, fit.h, min(fit.p, fit.s), nu)
-        total += float(ext @ form @ ext)
+        block = _rbc_block_sum(form, fit.h ** (1 + min(fit.p, fit.s) - nu))
+        total += float(extractor @ block @ extractor)
     return total
 
 
@@ -418,7 +459,7 @@ def ci_pvalue(rbc_point_val: float, rbc_se: float, level: float):
         p_val = 0.0 if rbc_point_val != 0.0 else 1.0
         z = math.copysign(math.inf, rbc_point_val) if rbc_point_val else 0.0
         return rbc_point_val, rbc_point_val, z, p_val, True
-    crit = _STD_NORMAL.inv_cdf(1.0 - (1.0 - level) / 2.0)
+    crit = _critical_value(level)
     z = rbc_point_val / rbc_se
     # 2 Phi(-|z|) = erfc(|z|/sqrt 2), without the cancellation of 1 - Phi
     p_val = math.erfc(abs(z) / math.sqrt(2.0))
@@ -429,3 +470,9 @@ def ci_pvalue(rbc_point_val: float, rbc_se: float, level: float):
         p_val,
         False,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _critical_value(level: float) -> float:
+    """Two-sided standard normal critical value of a confidence level."""
+    return _STD_NORMAL.inv_cdf(1.0 - (1.0 - level) / 2.0)

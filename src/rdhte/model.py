@@ -203,8 +203,10 @@ def _quantile(x: np.ndarray, sorter: np.ndarray, q: float) -> float:
 
 
 def is_binary(values) -> bool:
-    """True iff every value is 0 or 1."""
-    return bool(np.isin(np.unique(values), (0.0, 1.0)).all())
+    """True iff every value is 0 or 1: -0.0 counts as 0, NaN as neither,
+    and an empty column is binary."""
+    v = np.asarray(values)
+    return bool(((v == 0) | (v == 1)).all())
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -312,6 +312,24 @@ def test_extrapolation_flagged_outside_observed_range():
     assert result.record("CATE at w=(2)").extrapolated
     assert not cate_at(result, [0.25]).extrapolated
     assert cate_at(result, [-0.5]).extrapolated
+    # the observed range is closed: its ends are in, the next floats out
+    lo, hi = float(w.min()), float(w.max())
+    assert not cate_at(result, [lo]).extrapolated
+    assert not cate_at(result, [hi]).extrapolated
+    assert cate_at(result, [np.nextafter(lo, -np.inf)]).extrapolated
+    assert cate_at(result, [np.nextafter(hi, np.inf)]).extrapolated
+
+    # d = 2: one coordinate out of range is enough
+    w2 = np.column_stack([w[:, 0], rng.uniform(-1.0, 1.0, n)])
+    result2 = fit_hte(
+        validate_sample(y, x, 0.0, w2), FitSpec(bandwidth=Common(0.7))
+    )
+    (lo1, lo2), (hi1, hi2) = w2.min(axis=0), w2.max(axis=0)
+    assert not cate_at(result2, [lo1, hi2]).extrapolated
+    assert not cate_at(result2, [0.5, 0.0]).extrapolated
+    assert cate_at(result2, [0.5, np.nextafter(hi2, np.inf)]).extrapolated
+    assert cate_at(result2, [np.nextafter(lo1, -np.inf), 0.0]).extrapolated
+    assert cate_at(result2, [2.0, 0.0]).extrapolated
 
 
 def _count_calls(monkeypatch, module, name):
@@ -392,6 +410,7 @@ def test_records_cost_no_window_work(monkeypatch, vce):
         name: _count_calls(monkeypatch, "inference", name)
         for name in ("plugin_form", "rbc_form")
     }
+    combined = _count_calls(monkeypatch, "inference", "contrast_forms")
     # once per side, however many records the fit reports
     at = [(v,) for v in np.linspace(-1.0, 1.0, 25)]
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.5), vce=vce), at=at)
@@ -405,7 +424,11 @@ def test_records_cost_no_window_work(monkeypatch, vce):
     ]
     for w in np.linspace(-1.0, 1.0, 50):
         cate_at(result, [w])
+    # the fit's combined forms serve its 27 records and every cate_at
+    assert len(combined) == 1
     contrast(result, Selector(np.array([0.0, 1.0]), nu=1))
+    # one more for the new derivative order
+    assert len(combined) == 2
     assert all(calls == [] for calls in work)
     assert all(len(c) == 2 for c in form_calls.values())
 

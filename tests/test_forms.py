@@ -41,17 +41,27 @@ def oracle_sample(d, seed, n=500):
     return validate_sample(y, x, 0.0, w if d else None, cluster)
 
 
-@pytest.mark.parametrize("d", [0, 1, 3])
+# uneven (p, s) make the pilot order (p+1, s+1) uneven too, so the bias
+# routes and the RBC form's blocks differ from the (1, 1) layout; the
+# (1, 1) cases keep the bare d ids they had before the orders were added
+ORDERS = [(d, p, s) for p, s in ((1, 1), (2, 1), (1, 2)) for d in (0, 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "d, p, s",
+    ORDERS,
+    ids=[str(d) if p == s == 1 else f"{d}-p{p}s{s}" for d, p, s in ORDERS],
+)
 @pytest.mark.parametrize("kernel", ["triangular", "uniform", "epanechnikov"])
 @pytest.mark.parametrize("vce", ["hc0", "hc1", "hc2", "hc3", "cluster"])
-def test_forms_match_per_record_oracle(vce, kernel, d):
+def test_forms_match_per_record_oracle(vce, kernel, d, p, s):
     sample = oracle_sample(d, seed=31 + d)
-    pilots = [pilot_bandwidth(sample, side, 1, 1) for side in ("left", "right")]
+    pilots = [pilot_bandwidth(sample, side, p, s) for side in ("left", "right")]
     w_pt = np.full(d, 0.5)
     for nu in (0, 1):
         for ratio in (0.6, 1.6):
             spec = FitSpec(
-                nu=nu, kernel=kernel, vce=vce,
+                p=p, s=s, nu=nu, kernel=kernel, vce=vce,
                 bandwidth=Fixed(ratio * pilots[0], ratio * pilots[1]),
             )
             result = fit_hte(sample, spec, at=[w_pt] if d else None)
@@ -71,7 +81,7 @@ def test_forms_match_per_record_oracle(vce, kernel, d):
                 records.append(cate_at(result, -w_pt))
             for rec in records:
                 evec = extractor_vector(
-                    rec.nu, 1, 1, np.array(rec.w), lead=rec.lead
+                    rec.nu, p, s, np.array(rec.w), lead=rec.lead
                 )
                 var, rbc = per_record_variances(
                     sample, sides, evec, rec.nu, vce, sample.cluster

@@ -26,6 +26,7 @@ from rdhte.model import (
     FitSpec,
     Select,
     expand_covariates,
+    is_binary,
     label_codes,
     validate_sample,
 )
@@ -234,6 +235,26 @@ def test_binary_passthrough_and_rejection():
         expand_covariates(
             {"t": [0.0, 2.0]}, CovariateSpec((ColumnSpec("t", "binary"),))
         )
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([0.0, 1.0, 1.0, 0.0], True),
+        ([-0.0, 1.0], True),
+        ([-0.0], True),
+        (np.empty(0), True),
+        (np.array([0, 1, 1]), True),
+        ([np.nan], False),
+        ([0.0, 1.0, np.nan], False),
+        ([0.0, 0.5], False),
+        ([2.0, 1.0], False),
+    ],
+)
+def test_is_binary_matches_the_sorted_set_test(values, expected):
+    # the one-pass test agrees with membership of the sorted distinct values
+    assert is_binary(values) is expected
+    assert bool(np.isin(np.unique(values), (0.0, 1.0)).all()) is expected
 
 
 def test_quantile_bins_frozen_quartiles():
