@@ -5,11 +5,18 @@ The two one-sided fits are mapped to the long-form coefficient vector
 mapping matrix; every reported estimand is a linear functional of that
 vector, carrying a plug-in standard error and a robust bias-corrected
 point estimate, interval, and p-value.
+
+The two sides meet only in bandwidth selection and in the final contrast,
+so on large samples fit_hte runs each side's stages on its own thread
+(numpy releases the GIL in the heavy calls); both paths run the same
+per-side code, so results are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -44,6 +51,11 @@ __all__ = [
     "cate_at",
     "contrast",
 ]
+
+#: rows the smaller side must hold for fit_hte to fit the two sides on two
+#: threads; on smaller windows the GIL handoffs between many short numpy
+#: calls cost more than the overlap saves
+PARALLEL_MIN_SIDE_ROWS = 200_000
 
 
 def long_map_matrix(p: int, s: int, d: int, nu: int) -> np.ndarray:
@@ -263,6 +275,39 @@ def _is_extrapolated(sample: RdSample, w: np.ndarray) -> bool:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _both_sides(fn, threaded: bool) -> tuple:
+    """(fn("left"), fn("right")). Threaded, the right side runs on a worker
+    thread that is joined before anything returns or raises; the left
+    side's error wins, as in a left-then-right loop."""
+    if not threaded:
+        return fn("left"), fn("right")
+    right = []
+
+    def work():
+        try:
+            right.append((fn("right"), None))
+        except BaseException as exc:
+            right.append((None, exc))
+
+    worker = threading.Thread(target=work, name="rdhte-right-side")
+    worker.start()
+    try:
+        left = fn("left")
+    finally:
+        worker.join()
+    value, exc = right[0]
+    if exc is not None:
+        raise exc
+    return left, value
+
+
 def fit_hte(
     sample: RdSample,
     spec: FitSpec,
@@ -274,8 +319,13 @@ def fit_hte(
 
     Runs each side's pilot stage, resolves bandwidths (MSE-optimal
     selection when the specification asks for it), fits the interacted
-    local polynomial on each side, and builds the default estimand report
-    plus any requested covariate evaluation points.
+    local polynomial on each side with its variance forms, and builds the
+    default estimand report plus any requested covariate evaluation points.
+
+    When the smaller side holds at least PARALLEL_MIN_SIDE_ROWS rows and
+    the process may use two or more CPUs, each stage runs the right side on
+    a worker thread, joined before the stage ends. The result is
+    bit-identical to the serial one, and the left side's error wins.
 
     Parameters
     ----------
@@ -315,21 +365,35 @@ def fit_hte(
     if len(kinds) != d:
         raise DimensionMismatch(f"expected {d} kinds, got {len(kinds)}")
 
-    bias_left, bias_right = (
-        bias_constants(
-            sample, side, p, s, kernel, pilot_bandwidth(sample, side, p, s)
-        )
-        for side in ("left", "right")
+    # reading SideView.n builds both side views on this thread before any
+    # worker starts: cached_property takes no lock from Python 3.12 on
+    threaded = (
+        min(sample.side_view(side).n for side in ("left", "right"))
+        >= PARALLEL_MIN_SIDE_ROWS
+        and _usable_cpus() >= 2
     )
+
+    def pilot_stage(side: str) -> BiasConstants:
+        b = pilot_bandwidth(sample, side, p, s)
+        return bias_constants(sample, side, p, s, kernel, b)
+
+    bias_left, bias_right = _both_sides(pilot_stage, threaded)
     selection: Optional[BandwidthSelection] = None
     if isinstance(spec.bandwidth, Select):
         selection = mse_bandwidth(sample, spec, bias_left, bias_right)
         h_left, h_right = selection.h_left, selection.h_right
     else:
         h_left, h_right = spec.resolved_bandwidths()
+    stage = {"left": (h_left, bias_left), "right": (h_right, bias_right)}
 
-    left = fit_side(sample, "left", h_left, p, s, kernel)
-    right = fit_side(sample, "right", h_right, p, s, kernel)
+    def main_stage(side: str) -> tuple[SideFit, SideForms]:
+        h, bias = stage[side]
+        fit = fit_side(sample, side, h, p, s, kernel)
+        return fit, side_forms(sample, fit, bias, vce)
+
+    (left, forms_left), (right, forms_right) = _both_sides(
+        main_stage, threaded
+    )
 
     stacked = np.concatenate([left.theta, right.theta])
     varsigma = long_map_matrix(p, s, d, nu) @ stacked
@@ -349,8 +413,8 @@ def fit_hte(
         right=right,
         bias_left=bias_left,
         bias_right=bias_right,
-        forms_left=side_forms(sample, left, bias_left, vce),
-        forms_right=side_forms(sample, right, bias_right, vce),
+        forms_left=forms_left,
+        forms_right=forms_right,
         selection=selection,
         varsigma=varsigma,
         labels=labels,

@@ -277,8 +277,9 @@ def fit_side(
     if rcond < RCOND_MIN:
         raise SingularGram(side, rcond)
 
+    y = sample.y[idx]
     # a copy, so the fit does not hold the m-vector it was rotated in
-    qty = _apply_qt(hh, tau, sqw * sample.y[idx])[:k].copy()
+    qty = _apply_qt(hh, tau, sqw * y)[:k].copy()
     # R is upper triangular, so the LU inside inv pivots on its diagonal
     # and reduces to back substitution
     r_inv = np.linalg.inv(r)
@@ -288,6 +289,8 @@ def fit_side(
     back = np.argsort(order)
     r, r_inv = r[:, back], r_inv[back]
     beta = r_inv @ qty
+    # the gathered outcome becomes the residuals in place
+    y -= rows @ beta
 
     return SideFit(
         side=side,
@@ -297,7 +300,7 @@ def fit_side(
         r_inv=r_inv,
         qty=qty,
         theta_norm=beta,
-        residuals=sample.y[idx] - rows @ beta,
+        residuals=y,
         leverages=np.einsum("ij,ij->i", q, q),
         idx=idx,
         kvals=kv,
