@@ -23,7 +23,7 @@ main order, and a fixed-bandwidth fit never builds the main-order fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,11 +76,12 @@ def moment_vectors(
     """
     if a < 0:
         raise ValueError("moment order a must be >= 0")
-    rows, _, idx, u, kv = side_design(sample, side, h, p, s, kernel)
+    rows, kv, idx = side_design(sample, side, h, p, s, kernel)
     k_dim = n_params(p, s, sample.d)
     n = sample.n
     if idx.size == 0:
         return np.zeros(k_dim), np.zeros((k_dim, sample.d))
+    u = (sample.x[idx] - sample.cutoff) / h
     common = kv / (n * h) * u ** (a + 1)
     zeta = rows.T @ common
     phi = (rows * common[:, None]).T @ sample.w[idx]
@@ -131,28 +132,16 @@ class BiasConstants:
     split as [[R11, R12], [0, R22]] the main-order Gram is R11'R11 and
     [zeta, phi] is R11' times the top columns of R12: the routes are
     R11^-1 R12 there, a product with the stored R^-1, and no Gram is
-    formed or solved. main_fit, the main-order fit at the pilot bandwidth,
-    is read off the same factorization on first use only.
+    formed or solved. An extractor e contracts the bias as e' bias.
     """
 
     pilot_fit: SideFit
     routes: np.ndarray
-    sample: RdSample = field(repr=False)
 
     @cached_property
     def bias(self) -> np.ndarray:
         """Main-order bias vector routes' pilot_fit.theta."""
         return self.routes.T @ self.pilot_fit.theta
-
-    @cached_property
-    def main_fit(self) -> SideFit:
-        """The main-order (p, s) fit at the pilot bandwidth (nested_fit)."""
-        pilot = self.pilot_fit
-        return nested_fit(self.sample, pilot, pilot.p - 1, pilot.s - 1)
-
-    def contraction(self, extractor: np.ndarray) -> float:
-        """Bias contraction for a given extractor vector."""
-        return float(extractor @ self.bias)
 
 
 def bias_constants(
@@ -199,20 +188,24 @@ def bias_constants(
     k = main.size
     routes = np.zeros((order.size, k))
     routes[top] = (pilot_fit.r_inv[main, :k] @ pilot_fit.r[:k, top]).T
-    return BiasConstants(pilot_fit=pilot_fit, routes=routes, sample=sample)
+    return BiasConstants(pilot_fit=pilot_fit, routes=routes)
 
 
-def variance_constants(bias: BiasConstants, vce: str) -> np.ndarray:
+def variance_constants(
+    sample: RdSample, bias: BiasConstants, vce: str
+) -> np.ndarray:
     """Plug-in variance matrix of one side at its pilot bandwidth.
 
-    Returns inference.plugin_form of bias.main_fit, the main-order fit at
-    the pilot bandwidth read off the pilot's factorization: the k x k
+    Returns inference.plugin_form of the main-order fit at the pilot
+    bandwidth, read off the pilot's factorization by nested_fit: the k x k
     matrix f Gram^-1 meat Gram^-1, its meat weighted by the requested HC
     kind or summed within the sample's clusters, so the selector and the
     reported plug-in variances share one definition. An extractor e
     contracts it as e' M e.
     """
-    return plugin_form(bias.main_fit, vce, bias.sample.cluster)
+    pilot = bias.pilot_fit
+    main = nested_fit(sample, pilot, pilot.p - 1, pilot.s - 1)
+    return plugin_form(main, vce, sample.cluster)
 
 
 @dataclass(frozen=True)
@@ -220,11 +213,10 @@ class BandwidthSelection:
     """Outcome of MSE-optimal bandwidth selection.
 
     Carries the selected bandwidths, the variance and bias contractions
-    they were derived from (the pilot stage is the caller's), and a
+    they were derived from (pilot stage and mode are the caller's), and a
     degeneracy flag set when the bias denominator needed regularization.
     """
 
-    mode: str
     h_left: float
     h_right: float
     v_left: float
@@ -258,8 +250,8 @@ def mse_bandwidth(
         Supplies p, s, nu, the variance kind, and the mode ("one_sided" or
         "two_sided"); spec.bandwidth must be a Select.
     bias_left, bias_right : BiasConstants
-        Each side's pilot stage; the variance is that of its main_fit, at
-        pilot_fit.h.
+        Each side's pilot stage; the variance is that of the main-order
+        fit at pilot_fit.h (variance_constants).
 
     Returns
     -------
@@ -280,9 +272,9 @@ def mse_bandwidth(
     pilots, v_val, b_val = {}, {}, {}
     for sd, bias in zip(sides, (bias_left, bias_right)):
         pilots[sd] = bias.pilot_fit.h
-        vmat = variance_constants(bias, vce)
+        vmat = variance_constants(sample, bias, vce)
         v_val[sd] = float(extractor @ vmat @ extractor)
-        b_val[sd] = bias.contraction(extractor)
+        b_val[sd] = float(extractor @ bias.bias)
 
     factor = (1 + 2 * nu) / (2.0 * (1 + q - nu) * n)
     expo = 1.0 / (3 + 2 * q)
@@ -325,7 +317,6 @@ def mse_bandwidth(
         h_left = h_right = h_common
 
     return BandwidthSelection(
-        mode=mode,
         h_left=h_left,
         h_right=h_right,
         v_left=v_val["left"],

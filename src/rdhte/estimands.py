@@ -31,7 +31,7 @@ from .bandwidth import (
     pilot_bandwidth,
 )
 from .basis import extractor_vector
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, InvalidSetting, NonFinite
 from .fitting import SideFit, fit_side
 from .inference import (
     ContrastForms,
@@ -40,7 +40,7 @@ from .inference import (
     contrast_forms,
     side_forms,
 )
-from .model import FitSpec, RdSample, Select
+from .model import FitSpec, RdSample, Select, _as_order
 
 __all__ = [
     "Selector",
@@ -88,8 +88,10 @@ class Selector:
     def __post_init__(self):
         vec = np.atleast_1d(np.asarray(self.vector, dtype=float))
         object.__setattr__(self, "vector", vec)
+        if self.nu is not None:
+            object.__setattr__(self, "nu", _as_order("nu", self.nu))
         if not self.label:
-            raise ValueError("selector label must be nonempty")
+            raise InvalidSetting("selector label must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -123,10 +125,11 @@ class EstimandRecord:
 class HteResult:
     """Paired side fits with the derived heterogeneity estimands.
 
-    varsigma stacks the baseline jump and the covariate-coefficient jumps
-    at the requested derivative order; records hold the default report set
-    plus any requested evaluation points. The pilot fits are those of the
-    bias constants. forms_left/forms_right hold each side's variance
+    varsigma, derived from left and right on first use, stacks the
+    baseline jump and the covariate-coefficient jumps at the requested
+    derivative order; records hold the default report set plus any
+    requested evaluation points. The pilot fits are those of the bias
+    constants. forms_left/forms_right hold each side's variance
     quadratic forms. Records read them combined over both sides into one
     k x k form per derivative order (inference.ContrastForms), built on
     first use and cached, so every further record costs four dot
@@ -142,7 +145,6 @@ class HteResult:
     forms_left: SideForms
     forms_right: SideForms
     selection: Optional[BandwidthSelection]
-    varsigma: np.ndarray
     records: tuple[EstimandRecord, ...] = field(default_factory=tuple)
     labels: tuple[str, ...] = ()
     kinds: tuple[str, ...] = ()
@@ -168,6 +170,12 @@ class HteResult:
         return self.left.eff_n + self.right.eff_n
 
     @cached_property
+    def varsigma(self) -> np.ndarray:
+        spec, d = self.spec, self.sample.d
+        stacked = np.concatenate([self.left.theta, self.right.theta])
+        return long_map_matrix(spec.p, spec.s, d, spec.nu) @ stacked
+
+    @cached_property
     def _forms_by_nu(self) -> dict:
         return {}
 
@@ -176,8 +184,8 @@ class HteResult:
         by_nu = self._forms_by_nu
         if nu not in by_nu:
             by_nu[nu] = contrast_forms(
+                (self.left, self.right),
                 (self.forms_left, self.forms_right),
-                (self.left.theta, self.right.theta),
                 (self.bias_left.bias, self.bias_right.bias),
                 nu,
             )
@@ -395,9 +403,6 @@ def fit_hte(
         main_stage, threaded
     )
 
-    stacked = np.concatenate([left.theta, right.theta])
-    varsigma = long_map_matrix(p, s, d, nu) @ stacked
-
     plan = [
         (label, lead, w, False)
         for label, lead, w in _default_plan(d, nu, labels, kinds)
@@ -416,7 +421,6 @@ def fit_hte(
         forms_left=forms_left,
         forms_right=forms_right,
         selection=selection,
-        varsigma=varsigma,
         labels=labels,
         kinds=kinds,
     )
@@ -463,7 +467,7 @@ def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
     if not np.isfinite(vec).all():
         pretty = ", ".join(f"{v:g}" for v in vec)
         raise NonFinite(-1, f"selector ({pretty})")
-    nu = result.spec.nu if selector.nu is None else int(selector.nu)
+    nu = result.spec.nu if selector.nu is None else selector.nu
     return _make_record(
         result, selector.label, float(vec[0]), vec[1:].copy(), nu, False
     )

@@ -152,17 +152,13 @@ class SideDesign(NamedTuple):
     """Design rows and kernel values of one side's window.
 
     rows : ndarray (m, k), interacted basis at (u_i, W_i)
-    weights : ndarray (m,), K(u_i)/h (strictly positive)
+    kvals : ndarray (m,), kernel values K(u_i) (strictly positive)
     idx : ndarray (m,), original row indices, ascending
-    u : ndarray (m,), scaled distances (x_i - c)/h
-    kvals : ndarray (m,), kernel values K(u_i)
     """
 
     rows: np.ndarray
-    weights: np.ndarray
-    idx: np.ndarray
-    u: np.ndarray
     kvals: np.ndarray
+    idx: np.ndarray
 
 
 def _window(sample: RdSample, side: str, h: float, kernel: str):
@@ -185,7 +181,7 @@ def side_design(
     Returns
     -------
     SideDesign
-        (rows, weights, idx, u, kvals); see SideDesign.
+        (rows, kvals, idx); see SideDesign.
 
     A bandwidth that is not finite and > 0 raises NonPositiveBandwidth.
     The window may be empty (zero rows). A boundary observation with
@@ -196,7 +192,7 @@ def side_design(
         raise NonPositiveBandwidth(f"bandwidth must be finite and > 0, got {h}")
     idx, u, kv = _window(sample, side, h, kernel)
     rows = design_rows(u, sample.w[idx], p, s)
-    return SideDesign(rows, kv / h, idx, u, kv)
+    return SideDesign(rows, kv, idx)
 
 
 def _apply_qt(hh: np.ndarray, tau: np.ndarray, b: np.ndarray):
@@ -257,7 +253,7 @@ def fit_side(
         Gram's reciprocal condition number falls below 1e-12 (collinear
         covariates within the window).
     """
-    rows, _, idx, _, kv = side_design(sample, side, h, p, s, kernel)
+    rows, kv, idx = side_design(sample, side, h, p, s, kernel)
     n = sample.n
     k = rows.shape[1]
     if idx.size < k:

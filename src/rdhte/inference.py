@@ -256,7 +256,7 @@ def rbc_form(
         resid, lev = pilot.residuals, pilot.leverages
     else:
         u_b = (sample.x[rows] - sample.cutoff) / b
-        rows_b = design_rows(u_b, sample.w[rows], p + 1, s + 1)
+        rows_b = design_rows(u_b, sample.w[rows], pilot.p, pilot.s)
         resid = sample.y[rows] - rows_b @ pilot.theta_norm
         del rows_b  # m x k_pilot; not needed while A is built
         lev = np.zeros(rows.size)
@@ -265,7 +265,7 @@ def rbc_form(
     # a design row's influence on a fit's theta = S^-1 theta_norm is
     # row' Gram^-1 S^-1; the bias reads the pilot's theta through the routes
     main_route = fit.solve_gram(np.diag(1.0 / scaling_diag(h, p, s, d)))
-    pilot_unscale = 1.0 / scaling_diag(b, p + 1, s + 1, d)[:, None]
+    pilot_unscale = 1.0 / scaling_diag(b, pilot.p, pilot.s, d)[:, None]
     pilot_route = pilot.solve_gram(pilot_unscale * bias.routes)
 
     a = np.zeros((rows.size, 2 * k))
@@ -302,17 +302,14 @@ class SideForms:
     """One side's plug-in and bias-corrected variance quadratic forms.
 
     plugin is plugin_form's k x k matrix and rbc is rbc_form's 2k x 2k
-    matrix; h, n_total and q = min(p, s) scale them to the side's
-    variances at a derivative order nu. Records do not contract them one
-    side at a time: contrast_forms combines both sides into one k x k
-    form per derivative order.
+    matrix; the side's main fit scales them to its variances at a
+    derivative order nu. Records do not contract them one side at a time:
+    contrast_forms combines both sides into one k x k form per derivative
+    order.
     """
 
     plugin: np.ndarray
     rbc: np.ndarray
-    h: float
-    n_total: int
-    q: int
 
 
 @dataclass(frozen=True)
@@ -340,29 +337,28 @@ def side_forms(
     return SideForms(
         plugin=plugin_form(fit, vce, sample.cluster),
         rbc=rbc_form(sample, fit, bias, vce),
-        h=fit.h,
-        n_total=fit.n_total,
-        q=min(fit.p, fit.s),
     )
 
 
 def contrast_forms(
+    fits: tuple[SideFit, SideFit],
     forms: tuple[SideForms, SideForms],
-    thetas: tuple[np.ndarray, np.ndarray],
     biases: tuple[np.ndarray, np.ndarray],
     nu: int,
 ) -> ContrastForms:
     """Combine both sides into the ContrastForms of derivative order nu.
 
-    forms, thetas and biases are (left, right) pairs of each side's
-    variance forms, coefficients and main-order bias vector
-    (BiasConstants.bias).
+    fits, forms and biases are (left, right) pairs of each side's main
+    fit, its variance forms and its main-order bias vector
+    (BiasConstants.bias); each fit supplies h, n_total, q = min(p, s) and
+    theta.
     """
-    scale = [f.h ** (1 + f.q - nu) for f in forms]
-    plugin = [f.plugin / (f.n_total * f.h ** (2 * nu + 1)) for f in forms]
-    rbc = [_rbc_block_sum(f.rbc, c) for f, c in zip(forms, scale)]
+    scale = [f.h ** (1 + min(f.p, f.s) - nu) for f in fits]
+    plugin = [sf.plugin / (f.n_total * f.h ** (2 * nu + 1))
+              for f, sf in zip(fits, forms)]
+    rbc = [_rbc_block_sum(sf.rbc, c) for sf, c in zip(forms, scale)]
     return ContrastForms(
-        jump=thetas[1] - thetas[0],
+        jump=fits[1].theta - fits[0].theta,
         bias=scale[1] * biases[1] - scale[0] * biases[0],
         plugin=plugin[0] + plugin[1],
         rbc=rbc[0] + rbc[1],

@@ -14,6 +14,8 @@ empirical-quantile bins with the lowest bin as the dropped baseline.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -52,6 +54,23 @@ __all__ = [
 #: relative widening of a window's radius, so rounding in |x - c| and in
 #: (x - c) / h cannot drop a row from the window
 WINDOW_SLACK = 1.0 + 1e-9
+
+
+def _as_order(name: str, value) -> int:
+    """An integer setting as an int (operator.index), else InvalidSetting."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSetting(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+
+
+def _as_real(name: str, value) -> float:
+    """A real-valued setting as a float, else InvalidSetting."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidSetting(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -267,7 +286,7 @@ def validate_sample(
     y, x : array-like, shape (n,)
         Outcome and running variable.
     cutoff : float
-        Threshold; must be finite.
+        Threshold; must be a finite real number.
     w : array-like, shape (n, d), optional
         Heterogeneity covariates; omitted or empty means d = 0.
     cluster : array-like, shape (n,), optional
@@ -282,7 +301,8 @@ def validate_sample(
 
     Raises
     ------
-    EmptySample, LengthMismatch, NonFinite, MissingLabel, InputError
+    EmptySample, LengthMismatch, NonFinite, MissingLabel, InvalidSetting,
+    InputError
     """
     y = np.ascontiguousarray(np.asarray(y, dtype=float))
     x = np.ascontiguousarray(np.asarray(x, dtype=float))
@@ -328,7 +348,8 @@ def validate_sample(
                 if _is_missing(label):
                     raise MissingLabel(row, "cluster")
             raise InputError("column 'cluster' mixes numbers and text")
-    if not np.isfinite(cutoff):
+    cutoff = _as_real("cutoff", cutoff)
+    if not math.isfinite(cutoff):
         raise NonFinite(-1, "cutoff")
     _check_finite("y", y)
     _check_finite("x", x)
@@ -336,7 +357,7 @@ def validate_sample(
     return RdSample(
         y=_read_only(y),
         x=_read_only(x),
-        cutoff=float(cutoff),
+        cutoff=cutoff,
         w=_read_only(w_arr),
         cluster=cl,
     )
@@ -514,12 +535,19 @@ class Fixed:
     h_left: float
     h_right: float
 
+    def __post_init__(self):
+        for name in ("h_left", "h_right"):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class Common:
     """One bandwidth shared by both sides."""
 
     h: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", _as_real("h", self.h))
 
 
 @dataclass(frozen=True)
@@ -565,6 +593,10 @@ class FitSpec:
     level: float = 0.95
 
     def __post_init__(self):
+        for name in ("p", "s", "nu"):
+            value = _as_order(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "level", _as_real("level", self.level))
         if self.p < 0 or self.s < 0:
             raise InvalidSetting("polynomial orders must be >= 0")
         if not 0 <= self.nu <= min(self.p, self.s):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import sys
 
@@ -58,6 +59,19 @@ def test_long_map_reproduces_varsigma():
     m = long_map_matrix(1, 1, sample.d, 0)
     assert result.varsigma == pytest.approx(m @ stacked, rel=1e-14)
 
+
+
+def test_varsigma_follows_replaced_side_fits():
+    # varsigma is derived from the side fits, so a copy with another left
+    # fit reports that fit's jumps, not the original's
+    spec = FitSpec(p=2, s=2, nu=1, bandwidth=Common(0.6))
+    result = fit_hte(random_instance(30), spec)
+    other = fit_hte(random_instance(33), spec)
+    assert result.varsigma.tolist() != other.varsigma.tolist()
+    swapped = dataclasses.replace(result, left=other.left)
+    stacked = np.concatenate([other.left.theta, result.right.theta])
+    expect = long_map_matrix(2, 2, 1, 1) @ stacked
+    np.testing.assert_array_equal(swapped.varsigma, expect)
 
 def test_varsigma_contracts_match_extractor_differences():
     sample = random_instance(31, d=2, binary=False)

@@ -17,7 +17,7 @@ from rdhte.model import validate_sample
 
 def test_side_design_empty_side():
     sample = validate_sample(np.zeros(3), np.array([-0.5, -0.4, -0.3]), 0.0)
-    rows, weights, idx, _, _ = side_design(
+    rows, _, idx = side_design(
         sample, "right", 0.5, 1, 1, "triangular"
     )
     assert rows.shape[0] == 0
@@ -33,18 +33,18 @@ def test_side_design_rejects_bad_bandwidths(h):
 
 def test_side_design_weight_at_cutoff():
     sample = validate_sample(np.zeros(2), np.array([0.0, 0.3]), 0.0)
-    _, weights, idx, _, _ = side_design(
+    _, kvals, idx = side_design(
         sample, "right", 0.5, 1, 1, "triangular"
     )
     assert idx.tolist() == [0, 1]
-    assert weights[0] == pytest.approx(1.0 / 0.5)
+    assert kvals[0] / 0.5 == pytest.approx(1.0 / 0.5)
 
 
 def test_side_design_hand_rows():
     x = np.array([0.1, 0.2, 0.6])
     w = np.array([[2.0], [3.0], [4.0]])
     sample = validate_sample(np.zeros(3), x, 0.0, w)
-    rows, weights, idx, _, _ = side_design(
+    rows, kvals, idx = side_design(
         sample, "right", 0.4, 1, 1, "triangular"
     )
     # x=0.6 is outside h=0.4
@@ -52,7 +52,7 @@ def test_side_design_hand_rows():
     np.testing.assert_allclose(rows[0], [1, 0.25, 2, 0.5])
     np.testing.assert_allclose(rows[1], [1, 0.5, 3, 1.5])
     np.testing.assert_allclose(
-        weights, [(1 - 0.25) / 0.4, (1 - 0.5) / 0.4]
+        kvals / 0.4, [(1 - 0.25) / 0.4, (1 - 0.5) / 0.4]
     )
 
 
@@ -80,10 +80,10 @@ def test_fit_matches_oracle_wls():
     sample = random_instance(11, n=50, d=1)
     h = 0.7
     fit = fit_side(sample, "right", h, 1, 1, "triangular")
-    rows, weights, idx, _, _ = side_design(
+    rows, kvals, idx = side_design(
         sample, "right", h, 1, 1, "triangular"
     )
-    beta = oracle_wls(rows, weights, sample.y[idx])
+    beta = oracle_wls(rows, kvals / h, sample.y[idx])
     np.testing.assert_allclose(fit.theta_norm, beta, rtol=1e-10, atol=1e-12)
 
 
@@ -139,11 +139,11 @@ def test_affine_equivariance():
 def test_d0_reduces_to_local_linear():
     sample = random_instance(19, n=100, d=0)
     fit = fit_side(sample, "right", 0.5, 1, 1, "triangular")
-    rows, weights, idx, _, _ = side_design(
+    rows, kvals, idx = side_design(
         sample, "right", 0.5, 1, 0, "triangular"
     )
     assert rows.shape[1] == 2
-    beta = oracle_wls(rows, weights, sample.y[idx])
+    beta = oracle_wls(rows, kvals / 0.5, sample.y[idx])
     np.testing.assert_allclose(fit.theta_norm, beta, rtol=1e-10)
 
 

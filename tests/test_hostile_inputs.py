@@ -58,3 +58,46 @@ def test_exact_shift_of_x_and_cutoff(sample, bandwidth):
                 assert va == vb, f.name
             else:
                 assert vb == pytest.approx(va, rel=1e-9, abs=0), f.name
+
+
+AFFINE_SPECS = {
+    "select": FitSpec(),
+    "one_sided_hc2": FitSpec(bandwidth=Select("one_sided"), vce="hc2"),
+    "common_hc1": FitSpec(bandwidth=Common(0.4), vce="hc1"),
+    "p2_s2_nu1": FitSpec(p=2, s=2, nu=1),
+    "cluster": FitSpec(vce="cluster"),
+}
+
+
+@pytest.mark.parametrize("a,b", [(3.7, -1.2), (-0.25, 5.0), (2.0**10, 0.0)])
+@pytest.mark.parametrize("name", sorted(AFFINE_SPECS))
+def test_affine_change_of_outcome(sample, name, a, b):
+    # y -> a y + b leaves h alone, moves every estimate to a times itself
+    # and every standard error to |a| times itself; the intercepts absorb b
+    cluster = np.arange(sample.n) % 80
+    spec = AFFINE_SPECS[name]
+    base = fit_hte(
+        validate_sample(sample.y, sample.x, 0.0, sample.w, cluster), spec
+    )
+    moved = fit_hte(
+        validate_sample(a * sample.y + b, sample.x, 0.0, sample.w, cluster),
+        spec,
+    )
+    for h0, h1 in ((base.h_left, moved.h_left), (base.h_right, moved.h_right)):
+        assert h1 == pytest.approx(h0, rel=1e-9, abs=0.0)
+    assert len(moved.records) == len(base.records)
+    for r0, r1 in zip(base.records, moved.records):
+        assert r1.label == r0.label
+        tol = 1e-8 * abs(a) * r0.rbc_se
+        lo, hi = sorted((a * r0.ci_low, a * r0.ci_high))
+        for got, want in (
+            (r1.point, a * r0.point),
+            (r1.rbc_point, a * r0.rbc_point),
+            (r1.bias_estimate, a * r0.bias_estimate),
+            (r1.ci_low, lo),
+            (r1.ci_high, hi),
+        ):
+            assert abs(got - want) <= tol
+        for got, want in ((r1.se, r0.se), (r1.rbc_se, r0.rbc_se)):
+            assert got == pytest.approx(abs(a) * want, rel=1e-9, abs=0.0)
+        assert r1.p_value == pytest.approx(r0.p_value, rel=1e-8, abs=0.0)

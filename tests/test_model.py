@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from rdhte.errors import (
     BandwidthUnresolved,
     DegenerateQuantiles,
     InputError,
+    InvalidSetting,
     LengthMismatch,
     MissingLabel,
     NonFinite,
@@ -16,7 +18,9 @@ from rdhte.errors import (
     NuOutOfRange,
     UnknownLevel,
 )
-from rdhte.estimands import fit_hte
+from conftest import random_instance
+
+from rdhte.estimands import Selector, contrast, fit_hte
 from rdhte.kernels import resolve_kernel
 from rdhte.model import (
     ColumnSpec,
@@ -30,6 +34,7 @@ from rdhte.model import (
     label_codes,
     validate_sample,
 )
+from rdhte.render import render_json
 
 
 def _clean_sample():
@@ -337,6 +342,54 @@ def test_invalid_settings_are_input_errors(make):
     with pytest.raises(InputError):
         make()
 
+
+
+_VEC = np.array([0.0, 1.0])
+_XY = (np.zeros(4), np.array([-0.5, -0.2, 0.2, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "make,name,stored",
+    [
+        (lambda: FitSpec(p=1.5), "p", None),
+        (lambda: FitSpec(s=2.0), "s", None),
+        (lambda: FitSpec(p="1"), "p", None),
+        (lambda: FitSpec(nu=None), "nu", None),
+        (lambda: FitSpec(level="0.95"), "level", None),
+        (lambda: FitSpec(bandwidth=Common("0.5")), "h", None),
+        (lambda: Fixed(0.3, None), "h_right", None),
+        (lambda: Selector(_VEC, nu=1.5), "nu", None),
+        (lambda: Selector(_VEC, label=""), "selector label", None),
+        (lambda: validate_sample(*_XY, cutoff="0"), "cutoff", None),
+        (lambda: FitSpec(p=np.int64(2)), "p", 2),
+        (lambda: FitSpec(level=np.float32(0.95)), "level",
+         float(np.float32(0.95))),
+        (lambda: Common(np.float32(0.5)), "h", 0.5),
+        (lambda: Selector(_VEC, nu=np.int64(1)), "nu", 1),
+    ],
+    ids=[
+        "p_float", "s_float", "p_text", "nu_none", "level_text",
+        "common_text", "fixed_none", "selector_nu_float", "selector_label",
+        "cutoff_text", "p_int64", "level_float32", "common_float32",
+        "selector_nu_int64",
+    ],
+)
+def test_scalar_settings_are_typed(make, name, stored):
+    # orders pass operator.index and become int, reals become float; any
+    # other value is an InvalidSetting that names the field
+    if stored is None:
+        with pytest.raises(InvalidSetting, match=f"^{name} must"):
+            make()
+        return
+    made = make()
+    value = getattr(made, name)
+    assert type(value) is type(stored) and value == stored
+    if isinstance(made, FitSpec):
+        result = fit_hte(random_instance(5), made)
+        assert json.loads(render_json(result))["estimands"]
+    if isinstance(made, Selector):
+        result = fit_hte(random_instance(5), FitSpec(bandwidth=Common(0.8)))
+        assert contrast(result, made).nu == 1
 
 @pytest.mark.parametrize(
     "bandwidth",

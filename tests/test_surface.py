@@ -2,18 +2,23 @@
 
 Every name rdhte exports must be documented in the README, and every
 function a per-layer benchmark metric names must stay a public function
-of its module, or the benchmark's tracer cannot find it.
+of its module, or the benchmark's tracer cannot find it. The tracer's
+counters also read results by position, so those positions stay put.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 import json
 import re
 from pathlib import Path
 
+from conftest import random_instance
+
 import rdhte
+from rdhte.fitting import SideDesign, side_design
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +47,20 @@ def test_traced_functions_exist():
         assert inspect.isfunction(fn), f"rdhte.{module}.{name}"
         assert not name.startswith("_")
         assert fn.__module__ == mod.__name__, f"rdhte.{module}.{name}"
+
+
+def test_side_design_keeps_idx_at_position_2():
+    # the benchmark's tracer counts fitting.rows_in_window as out[2].size
+    loader = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    counter, amount = spans.COUNTERS["fitting.side_design"]
+    assert counter == "fitting.rows_in_window"
+
+    sample = random_instance(7, n=300)
+    out = side_design(sample, "right", 0.4, 1, 1, "triangular")
+    assert SideDesign._fields[2] == "idx"
+    assert out[2] is out.idx
+    assert amount((), {}, out) == out.idx.size > 0

@@ -84,8 +84,8 @@ def test_window_equals_full_scan(case, side, kernel):
     got = side_design(sample, side, h, 1, 1, kernel)
     idx, weights, u, kvals = full_scan_window(sample, side, h, kernel)
     np.testing.assert_array_equal(got.idx, idx)
-    np.testing.assert_array_equal(got.weights, weights)
-    np.testing.assert_array_equal(got.u, u)
+    np.testing.assert_array_equal(got.kvals / h, weights)
+    np.testing.assert_array_equal((sample.x[got.idx] - sample.cutoff) / h, u)
     np.testing.assert_array_equal(got.kvals, kvals)
     assert got.rows.shape[0] == idx.size
     if case == "exactly_k":
