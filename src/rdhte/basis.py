@@ -20,6 +20,7 @@ from .errors import NonPositiveBandwidth, NuOutOfRange
 __all__ = [
     "poly_basis",
     "design_rows",
+    "column_powers",
     "scaling_diag",
     "extractor_vector",
     "n_params",
@@ -93,6 +94,11 @@ def design_rows(u, w, p: int, s: int) -> np.ndarray:
     return out
 
 
+def column_powers(p: int, s: int, d: int) -> tuple[int, ...]:
+    """Power of u in each column of the interacted basis."""
+    return tuple(range(p + 1)) + tuple(range(s + 1)) * d
+
+
 def scaling_diag(h: float, p: int, s: int, d: int) -> np.ndarray:
     """Diagonal of H(h) = blockdiag(diag(h^0..h^p), I_d x diag(h^0..h^s)).
 
@@ -101,10 +107,7 @@ def scaling_diag(h: float, p: int, s: int, d: int) -> np.ndarray:
     """
     if h <= 0:
         raise NonPositiveBandwidth(f"bandwidth must be > 0, got {h}")
-    return np.concatenate(
-        [h ** np.arange(p + 1, dtype=float)]
-        + [h ** np.arange(s + 1, dtype=float)] * d
-    )
+    return h ** np.array(column_powers(p, s, d), dtype=float)
 
 
 def extractor_vector(nu: int, p: int, s: int, w, lead: float = 1.0) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -127,13 +127,13 @@ class HteResult:
 
     varsigma, derived from left and right on first use, stacks the
     baseline jump and the covariate-coefficient jumps at the requested
-    derivative order; records hold the default report set plus any
-    requested evaluation points. The pilot fits are those of the bias
-    constants. forms_left/forms_right hold each side's variance
-    quadratic forms. Records read them combined over both sides into one
-    k x k form per derivative order (inference.ContrastForms), built on
-    first use and cached, so every further record costs four dot
-    products, O(k^2).
+    derivative order. records, built with the result, hold the default
+    report set plus the evaluation points, given as (label, lead, w,
+    extrapolated). The pilot fits are those of the bias constants.
+    forms_left/forms_right hold each side's variance quadratic forms, and
+    forms combines them over both sides once (inference.ContrastForms);
+    those forms serve every derivative order, so each record costs four
+    dot products, O(k^2).
     """
 
     sample: RdSample
@@ -145,9 +145,18 @@ class HteResult:
     forms_left: SideForms
     forms_right: SideForms
     selection: Optional[BandwidthSelection]
-    records: tuple[EstimandRecord, ...] = field(default_factory=tuple)
     labels: tuple[str, ...] = ()
     kinds: tuple[str, ...] = ()
+    points: tuple[tuple[str, float, np.ndarray, bool], ...] = ()
+    records: tuple[EstimandRecord, ...] = field(init=False)
+
+    def __post_init__(self):
+        nu, d = self.spec.nu, self.sample.d
+        plan = _default_plan(d, nu, self.labels, self.kinds)
+        object.__setattr__(self, "records", tuple(
+            _make_record(self, label, lead, w, nu, extrap)
+            for label, lead, w, extrap in plan + list(self.points)
+        ))
 
     @property
     def pilot_left(self) -> SideFit:
@@ -176,20 +185,12 @@ class HteResult:
         return long_map_matrix(spec.p, spec.s, d, spec.nu) @ stacked
 
     @cached_property
-    def _forms_by_nu(self) -> dict:
-        return {}
-
-    def _contrast_forms(self, nu: int) -> ContrastForms:
-        """Both sides' fits and forms combined for a valid order nu."""
-        by_nu = self._forms_by_nu
-        if nu not in by_nu:
-            by_nu[nu] = contrast_forms(
-                (self.left, self.right),
-                (self.forms_left, self.forms_right),
-                (self.bias_left.bias, self.bias_right.bias),
-                nu,
-            )
-        return by_nu[nu]
+    def forms(self) -> ContrastForms:
+        return contrast_forms(
+            (self.left, self.right),
+            (self.forms_left, self.forms_right),
+            (self.bias_left.bias, self.bias_right.bias),
+        )
 
     def record(self, label: str) -> EstimandRecord:
         """Look up a record by its label."""
@@ -209,7 +210,7 @@ def _make_record(
 ) -> EstimandRecord:
     spec = result.spec
     evec = extractor_vector(nu, spec.p, spec.s, w, lead=lead)
-    forms = result._contrast_forms(nu)
+    forms = result.forms
     point = float(evec @ forms.jump)
     var = float(evec @ forms.plugin @ evec)
     bias_term = float(evec @ forms.bias)
@@ -243,25 +244,25 @@ def _make_record(
 
 
 def _default_plan(d, nu, labels, kinds):
-    """Default report set: (label, lead, w) triples."""
+    """Default report set: (label, lead, w, extrapolated) rows."""
     if d == 0:
         name = "RD effect" if nu == 0 else f"RD derivative (order {nu})"
-        return [(name, 1.0, np.zeros(0))]
-    plan = [("Baseline (w=0)", 1.0, np.zeros(d))]
+        return [(name, 1.0, np.zeros(0), False)]
+    plan = [("Baseline (w=0)", 1.0, np.zeros(d), False)]
     for ell in range(d):
         unit = np.zeros(d)
         unit[ell] = 1.0
         if kinds[ell] == "indicator":
-            plan.append((f"CATE: {labels[ell]}", 1.0, unit))
-            plan.append((f"Diff: {labels[ell]}", 0.0, unit))
+            plan.append((f"CATE: {labels[ell]}", 1.0, unit, False))
+            plan.append((f"Diff: {labels[ell]}", 0.0, unit, False))
         else:
-            plan.append((f"Slope: {labels[ell]}", 0.0, unit))
+            plan.append((f"Slope: {labels[ell]}", 0.0, unit, False))
     return plan
 
 
 def _cate_point(d: int, w) -> tuple[str, np.ndarray]:
     """Record label and validated array of a covariate evaluation point."""
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    w_arr = np.atleast_1d(np.array(w, dtype=float))
     if w_arr.shape != (d,):
         raise DimensionMismatch(
             f"evaluation point has {w_arr.size} entries, expected {d}"
@@ -358,7 +359,7 @@ def fit_hte(
     TooFewObservations, SingularGram, BiasDegenerate, DimensionMismatch,
     NonFinite, LeverageOne, TooFewClusters
     """
-    p, s, nu, kernel, vce = spec.p, spec.s, spec.nu, spec.kernel, spec.vce
+    p, s, kernel, vce = spec.p, spec.s, spec.kernel, spec.vce
     d = sample.d
     if labels is None:
         labels = tuple(f"w{ell + 1}" for ell in range(d))
@@ -403,15 +404,11 @@ def fit_hte(
         main_stage, threaded
     )
 
-    plan = [
-        (label, lead, w, False)
-        for label, lead, w in _default_plan(d, nu, labels, kinds)
-    ]
+    points = []
     for w_pt in at or ():
         label, w_arr = _cate_point(d, w_pt)
-        plan.append((label, 1.0, w_arr, _is_extrapolated(sample, w_arr)))
-
-    result = HteResult(
+        points.append((label, 1.0, w_arr, _is_extrapolated(sample, w_arr)))
+    return HteResult(
         sample=sample,
         spec=spec,
         left=left,
@@ -423,16 +420,8 @@ def fit_hte(
         selection=selection,
         labels=labels,
         kinds=kinds,
+        points=tuple(points),
     )
-
-    records = tuple(
-        _make_record(result, label, lead, w, nu, extrap)
-        for label, lead, w, extrap in plan
-    )
-    final = replace(result, records=records)
-    # same fits and forms, so the contraction forms carry over
-    final._forms_by_nu.update(result._forms_by_nu)
-    return final
 
 
 def cate_at(result: HteResult, w) -> EstimandRecord:

@@ -26,13 +26,11 @@ holds observation i's influence on theta and, through the higher-order
 pilot fit's top coefficients, on the bias contraction; D weights squared
 pilot-surface residuals by the selected HC weights of the pilot
 leverages (cluster: the rows of A are summed within clusters instead).
-The bias-corrected contrast e'theta - h^(1+q-nu) bias(e) then has
-variance e~' R e~ with e~ = [e; -c e] and c = h^(1+q-nu), which is
-e' (R11 - c (R12 + R21) + c^2 R22) e in the k x k blocks of R, so one R
-serves every derivative order nu. contrast_forms sums, over the two
-sides, these k x k blocks, the scaled plug-in forms and the scaled bias
-vectors once per derivative order; each record is then four dot
-products, O(k^2) whatever the sample size.
+A coefficient of power j scales as h^-j and its bias correction as
+c_j = h^(1+q-j) whatever order nu an extractor reads, so side_forms
+states both forms in raw-coefficient units, one k x k pair per side that
+serves every nu. contrast_forms sums the two sides once per fit; each
+record is then four dot products, O(k^2) whatever the sample size.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .basis import design_rows, scaling_diag
+from .basis import column_powers, design_rows, scaling_diag
 from .errors import LeverageOne, TooFewClusters
 from .fitting import SideFit
 from .model import RdSample
@@ -228,8 +226,9 @@ def rbc_form(
     residuals times the HC weights of the pilot leverages. For vce
     "cluster" the rows of A, scaled by the residuals, are summed within
     sample.cluster before the product and R carries the degrees-of-freedom
-    factor. The side's bias-corrected variance of an extractor e at
-    derivative order nu is e~' R e~ with e~ = [e; -h^(1+q-nu) e].
+    factor. The side's bias-corrected variance of an extractor e is
+    e~' R e~ with e~ = [e; -c o e] and c_j = h^(1+q-j) for the power j of
+    column j.
 
     Raises
     ------
@@ -290,22 +289,29 @@ def rbc_form(
     return a.T @ a
 
 
-def _rbc_block_sum(rbc: np.ndarray, c: float) -> np.ndarray:
-    """R11 - c (R12 + R21) + c^2 R22: the k x k form whose contraction
-    e' (.) e is that of [e; -c e] against the 2k x 2k form R."""
+def _rbc_block_sum(rbc: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """R11 - R12 C - C R21 + C R22 C with C = diag(c): the k x k form whose
+    contraction e' (.) e is that of [e; -c o e] against the 2k x 2k form R.
+    The cross term, as written, is exactly c_i (R12 + R21) where c_i = c_j."""
     k = rbc.shape[0] // 2
-    return rbc[:k, :k] - c * (rbc[:k, k:] + rbc[k:, :k]) + c * c * rbc[k:, k:]
+    r12, ci, cj = rbc[:k, k:], c[:, None], c[None, :]
+    cross = ci * (r12 + rbc[k:, :k]) + (cj - ci) * r12
+    return rbc[:k, :k] - cross + ci * cj * rbc[k:, k:]
+
+
+def _bias_scales(fit: SideFit) -> np.ndarray:
+    """c_j = h^(1+q-j) for the power j of each basis column of fit."""
+    q, powers = min(fit.p, fit.s), column_powers(fit.p, fit.s, fit.d)
+    return np.array([fit.h ** (1 + q - j) for j in powers])
 
 
 @dataclass(frozen=True)
 class SideForms:
     """One side's plug-in and bias-corrected variance quadratic forms.
 
-    plugin is plugin_form's k x k matrix and rbc is rbc_form's 2k x 2k
-    matrix; the side's main fit scales them to its variances at a
-    derivative order nu. Records do not contract them one side at a time:
-    contrast_forms combines both sides into one k x k form per derivative
-    order.
+    Both are k x k and in raw-coefficient units, so an extractor e of any
+    derivative order reads the side's variances as e' plugin e and
+    e' rbc e. Records read them through contrast_forms, both sides summed.
     """
 
     plugin: np.ndarray
@@ -314,14 +320,13 @@ class SideForms:
 
 @dataclass(frozen=True)
 class ContrastForms:
-    """Right-minus-left contraction forms at one derivative order nu.
+    """Right-minus-left contraction forms, for every derivative order.
 
     For an extractor e: the point estimate is e' jump, the bias estimate
     e' bias, the plug-in variance e' plugin e and the bias-corrected
     variance e' rbc e. jump is theta_right - theta_left; bias is
-    sum_s +-c_s bias_s with c_s = h_s^(1+q-nu); plugin is
-    sum_s P_s / (n h_s^(2 nu + 1)); rbc is
-    sum_s R11 - c_s (R12 + R21) + c_s^2 R22 over the blocks of R_s.
+    sum_s +-c_s o bias_s with c_s the side's _bias_scales; plugin and rbc
+    are the sums of the sides' SideForms.
     """
 
     jump: np.ndarray
@@ -333,35 +338,35 @@ class ContrastForms:
 def side_forms(
     sample: RdSample, fit: SideFit, bias: BiasConstants, vce: str
 ) -> SideForms:
-    """Both quadratic forms of one side, with the sample's cluster labels."""
-    return SideForms(
-        plugin=plugin_form(fit, vce, sample.cluster),
-        rbc=rbc_form(sample, fit, bias, vce),
-    )
+    """Both quadratic forms of one side, with the sample's cluster labels:
+    plugin_form's entry (i, j) over n h^(i+j+1), for the column powers i
+    and j, and rbc_form's matrix reduced at c = _bias_scales(fit)."""
+    n, h, powers = fit.n_total, fit.h, column_powers(fit.p, fit.s, fit.d)
+    plugin = plugin_form(fit, vce, sample.cluster)
+    # in place, so plugin keeps plugin_form's memory layout and with it the
+    # order in which a contraction e' plugin e sums
+    plugin /= [[n * h ** (i + j + 1) for j in powers] for i in powers]
+    rbc = _rbc_block_sum(rbc_form(sample, fit, bias, vce), _bias_scales(fit))
+    return SideForms(plugin=plugin, rbc=rbc)
 
 
 def contrast_forms(
     fits: tuple[SideFit, SideFit],
     forms: tuple[SideForms, SideForms],
     biases: tuple[np.ndarray, np.ndarray],
-    nu: int,
 ) -> ContrastForms:
-    """Combine both sides into the ContrastForms of derivative order nu.
+    """Combine both sides into their ContrastForms.
 
     fits, forms and biases are (left, right) pairs of each side's main
     fit, its variance forms and its main-order bias vector
-    (BiasConstants.bias); each fit supplies h, n_total, q = min(p, s) and
-    theta.
+    (BiasConstants.bias).
     """
-    scale = [f.h ** (1 + min(f.p, f.s) - nu) for f in fits]
-    plugin = [sf.plugin / (f.n_total * f.h ** (2 * nu + 1))
-              for f, sf in zip(fits, forms)]
-    rbc = [_rbc_block_sum(sf.rbc, c) for sf, c in zip(forms, scale)]
+    left, right = fits
     return ContrastForms(
-        jump=fits[1].theta - fits[0].theta,
-        bias=scale[1] * biases[1] - scale[0] * biases[0],
-        plugin=plugin[0] + plugin[1],
-        rbc=rbc[0] + rbc[1],
+        jump=right.theta - left.theta,
+        bias=_bias_scales(right) * biases[1] - _bias_scales(left) * biases[0],
+        plugin=forms[0].plugin + forms[1].plugin,
+        rbc=forms[0].rbc + forms[1].rbc,
     )
 
 
@@ -432,8 +437,8 @@ def rbc_variance(
     """
     total = 0.0
     for fit, bias in ((left, bias_left), (right, bias_right)):
-        form = rbc_form(sample, fit, bias, vce)
-        block = _rbc_block_sum(form, fit.h ** (1 + min(fit.p, fit.s) - nu))
+        c = np.full(fit.n_coef, fit.h ** (1 + min(fit.p, fit.s) - nu))
+        block = _rbc_block_sum(rbc_form(sample, fit, bias, vce), c)
         total += float(extractor @ block @ extractor)
     return total
 

@@ -387,6 +387,9 @@ class ColumnSpec:
         kinds = ("continuous", "binary", "categorical", "quantile_bins")
         if self.kind not in kinds:
             raise InvalidSetting(f"unknown column kind {self.kind!r}")
+        for name in ("power_max", "bins"):
+            value = _as_order(name, getattr(self, name))
+            object.__setattr__(self, name, value)
         if self.kind == "continuous" and self.power_max < 1:
             raise InvalidSetting("continuous power_max must be >= 1")
         if self.kind == "quantile_bins" and self.bins < 2:

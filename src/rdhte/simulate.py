@@ -14,7 +14,7 @@ order, which makes them bit-for-bit reproducible for a given (seed, reps).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -335,14 +335,8 @@ def canonical_preset() -> DgpConfig:
 def inflated_curvature_preset() -> DgpConfig:
     """Canonical preset with quadratic terms scaled up fourfold, so the
     leading smoothing bias is large enough to dominate the noise."""
-    base = canonical_preset()
-    return DgpConfig(
+    return replace(
+        canonical_preset(),
         alpha_left=(0.5, 0.8, -2.4),
         alpha_right=(1.0, 0.6, 3.6),
-        lam_left=base.lam_left,
-        lam_right=base.lam_right,
-        covariates=base.covariates,
-        noise=base.noise,
-        running=base.running,
-        cutoff=base.cutoff,
     )

@@ -73,6 +73,23 @@ def test_varsigma_follows_replaced_side_fits():
     expect = long_map_matrix(2, 2, 1, 1) @ stacked
     np.testing.assert_array_equal(swapped.varsigma, expect)
 
+
+def test_records_follow_replaced_side_fits():
+    # records are built with the result, so a copy with another left fit
+    # reports that fit's records: each is the one contrast or cate_at
+    # gives on the copy at the same label, lead, w and nu
+    spec = FitSpec(p=2, s=2, nu=1, bandwidth=Common(0.6))
+    result = fit_hte(random_instance(30), spec, at=[(0.5,)])
+    other = fit_hte(random_instance(33), spec)
+    swapped = dataclasses.replace(result, left=other.left)
+    assert swapped.records != result.records
+    *plan, at_point = swapped.records
+    assert at_point == cate_at(swapped, [0.5])
+    for rec in plan:
+        vec = np.array([rec.lead, *rec.w])
+        assert rec == contrast(swapped, Selector(vec, rec.nu, rec.label))
+
+
 def test_varsigma_contracts_match_extractor_differences():
     sample = random_instance(31, d=2, binary=False)
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.7)))
@@ -441,8 +458,8 @@ def test_records_cost_no_window_work(monkeypatch, vce):
     # the fit's combined forms serve its 27 records and every cate_at
     assert len(combined) == 1
     contrast(result, Selector(np.array([0.0, 1.0]), nu=1))
-    # one more for the new derivative order
-    assert len(combined) == 2
+    # the same forms serve every derivative order
+    assert len(combined) == 1
     assert all(calls == [] for calls in work)
     assert all(len(c) == 2 for c in form_calls.values())
 

@@ -14,9 +14,9 @@ import pytest
 from rbc_oracle import per_record_variances
 
 from rdhte.bandwidth import pilot_bandwidth
-from rdhte.basis import extractor_vector
+from rdhte.basis import column_powers, extractor_vector
 from rdhte.estimands import Selector, cate_at, contrast, fit_hte
-from rdhte.inference import coef_variance, rbc_variance
+from rdhte.inference import coef_variance, plugin_form, rbc_form, rbc_variance
 from rdhte.model import Fixed, FitSpec, validate_sample
 
 TOL = 1e-12
@@ -100,3 +100,29 @@ def test_forms_match_per_record_oracle(vce, kernel, d, p, s):
                     ),
                 )
                 assert public == pytest.approx((var, rbc), rel=TOL, abs=0)
+
+
+@pytest.mark.parametrize("vce", ["hc2", "cluster"])
+def test_side_forms_serve_mixed_orders(vce):
+    # the stored forms are in raw-coefficient units: an extractor that
+    # mixes derivative orders reads them as the normalized forms scaled
+    # column by column, h^-j for the plug-in and c_j = h^(1+q-j) for the
+    # bias channel of a column of power j
+    sample = oracle_sample(1, seed=35)
+    spec = FitSpec(p=2, s=2, vce=vce, bandwidth=Fixed(0.5, 0.7))
+    result = fit_hte(sample, spec)
+    powers = np.array(column_powers(2, 2, 1))
+    e = np.random.default_rng(36).normal(size=powers.size)
+    for fit, bias, forms in (
+        (result.left, result.bias_left, result.forms_left),
+        (result.right, result.bias_right, result.forms_right),
+    ):
+        h = fit.h
+        raw = e / h**powers
+        plugin = raw @ plugin_form(fit, vce, sample.cluster) @ raw
+        tilde = np.concatenate([e, -(h ** (3 - powers)) * e])
+        rbc = tilde @ rbc_form(sample, fit, bias, vce) @ tilde
+        assert e @ forms.plugin @ e == pytest.approx(
+            plugin / (fit.n_total * h), rel=TOL, abs=0
+        )
+        assert e @ forms.rbc @ e == pytest.approx(rbc, rel=TOL, abs=0)

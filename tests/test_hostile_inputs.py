@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from rdhte.errors import SingularGram, TooFewObservations
-from rdhte.estimands import fit_hte
-from rdhte.model import Common, FitSpec, Select, validate_sample
+from rdhte.estimands import Selector, contrast, fit_hte
+from rdhte.model import Common, Fixed, FitSpec, Select, validate_sample
 from rdhte.simulate import canonical_preset, gen_sample
 
 
@@ -58,6 +58,74 @@ def test_exact_shift_of_x_and_cutoff(sample, bandwidth):
                 assert va == vb, f.name
             else:
                 assert vb == pytest.approx(va, rel=1e-9, abs=0), f.name
+
+
+RESCALE_SPECS = {
+    "common_hc3": FitSpec(bandwidth=Common(0.4), vce="hc3"),
+    "fixed_hc2_p2_s2_nu1": FitSpec(
+        p=2, s=2, nu=1, bandwidth=Fixed(0.5, 0.6), vce="hc2"
+    ),
+    "common_cluster": FitSpec(bandwidth=Common(0.4), vce="cluster"),
+}
+#: record fields that scale as a coefficient of power nu, and its square
+RESCALE_POINT = ("point", "bias_estimate", "rbc_point", "ci_low", "ci_high")
+RESCALE_SPREAD = ("se", "rbc_se")
+RESCALE_VARIANCE = ("variance", "rbc_variance")
+
+
+def _rescale_records(sample, x, spec):
+    """Records of one fit on running variable x, cutoff 0, plus one
+    at point and one contrast at derivative order 1."""
+    cluster = np.arange(sample.n) % 80
+    result = fit_hte(
+        validate_sample(sample.y, x, 0.0, sample.w, cluster), spec,
+        at=[(0.5,)],
+    )
+    extra = contrast(result, Selector(np.array([1.0, 0.5]), nu=1))
+    return list(result.records) + [extra]
+
+
+@pytest.mark.parametrize("k", [-20, 20, 3, 41])
+@pytest.mark.parametrize(
+    "name",
+    sorted(RESCALE_SPECS) + [pytest.param("select", marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the selected bandwidth does not scale "
+        "with x (h/8 moves by -20% at x*8, SingularGram at x*2^20)",
+    ))],
+)
+def test_exact_rescale_of_x(sample, name, k):
+    # x -> 2^k x and h -> 2^k h leave every u = x/h as it was, so a
+    # coefficient of power nu moves to 2^(-k nu) times itself, exactly at
+    # k = +-20 and to rounding at k = 3 and 41
+    spec, a = RESCALE_SPECS.get(name, FitSpec()), 2.0**k
+    moved_spec = spec
+    if not isinstance(spec.bandwidth, Select):
+        h_left, h_right = spec.resolved_bandwidths()
+        moved_spec = dataclasses.replace(
+            spec, bandwidth=Fixed(a * h_left, a * h_right)
+        )
+    base = _rescale_records(sample, sample.x, spec)
+    moved = _rescale_records(sample, a * sample.x, moved_spec)
+    assert len(base) == len(moved) == 5
+    exact = k in (-20, 20)
+    for r0, r1 in zip(base, moved):
+        f = 2.0 ** (-k * r0.nu)
+        want = {"h_left": a * r0.h_left, "h_right": a * r0.h_right}
+        for n in RESCALE_POINT + RESCALE_SPREAD:
+            want[n] = f * getattr(r0, n)
+        for n in RESCALE_VARIANCE:
+            want[n] = f * f * getattr(r0, n)
+        for fld in dataclasses.fields(r0):
+            v0 = want.get(fld.name, getattr(r0, fld.name))
+            v1 = getattr(r1, fld.name)
+            exact_field = exact or fld.name in ("h_left", "h_right")
+            if exact_field or not isinstance(v0, float):
+                assert v1 == v0, fld.name
+            elif fld.name in RESCALE_POINT:
+                assert abs(v1 - v0) <= 1e-12 * want["rbc_se"], fld.name
+            else:
+                assert v1 == pytest.approx(v0, rel=1e-11, abs=0), fld.name
 
 
 AFFINE_SPECS = {

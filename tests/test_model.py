@@ -366,12 +366,22 @@ _XY = (np.zeros(4), np.array([-0.5, -0.2, 0.2, 0.5]))
          float(np.float32(0.95))),
         (lambda: Common(np.float32(0.5)), "h", 0.5),
         (lambda: Selector(_VEC, nu=np.int64(1)), "nu", 1),
+        (lambda: ColumnSpec("v", "continuous", power_max=2.5), "power_max",
+         None),
+        (lambda: ColumnSpec("v", "quantile_bins", bins=2.5), "bins", None),
+        (lambda: ColumnSpec("v", "continuous", power_max="2"), "power_max",
+         None),
+        (lambda: ColumnSpec("v", "quantile_bins", bins=np.int64(3)), "bins",
+         3),
+        (lambda: ColumnSpec("v", "continuous", power_max=np.int64(2)),
+         "power_max", 2),
     ],
     ids=[
         "p_float", "s_float", "p_text", "nu_none", "level_text",
         "common_text", "fixed_none", "selector_nu_float", "selector_label",
         "cutoff_text", "p_int64", "level_float32", "common_float32",
-        "selector_nu_int64",
+        "selector_nu_int64", "power_max_float", "bins_float",
+        "power_max_text", "bins_int64", "power_max_int64",
     ],
 )
 def test_scalar_settings_are_typed(make, name, stored):
