@@ -12,6 +12,15 @@ from __future__ import annotations
 class RdhteError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # subclasses build their message from other constructor arguments,
+        # so unpickling restores args and attributes without calling __init__
+        return _restore, (type(self), self.args), self.__dict__
+
+
+def _restore(cls, args):
+    return cls.__new__(cls, *args)
+
 
 class InputError(RdhteError):
     """Malformed or inconsistent input."""

@@ -10,19 +10,31 @@ numpy.random.default_rng((s, r)), so replications can be re-ordered or
 partitioned across workers without changing any drawn value; reports
 aggregate the records of the successful replications in replication
 order, which makes them bit-for-bit reproducible for a given (seed, reps).
+Large runs use that to split their replications across forked workers
+(see monte_carlo).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import AllReplicationsFailed, EstimationError
-from .estimands import HteResult, Selector, cate_at, contrast, fit_hte
-from .model import FitSpec, RdSample, validate_sample
+from .errors import AllReplicationsFailed, EstimationError, InvalidSetting
+from .estimands import (
+    EstimandRecord,
+    HteResult,
+    Selector,
+    _usable_cpus,
+    cate_at,
+    contrast,
+    fit_hte,
+)
+from .model import FitSpec, RdSample, _as_order, validate_sample
 
 __all__ = [
     "DgpConfig",
@@ -34,6 +46,10 @@ __all__ = [
     "canonical_preset",
     "inflated_curvature_preset",
 ]
+
+#: a run drawing at least this many rows in all (reps * n) splits its
+#: replications between the calling process and forked workers
+PARALLEL_MIN_DRAWS = 50_000
 
 #: running-variable laws: ("uniform", lo, hi) or ("beta", a, b) rescaled
 #: to [-1, 1]
@@ -231,6 +247,89 @@ def _target_record(result: HteResult, target):
     return cate_at(result, target)
 
 
+def _process_count(reps: int, n: int) -> int:
+    """Processes to run the replications on, the caller included.
+
+    A fork copies only the forking thread, so a lock another thread holds
+    stays locked in the child: any live thread keeps the run serial, as
+    does a daemonic caller, which may not start children.
+    """
+    if (
+        reps * n < PARALLEL_MIN_DRAWS
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() != 1
+    ):
+        return 1
+    procs = min(_usable_cpus(), reps)
+    if procs < 2:
+        return 1
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else procs
+
+
+def _run_forked(replicate: Callable, reps: int, procs: int) -> dict:
+    """{rep: replicate(rep)} from the caller and procs - 1 forked children,
+    each pulling the next rep index from one shared counter.
+
+    A process whose replicate raises stops the counter for all and keeps
+    no outcome for that rep; every rep left out is for the caller to run.
+    Every child is joined before this returns or raises.
+    """
+    # fork, not spawn: a spawned worker re-imports numpy and rdhte, which
+    # costs more than the replications it would take over
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    lock = ctx.Lock()
+    counter = ctx.RawValue("l", 0)
+
+    def stop() -> None:
+        with lock:
+            counter.value = reps
+
+    def pull() -> dict:
+        done = {}
+        while True:
+            with lock:
+                rep = counter.value
+                counter.value = rep + 1
+            if rep >= reps:
+                return done
+            try:
+                done[rep] = replicate(rep)
+            except Exception:
+                # the caller re-runs this rep and raises the real exception
+                stop()
+                return done
+
+    def child(conn) -> None:
+        conn.send(pull())
+        conn.close()
+
+    outcomes = {}
+    children = []
+    try:
+        for _ in range(procs - 1):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send_end,),
+                               name="rdhte-mc-worker")
+            proc.start()
+            send_end.close()
+            children.append((proc, recv_end))
+        outcomes.update(pull())
+    finally:
+        stop()  # if the caller raised, the children end after their rep
+        for proc, recv_end in children:
+            try:
+                outcomes.update(recv_end.recv())
+            except EOFError:  # the child died; its reps are left out
+                pass
+            recv_end.close()
+            proc.join()
+    return outcomes
+
+
 def monte_carlo(
     config: DgpConfig,
     spec: FitSpec,
@@ -243,6 +342,8 @@ def monte_carlo(
 
     Parameters
     ----------
+    reps, n, seed : int
+        Replications, sample size of each, and the run's seed (>= 0).
     targets : sequence of (target, truth)
         target is a covariate vector (effect at that point) or a Selector;
         truth is the value bias and coverage are measured against.
@@ -250,21 +351,53 @@ def monte_carlo(
     Replications that fail estimation are counted and excluded from the
     summaries.
 
+    When reps * n is at least PARALLEL_MIN_DRAWS, the process may use two
+    or more CPUs, no other thread is alive and the caller is not a
+    daemonic process, the replications are shared between the caller and
+    forked worker processes, one per further CPU (at most reps in all).
+    Each process pulls the next replication index from a shared counter,
+    so faster CPUs run more replications. Every replication draws from its
+    own (seed, rep) stream and the records are aggregated in replication
+    order, so the report is bit-identical to the serial one. Any other
+    error is raised at the replication the serial loop would raise at,
+    and no worker outlives the call.
+
     Raises
     ------
+    InvalidSetting
+        If reps, n or seed is not an integer, reps or n is below 1, or
+        seed is negative.
     AllReplicationsFailed
         If no replication produces estimates.
     """
+    reps = _as_order("reps", reps)
+    n = _as_order("n", n)
+    seed = _as_order("seed", seed)
     if reps < 1:
-        raise ValueError("reps must be >= 1")
-    kept = []  # the target records of each successful replication, in order
-    for rep in range(reps):
+        raise InvalidSetting(f"reps must be >= 1, got {reps}")
+    if n < 1:
+        raise InvalidSetting(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise InvalidSetting(f"seed must be >= 0, got {seed}")
+
+    def replicate(rep: int) -> Optional[list[EstimandRecord]]:
+        """The target records of one replication, None if it fails."""
         sample = gen_sample(config, n, (seed, rep))
         try:
             result = fit_hte(sample, spec)
-            kept.append([_target_record(result, t) for t, _ in targets])
+            return [_target_record(result, t) for t, _ in targets]
         except EstimationError:
-            pass
+            return None
+
+    procs = _process_count(reps, n)
+    outcomes = _run_forked(replicate, reps, procs) if procs > 1 else {}
+    kept = []  # the target records of each successful replication, in order
+    for rep in range(reps):
+        # the serial loop, and after a forked run the reps it left out: the
+        # first of those that raises is the one the serial loop raises at
+        records = outcomes[rep] if rep in outcomes else replicate(rep)
+        if records is not None:
+            kept.append(records)
 
     n_ok = len(kept)
     if n_ok == 0:

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_instance
 from oracles import RankDeficient, oracle_wls
 
-from rdhte.errors import AllReplicationsFailed
+from rdhte.errors import AllReplicationsFailed, InvalidSetting
 from rdhte.fitting import fit_side
 from rdhte.model import Common, FitSpec
 from rdhte.simulate import (
@@ -294,3 +294,32 @@ def test_monte_carlo_validates_reps():
             seed=1,
             targets=[(np.array([0.0]), 0.5)],
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(reps=2.5), dict(reps="3"), dict(reps=-1), dict(n=2.5), dict(n=0),
+     dict(seed=1.0), dict(seed=-1)],
+    ids=["reps_float", "reps_str", "reps_negative", "n_float", "n_zero",
+         "seed_float", "seed_negative"],
+)
+def test_monte_carlo_rejects_bad_counts(bad):
+    args = dict(reps=3, n=100, seed=1)
+    args.update(bad)
+    with pytest.raises(InvalidSetting):
+        monte_carlo(canonical_preset(), FitSpec(bandwidth=Common(0.5)),
+                    targets=[(np.array([0.0]), 0.5)], **args)
+
+
+def test_monte_carlo_stores_plain_ints():
+    report = monte_carlo(
+        canonical_preset(),
+        FitSpec(bandwidth=Common(0.5)),
+        reps=True,
+        n=np.int32(200),
+        seed=np.int64(3),
+        targets=[(np.array([0.0]), 0.5)],
+    )
+    assert [type(v) for v in (report.reps, report.n, report.seed)] == [int] * 3
+    assert (report.reps, report.n, report.seed) == (1, 200, 3)
+    assert json.loads(json.dumps(report.to_dict()))["monte_carlo"]["seed"] == 3
