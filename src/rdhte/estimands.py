@@ -1,10 +1,10 @@
 """Treatment-effect estimands built from paired side fits.
 
-The two one-sided fits are mapped to the long-form coefficient vector
-(baseline jump, per-covariate coefficient jumps) through an explicit
-mapping matrix; every reported estimand is a linear functional of that
-vector, carrying a plug-in standard error and a robust bias-corrected
-point estimate, interval, and p-value.
+Every reported estimand reads the right-minus-left difference of the two
+one-sided fits' coefficients through an extractor vector (the long-form
+vector of baseline and covariate-coefficient jumps reads it through those
+of the unit selectors) and carries a plug-in standard error and a robust
+bias-corrected point estimate, interval, and p-value.
 
 The two sides meet only in bandwidth selection and in the final contrast,
 so on large samples fit_hte runs each side's stages on its own thread
@@ -32,10 +32,10 @@ from .bandwidth import (
 )
 from .basis import extractor_vector
 from .errors import DimensionMismatch, InvalidSetting, NonFinite
-from .fitting import SideFit, fit_side
+from .fitting import fit_side
 from .inference import (
     ContrastForms,
-    SideForms,
+    SideStage,
     ci_pvalue,
     contrast_forms,
     side_forms,
@@ -46,7 +46,6 @@ __all__ = [
     "Selector",
     "EstimandRecord",
     "HteResult",
-    "long_map_matrix",
     "fit_hte",
     "cate_at",
     "contrast",
@@ -56,20 +55,6 @@ __all__ = [
 #: threads; on smaller windows the GIL handoffs between many short numpy
 #: calls cost more than the overlap saves
 PARALLEL_MIN_SIDE_ROWS = 200_000
-
-
-def long_map_matrix(p: int, s: int, d: int, nu: int) -> np.ndarray:
-    """Matrix sending stacked side coefficients to the long-form vector.
-
-    Row j is [-e_j, e_j], with e_j the extractor of the unit selector j:
-    row 0 is the baseline jump, row 1+l the jump in covariate l's
-    coefficient, each nu! times the order-nu entry, right side minus left.
-    """
-    ext = np.array([
-        extractor_vector(nu, p, s, unit[1:], lead=unit[0])
-        for unit in np.eye(1 + d)
-    ])
-    return np.hstack([-ext, ext])
 
 
 @dataclass(frozen=True)
@@ -125,25 +110,21 @@ class EstimandRecord:
 class HteResult:
     """Paired side fits with the derived heterogeneity estimands.
 
-    varsigma, derived from left and right on first use, stacks the
-    baseline jump and the covariate-coefficient jumps at the requested
-    derivative order. records, built with the result, hold the default
-    report set plus the evaluation points, given as (label, lead, w,
-    extrapolated). The pilot fits are those of the bias constants.
-    forms_left/forms_right hold each side's variance quadratic forms, and
-    forms combines them over both sides once (inference.ContrastForms);
-    those forms serve every derivative order, so each record costs four
-    dot products, O(k^2).
+    left and right are the side stages (inference.SideStage): each is the
+    side's main fit with its pilot stage (bias.pilot_fit is the pilot fit)
+    and variance forms, so dataclasses.replace(result, left=...) swaps a
+    whole side. forms combines both stages once (inference.ContrastForms)
+    and serves every derivative order, so each record costs four dot
+    products, O(k^2). varsigma, read off forms on first use, stacks the
+    baseline and covariate-coefficient jumps at the requested derivative
+    order. records, built with the result, hold the default report set
+    plus the evaluation points, given as (label, lead, w, extrapolated).
     """
 
     sample: RdSample
     spec: FitSpec
-    left: SideFit
-    right: SideFit
-    bias_left: BiasConstants
-    bias_right: BiasConstants
-    forms_left: SideForms
-    forms_right: SideForms
+    left: SideStage
+    right: SideStage
     selection: Optional[BandwidthSelection]
     labels: tuple[str, ...] = ()
     kinds: tuple[str, ...] = ()
@@ -159,14 +140,6 @@ class HteResult:
         ))
 
     @property
-    def pilot_left(self) -> SideFit:
-        return self.bias_left.pilot_fit
-
-    @property
-    def pilot_right(self) -> SideFit:
-        return self.bias_right.pilot_fit
-
-    @property
     def h_left(self) -> float:
         return self.left.h
 
@@ -180,17 +153,15 @@ class HteResult:
 
     @cached_property
     def varsigma(self) -> np.ndarray:
-        spec, d = self.spec, self.sample.d
-        stacked = np.concatenate([self.left.theta, self.right.theta])
-        return long_map_matrix(spec.p, spec.s, d, spec.nu) @ stacked
+        spec = self.spec
+        return np.array([
+            extractor_vector(spec.nu, spec.p, spec.s, unit[1:], lead=unit[0])
+            for unit in np.eye(1 + self.sample.d)
+        ]) @ self.forms.jump
 
     @cached_property
     def forms(self) -> ContrastForms:
-        return contrast_forms(
-            (self.left, self.right),
-            (self.forms_left, self.forms_right),
-            (self.bias_left.bias, self.bias_right.bias),
-        )
+        return contrast_forms(self.left, self.right)
 
     def record(self, label: str) -> EstimandRecord:
         """Look up a record by its label."""
@@ -395,14 +366,12 @@ def fit_hte(
         h_left, h_right = spec.resolved_bandwidths()
     stage = {"left": (h_left, bias_left), "right": (h_right, bias_right)}
 
-    def main_stage(side: str) -> tuple[SideFit, SideForms]:
+    def main_stage(side: str) -> SideStage:
         h, bias = stage[side]
         fit = fit_side(sample, side, h, p, s, kernel)
-        return fit, side_forms(sample, fit, bias, vce)
+        return SideStage.of(fit, bias, side_forms(sample, fit, bias, vce))
 
-    (left, forms_left), (right, forms_right) = _both_sides(
-        main_stage, threaded
-    )
+    left, right = _both_sides(main_stage, threaded)
 
     points = []
     for w_pt in at or ():
@@ -413,10 +382,6 @@ def fit_hte(
         spec=spec,
         left=left,
         right=right,
-        bias_left=bias_left,
-        bias_right=bias_right,
-        forms_left=forms_left,
-        forms_right=forms_right,
         selection=selection,
         labels=labels,
         kinds=kinds,

@@ -29,15 +29,15 @@ leverages (cluster: the rows of A are summed within clusters instead).
 A coefficient of power j scales as h^-j and its bias correction as
 c_j = h^(1+q-j) whatever order nu an extractor reads, so side_forms
 states both forms in raw-coefficient units, one k x k pair per side that
-serves every nu. contrast_forms sums the two sides once per fit; each
-record is then four dot products, O(k^2) whatever the sample size.
+serves every nu. contrast_forms sums the two sides' stages once per fit;
+each record is then four dot products, O(k^2) whatever the sample size.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import TYPE_CHECKING, Optional
 
@@ -53,6 +53,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SideForms",
+    "SideStage",
     "ContrastForms",
     "VarianceEstimate",
     "hc_weights",
@@ -319,6 +320,25 @@ class SideForms:
 
 
 @dataclass(frozen=True)
+class SideStage(SideFit):
+    """One side's main fit, extended with its pilot stage (bias, whose
+    pilot_fit is the pilot fit) and its variance forms. It serves wherever
+    a SideFit does, and dataclasses.replace copies the whole side."""
+
+    bias: BiasConstants
+    forms: SideForms
+
+    @classmethod
+    def of(cls, fit: SideFit, bias, forms) -> SideStage:
+        """The stage of fit; it shares the fit's arrays."""
+        own = {name: getattr(fit, name) for name in _SIDE_FIT_FIELDS}
+        return cls(**own, bias=bias, forms=forms)
+
+
+_SIDE_FIT_FIELDS = tuple(f.name for f in fields(SideFit))
+
+
+@dataclass(frozen=True)
 class ContrastForms:
     """Right-minus-left contraction forms, for every derivative order.
 
@@ -350,23 +370,14 @@ def side_forms(
     return SideForms(plugin=plugin, rbc=rbc)
 
 
-def contrast_forms(
-    fits: tuple[SideFit, SideFit],
-    forms: tuple[SideForms, SideForms],
-    biases: tuple[np.ndarray, np.ndarray],
-) -> ContrastForms:
-    """Combine both sides into their ContrastForms.
-
-    fits, forms and biases are (left, right) pairs of each side's main
-    fit, its variance forms and its main-order bias vector
-    (BiasConstants.bias).
-    """
-    left, right = fits
+def contrast_forms(left: SideStage, right: SideStage) -> ContrastForms:
+    """Combine both sides' stages into their ContrastForms."""
+    scaled = [_bias_scales(side) * side.bias.bias for side in (left, right)]
     return ContrastForms(
         jump=right.theta - left.theta,
-        bias=_bias_scales(right) * biases[1] - _bias_scales(left) * biases[0],
-        plugin=forms[0].plugin + forms[1].plugin,
-        rbc=forms[0].rbc + forms[1].rbc,
+        bias=scaled[1] - scaled[0],
+        plugin=left.forms.plugin + right.forms.plugin,
+        rbc=left.forms.rbc + right.forms.rbc,
     )
 
 

@@ -63,8 +63,8 @@ def result_payload(result: HteResult) -> dict:
         "mode": _bandwidth_mode(result),
         "h_left": result.h_left,
         "h_right": result.h_right,
-        "pilot_left": result.pilot_left.h,
-        "pilot_right": result.pilot_right.h,
+        "pilot_left": result.left.bias.pilot_fit.h,
+        "pilot_right": result.right.bias.pilot_fit.h,
     }
     if result.selection is not None:
         bw["bias_degenerate"] = result.selection.bias_degenerate

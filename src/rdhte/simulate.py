@@ -16,6 +16,7 @@ Large runs use that to split their replications across forked workers
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import asdict, dataclass, field, replace
@@ -34,7 +35,7 @@ from .estimands import (
     contrast,
     fit_hte,
 )
-from .model import FitSpec, RdSample, _as_order, validate_sample
+from .model import FitSpec, RdSample, _as_order, _as_real, validate_sample
 
 __all__ = [
     "DgpConfig",
@@ -51,21 +52,35 @@ __all__ = [
 #: replications between the calling process and forked workers
 PARALLEL_MIN_DRAWS = 50_000
 
-#: running-variable laws: ("uniform", lo, hi) or ("beta", a, b) rescaled
-#: to [-1, 1]
-_RUNNING_KINDS = ("uniform", "beta")
+#: (law, kind) -> (parameter count, domain of the finite parameters); a
+#: categorical law's one parameter holds its categories' probabilities
+_LAWS = {
+    ("running", "uniform"): (2, lambda lo, hi: lo < hi),
+    ("running", "beta"): (2, lambda a, b: a > 0 and b > 0),
+    ("noise", "constant"): (1, lambda sd: sd >= 0),
+    ("noise", "affine"): (2, lambda a, b: a >= 0 and b >= 0),
+    ("covariate", "binary"): (1, lambda p: 0 <= p <= 1),
+    ("covariate", "uniform"): (2, lambda lo, hi: lo < hi),
+    ("covariate", "categorical"):
+        (1, lambda *p: len(p) > 1 and min(p) >= 0 and sum(p) > 0),
+}
 
 
-# covariate laws: ("binary", p), ("uniform", lo, hi),
-# ("categorical", p_0..p_{k-1}) which expands to k-1 indicator columns
-# (category 0 is the omitted baseline); an unknown law raises here
-def _law_columns(law) -> int:
-    kind = law[0]
-    if kind in ("binary", "uniform"):
-        return 1
-    if kind == "categorical":
-        return len(law[1]) - 1
-    raise ValueError(f"unknown covariate law {kind!r}")
+def _check_law(what: str, law) -> None:
+    """InvalidSetting unless law is a known (kind, parameters...) law of
+    its kind's arity with finite real parameters inside its domain."""
+    kind = law[0] if isinstance(law, (tuple, list)) and law else law
+    if not isinstance(kind, str) or (what, kind) not in _LAWS:
+        raise InvalidSetting(f"unknown {what} law {kind!r}")
+    count, domain = _LAWS[what, kind]
+    if len(law) - 1 != count:
+        raise InvalidSetting(
+            f"{what} law {kind!r} takes {count} parameter(s), got {law!r}"
+        )
+    params = np.ravel(law[1]).tolist() if kind == "categorical" else law[1:]
+    values = [_as_real(f"{what} law {kind!r} parameter", v) for v in params]
+    if not (all(map(math.isfinite, values)) and domain(*values)):
+        raise InvalidSetting(f"{what} law {law!r} is outside its domain")
 
 
 @dataclass(frozen=True)
@@ -73,11 +88,13 @@ class DgpConfig:
     """Sharp RD data-generating process with linear-in-w heterogeneity.
 
     Polynomial coefficient tuples are ascending in x. lam_left/lam_right
-    hold one coefficient tuple per generated covariate column (a
-    categorical law generates one column per non-baseline category).
-
-    noise is ("constant", sigma) or ("affine", a, b) for sd a + b|x|;
-    running is ("uniform", lo, hi) or ("beta", a, b) mapped onto [-1, 1].
+    hold one coefficient tuple per generated covariate column: covariates
+    holds ("binary", p), ("uniform", lo, hi) and ("categorical", (p_0, ...,
+    p_{k-1})) laws, a categorical one generating k-1 indicator columns
+    (category 0 is the omitted baseline). noise is ("constant", sigma) or
+    ("affine", a, b) for sd a + b|x|, all >= 0; running is ("uniform", lo,
+    hi) with lo < hi or ("beta", a, b) with a, b > 0 mapped onto [-1, 1].
+    A malformed law raises InvalidSetting.
     """
 
     alpha_left: tuple = (0.0,)
@@ -90,23 +107,24 @@ class DgpConfig:
     cutoff: float = 0.0
 
     def __post_init__(self):
+        _check_law("running", self.running)
+        _check_law("noise", self.noise)
+        for law in self.covariates:
+            _check_law("covariate", law)
         d = self.n_columns
         if len(self.lam_left) != d or len(self.lam_right) != d:
-            raise ValueError(
+            raise InvalidSetting(
                 f"need {d} coefficient tuples per side for the generated "
                 f"covariate columns, got {len(self.lam_left)} left / "
                 f"{len(self.lam_right)} right"
             )
-        if self.running[0] not in _RUNNING_KINDS:
-            raise ValueError(f"unknown running law {self.running[0]!r}")
-        if self.noise[0] not in ("constant", "affine"):
-            raise ValueError(f"unknown noise law {self.noise[0]!r}")
-        if any(v < 0 for v in self.noise[1:]):
-            raise ValueError("noise sd parameters must be >= 0")
 
     @property
     def n_columns(self) -> int:
-        return sum(_law_columns(law) for law in self.covariates)
+        return sum(
+            np.size(law[1]) - 1 if law[0] == "categorical" else 1
+            for law in self.covariates
+        )
 
 
 def _draw_running(rng: np.random.Generator, law, n: int) -> np.ndarray:
@@ -160,10 +178,12 @@ def gen_sample(config: DgpConfig, n: int, seed) -> RdSample:
     """Draw one sample; deterministic given (config, n, seed).
 
     Draw order is fixed (running variable, covariates, then noise), so any
-    two calls with equal arguments produce identical arrays.
+    two calls with equal arguments produce identical arrays. n must be an
+    integer >= 1, else InvalidSetting.
     """
+    n = _as_order("n", n)
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidSetting(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     x = _draw_running(rng, config.running, n)
     w = _draw_covariates(rng, config.covariates, n)

@@ -6,10 +6,12 @@ SRC is the ``src`` directory whose ``rdhte`` is imported. The script fits
 two seeded canonical-preset samples (n = 1500, 60 cluster labels) under
 every variance kind, four bandwidth rules, three (p, s, nu) settings and
 the three kernels. Each fit contributes the bytes of its result_payload
-(with one ``at`` point), one cate_at record and one contrast record at
-the other derivative order, 1 - nu; an estimation error contributes its
-type and message instead. The script prints one digest per
-(seed, vce, bandwidth) group, then the digest of the whole grid.
+(with one ``at`` point), one cate_at record, one contrast record at the
+other derivative order, 1 - nu, its long-form vector varsigma and the
+arrays of its combined forms (jump, bias, plugin, rbc); an estimation
+error contributes its type and message instead. The script prints one
+digest per (seed, vce, bandwidth) group, then the digest of the whole
+grid.
 
 To check that a change keeps every number bit for bit, run the script
 on the ``src`` of both trees and diff the two outputs. pytest does not
@@ -61,9 +63,15 @@ def fit_bytes(sample, spec) -> bytes:
             cate_at(result, [0.3]),
             contrast(result, Selector(np.array([1.0, 0.5]), nu=1 - spec.nu)),
         ]
+        forms = result.forms
         doc = {
             "payload": result_payload(result),
             "extra": [dataclasses.asdict(rec) for rec in extra],
+            "varsigma": result.varsigma.tolist(),
+            "forms": {
+                name: getattr(forms, name).tolist()
+                for name in ("jump", "bias", "plugin", "rbc")
+            },
         }
     except RdhteError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}

@@ -118,7 +118,7 @@ def test_criterion_3_exact_fit_zero_bias():
     bias_mag = 0.0
     for w, lead in (([0.0], 1.0), ([1.0], 1.0), ([1.0], 0.0)):
         evec = extractor_vector(0, 1, 1, np.array(w), lead=lead)
-        for bias in (result.bias_left, result.bias_right):
+        for bias in (result.left.bias, result.right.bias):
             bias_mag = max(bias_mag, abs(float(evec @ bias.bias)))
     elapsed = time.perf_counter() - start
     report(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import math
 import sys
 
 import numpy as np
@@ -17,14 +18,9 @@ from rdhte.errors import (
     NuOutOfRange,
     TooFewClusters,
 )
-from rdhte.estimands import (
-    Selector,
-    cate_at,
-    contrast,
-    fit_hte,
-    long_map_matrix,
-)
+from rdhte.estimands import Selector, cate_at, contrast, fit_hte
 from rdhte.fitting import fit_side
+from rdhte.inference import contrast_forms
 from rdhte.model import Common, Fixed, FitSpec, Select, validate_sample
 
 
@@ -52,13 +48,22 @@ def test_extractor_rejects_out_of_range_order():
         extractor_vector(-1, 1, 1, [1.0])
 
 
+def _long_form(result, left, right):
+    """The long-form vector of right minus left, entry j read by the
+    extractor of the unit selector j on each side's theta."""
+    spec = result.spec
+    rows = [
+        extractor_vector(spec.nu, spec.p, spec.s, unit[1:], lead=unit[0])
+        for unit in np.eye(1 + result.sample.d)
+    ]
+    return np.array([e @ right.theta - e @ left.theta for e in rows])
+
+
 def test_long_map_reproduces_varsigma():
     sample = random_instance(30)
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.6)))
-    stacked = np.concatenate([result.left.theta, result.right.theta])
-    m = long_map_matrix(1, 1, sample.d, 0)
-    assert result.varsigma == pytest.approx(m @ stacked, rel=1e-14)
-
+    expect = _long_form(result, result.left, result.right)
+    assert result.varsigma == pytest.approx(expect, rel=1e-14)
 
 
 def test_varsigma_follows_replaced_side_fits():
@@ -69,9 +74,27 @@ def test_varsigma_follows_replaced_side_fits():
     other = fit_hte(random_instance(33), spec)
     assert result.varsigma.tolist() != other.varsigma.tolist()
     swapped = dataclasses.replace(result, left=other.left)
-    stacked = np.concatenate([other.left.theta, result.right.theta])
-    expect = long_map_matrix(2, 2, 1, 1) @ stacked
+    expect = _long_form(result, other.left, result.right)
     np.testing.assert_array_equal(swapped.varsigma, expect)
+
+
+def test_replaced_side_is_swapped_whole():
+    # a side's stage carries its fit, pilot stage and variance forms, so a
+    # copy with another left side reads all three from that side
+    spec = FitSpec(p=2, s=2, nu=1, bandwidth=Common(0.6))
+    result = fit_hte(random_instance(30), spec, at=[(0.5,)])
+    other = fit_hte(random_instance(33), spec)
+    swapped = dataclasses.replace(result, left=other.left)
+    assert swapped.left.bias.pilot_fit is other.left.bias.pilot_fit
+    expect = contrast_forms(other.left, result.right)
+    for name in ("jump", "bias", "plugin", "rbc"):
+        np.testing.assert_array_equal(
+            getattr(swapped.forms, name), getattr(expect, name)
+        )
+    plugin = other.left.forms.plugin + result.right.forms.plugin
+    for rec in swapped.records:
+        evec = extractor_vector(rec.nu, 2, 2, np.array(rec.w), lead=rec.lead)
+        assert rec.se == math.sqrt(float(evec @ plugin @ evec))
 
 
 def test_records_follow_replaced_side_fits():
@@ -415,8 +438,8 @@ def test_selected_fit_equals_fixed_fit_at_its_bandwidths(mode, vce):
         at=[(0.5,)],
     )
     assert fixed.records == selected.records
-    assert fixed.pilot_left.h == selected.pilot_left.h
-    assert fixed.pilot_right.h == selected.pilot_right.h
+    assert fixed.left.bias.pilot_fit.h == selected.left.bias.pilot_fit.h
+    assert fixed.right.bias.pilot_fit.h == selected.right.bias.pilot_fit.h
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +533,8 @@ def test_clusters_outside_every_window_leave_the_fit_unchanged():
     # rows in no main or pilot window become clusters of their own
     inside = np.zeros(sample.n, dtype=bool)
     for res in before:
-        for fit in (res.left, res.right, res.pilot_left, res.pilot_right):
+        pilots = (res.left.bias.pilot_fit, res.right.bias.pilot_fit)
+        for fit in (res.left, res.right, *pilots):
             inside[fit.idx] = True
     outside = np.flatnonzero(~inside)
     assert outside.size > sample.n // 5

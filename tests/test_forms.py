@@ -66,8 +66,8 @@ def test_forms_match_per_record_oracle(vce, kernel, d, p, s):
             )
             result = fit_hte(sample, spec, at=[w_pt] if d else None)
             sides = (
-                (result.left, result.pilot_left, result.bias_left),
-                (result.right, result.pilot_right, result.bias_right),
+                (result.left, result.left.bias.pilot_fit, result.left.bias),
+                (result.right, result.right.bias.pilot_fit, result.right.bias),
             )
             for main, pilot, _ in sides:
                 assert (main.eff_n > pilot.eff_n) == (ratio > 1)
@@ -95,7 +95,7 @@ def test_forms_match_per_record_oracle(vce, kernel, d, p, s):
                     ).variance,
                     rbc_variance(
                         sample, result.left, result.right,
-                        result.bias_left, result.bias_right,
+                        result.left.bias, result.right.bias,
                         evec, rec.nu, vce,
                     ),
                 )
@@ -114,8 +114,8 @@ def test_side_forms_serve_mixed_orders(vce):
     powers = np.array(column_powers(2, 2, 1))
     e = np.random.default_rng(36).normal(size=powers.size)
     for fit, bias, forms in (
-        (result.left, result.bias_left, result.forms_left),
-        (result.right, result.bias_right, result.forms_right),
+        (result.left, result.left.bias, result.left.forms),
+        (result.right, result.right.bias, result.right.forms),
     ):
         h = fit.h
         raw = e / h**powers

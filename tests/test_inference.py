@@ -333,12 +333,16 @@ def test_outcome_scaling_scales_se_leaves_z_and_p():
 def test_rbc_point_zero_bias_is_identity():
     result = fit_hte(random_instance(18), FitSpec(bandwidth=Common(0.7)))
     flat = {
-        side: dataclasses.replace(bias, routes=np.zeros_like(bias.routes))
-        for side, bias in (("left", result.bias_left),
-                           ("right", result.bias_right))
+        side: dataclasses.replace(
+            stage,
+            bias=dataclasses.replace(
+                stage.bias, routes=np.zeros_like(stage.bias.routes)
+            ),
+        )
+        for side, stage in (("left", result.left), ("right", result.right))
     }
     result = dataclasses.replace(
-        result, bias_left=flat["left"], bias_right=flat["right"]
+        result, left=flat["left"], right=flat["right"]
     )
     rec = cate_at(result, [1.0])
     assert rec.bias_estimate == 0.0
@@ -352,8 +356,8 @@ def test_rbc_point_arithmetic():
         rec = contrast(result, Selector(np.array([1.0, 0.5]), nu=nu))
         evec = extractor_vector(nu, 1, 1, np.array([0.5]))
         bias = 0.8**power * float(
-            evec @ result.bias_right.bias
-        ) - 0.6**power * float(evec @ result.bias_left.bias)
+            evec @ result.right.bias.bias
+        ) - 0.6**power * float(evec @ result.left.bias.bias)
         assert rec.bias_estimate == pytest.approx(bias, rel=1e-14)
         assert rec.rbc_point == rec.point - rec.bias_estimate
 

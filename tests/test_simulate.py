@@ -105,6 +105,49 @@ def test_unknown_covariate_law_is_named():
         DgpConfig(covariates=(("gamma", 2.0),))
 
 
+@pytest.mark.parametrize(
+    "n", [2.5, "3", 0, -4], ids=["float", "str", "zero", "negative"]
+)
+def test_gen_sample_rejects_bad_n(n):
+    with pytest.raises(InvalidSetting):
+        gen_sample(canonical_preset(), n, 1)
+
+
+def test_gen_sample_accepts_numpy_n():
+    sample = gen_sample(canonical_preset(), np.int32(50), 1)
+    assert sample.n == 50
+    assert np.array_equal(sample.y, gen_sample(canonical_preset(), 50, 1).y)
+
+
+ONE_BINARY = dict(lam_left=((0.0,),), lam_right=((0.0,),))
+MALFORMED_LAWS = {
+    "running_empty": dict(running=()),
+    "running_short": dict(running=("uniform", -1.0)),
+    "running_unordered": dict(running=("uniform", 1.0, -1.0)),
+    "running_beta_zero": dict(running=("beta", 0.0, 2.0)),
+    "running_not_a_law": dict(running=2.0),
+    "noise_short": dict(noise=("constant",)),
+    "noise_long": dict(noise=("constant", 1.0, 2.0)),
+    "noise_text": dict(noise=("constant", "a")),
+    "noise_nan": dict(noise=("affine", float("nan"), 0.0)),
+    "binary_short": dict(covariates=(("binary",),), **ONE_BINARY),
+    "binary_above_one": dict(covariates=(("binary", 1.5),), **ONE_BINARY),
+    "uniform_unordered": dict(covariates=(("uniform", 2.0, 2.0),),
+                              **ONE_BINARY),
+    "categorical_negative": dict(covariates=(("categorical", (0.7, -0.2)),),
+                                 **ONE_BINARY),
+    "categorical_zero_sum": dict(covariates=(("categorical", (0.0, 0.0)),),
+                                 **ONE_BINARY),
+    "categorical_scalar": dict(covariates=(("categorical", 0.5),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LAWS))
+def test_malformed_laws_raise_invalid_setting(name):
+    with pytest.raises(InvalidSetting):
+        DgpConfig(**MALFORMED_LAWS[name])
+
+
 # ---------------------------------------------------------------------------
 # true effects
 

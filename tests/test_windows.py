@@ -186,7 +186,8 @@ def test_fixed_bandwidth_fit_evaluates_kernel_on_window_rows(monkeypatch):
     monkeypatch.setattr(rdhte.fitting, "kernel_eval", counting)
     result = fit_hte(sample, spec)
     windows = [
-        result.left, result.right, result.pilot_left, result.pilot_right
+        result.left, result.right,
+        result.left.bias.pilot_fit, result.right.bias.pilot_fit,
     ]
     assert len(seen) == len(windows)
     # only the window rows and boundary ties reach the kernel
