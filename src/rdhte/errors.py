@@ -80,10 +80,6 @@ class DimensionMismatch(InputError):
     pass
 
 
-class BandwidthUnresolved(InputError):
-    pass
-
-
 # -- estimation failures ------------------------------------------------------
 
 class SingularGram(EstimationError):

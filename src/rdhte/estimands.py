@@ -245,6 +245,19 @@ def _cate_point(d: int, w) -> tuple[str, np.ndarray]:
     return f"CATE at w=({pretty})", w_arr
 
 
+def _selector_terms(d: int, selector: Selector) -> tuple[float, np.ndarray]:
+    """Validated lead and covariate weights of a long-form selector."""
+    vec = selector.vector
+    if vec.shape != (1 + d,):
+        raise DimensionMismatch(
+            f"selector has {vec.size} entries, expected {1 + d}"
+        )
+    if not np.isfinite(vec).all():
+        pretty = ", ".join(f"{v:g}" for v in vec)
+        raise NonFinite(-1, f"selector ({pretty})")
+    return float(vec[0]), vec[1:].copy()
+
+
 def _is_extrapolated(sample: RdSample, w: np.ndarray) -> bool:
     """True iff some coordinate of w lies outside the observed [min, max]."""
     if sample.w_range is None:
@@ -328,12 +341,15 @@ def fit_hte(
     Raises
     ------
     TooFewObservations, SingularGram, BiasDegenerate, DimensionMismatch,
-    NonFinite, LeverageOne, TooFewClusters
+    NonFinite, InvalidSetting, LeverageOne, TooFewClusters
     """
     p, s, kernel, vce = spec.p, spec.s, spec.kernel, spec.vce
     d = sample.d
     if labels is None:
         labels = tuple(f"w{ell + 1}" for ell in range(d))
+    elif isinstance(labels, str):
+        raise InvalidSetting(f"labels must be one text per column, "
+                             f"got {labels!r}")
     else:
         labels = tuple(labels)
     if len(labels) != d:
@@ -344,6 +360,12 @@ def fit_hte(
         kinds = tuple(kinds)
     if len(kinds) != d:
         raise DimensionMismatch(f"expected {d} kinds, got {len(kinds)}")
+    for kind in kinds:
+        if kind not in ("indicator", "continuous"):
+            raise InvalidSetting(f"unknown covariate kind {kind!r}")
+    for label in labels:
+        if not isinstance(label, str):
+            raise InvalidSetting(f"covariate label {label!r} is not text")
 
     # reading SideView.n builds both side views on this thread before any
     # worker starts: cached_property takes no lock from Python 3.12 on
@@ -359,12 +381,12 @@ def fit_hte(
 
     bias_left, bias_right = _both_sides(pilot_stage, threaded)
     selection: Optional[BandwidthSelection] = None
-    if isinstance(spec.bandwidth, Select):
-        selection = mse_bandwidth(sample, spec, bias_left, bias_right)
-        h_left, h_right = selection.h_left, selection.h_right
-    else:
-        h_left, h_right = spec.resolved_bandwidths()
-    stage = {"left": (h_left, bias_left), "right": (h_right, bias_right)}
+    # a fixed rule and a selection both answer h_left and h_right
+    rule = spec.bandwidth
+    if isinstance(rule, Select):
+        rule = selection = mse_bandwidth(sample, spec, bias_left, bias_right)
+    stage = {"left": (rule.h_left, bias_left),
+             "right": (rule.h_right, bias_right)}
 
     def main_stage(side: str) -> SideStage:
         h, bias = stage[side]
@@ -412,16 +434,6 @@ def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
     weight the covariate-coefficient jumps; a selector of zeros yields a
     zero point estimate with zero variance, a non-finite one NonFinite.
     """
-    d = result.sample.d
-    vec = selector.vector
-    if vec.shape != (1 + d,):
-        raise DimensionMismatch(
-            f"selector has {vec.size} entries, expected {1 + d}"
-        )
-    if not np.isfinite(vec).all():
-        pretty = ", ".join(f"{v:g}" for v in vec)
-        raise NonFinite(-1, f"selector ({pretty})")
+    lead, w = _selector_terms(result.sample.d, selector)
     nu = result.spec.nu if selector.nu is None else selector.nu
-    return _make_record(
-        result, selector.label, float(vec[0]), vec[1:].copy(), nu, False
-    )
+    return _make_record(result, selector.label, lead, w, nu, False)

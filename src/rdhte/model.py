@@ -18,12 +18,11 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .errors import (
-    BandwidthUnresolved,
     DegenerateQuantiles,
     EmptySample,
     InputError,
@@ -239,6 +238,15 @@ def _is_missing(label) -> bool:
     return label is None or label != label or label == ""
 
 
+def _check_labels(column: str, levels, labels) -> None:
+    """MissingLabel at the first missing label when levels, the distinct
+    labels (None if they could not be sorted), hold one."""
+    if levels is None or any(map(_is_missing, levels)):
+        for row, label in enumerate(labels):
+            if _is_missing(label):
+                raise MissingLabel(row, column)
+
+
 def label_codes(labels) -> tuple[list, np.ndarray]:
     """Sorted distinct labels, and each label's position among them.
 
@@ -343,10 +351,8 @@ def validate_sample(
             levels, cl = label_codes(cl_raw)
         except TypeError:
             levels = None
-        if levels is None or any(map(_is_missing, levels)):
-            for row, label in enumerate(cl_raw.tolist()):
-                if _is_missing(label):
-                    raise MissingLabel(row, "cluster")
+        _check_labels("cluster", levels, cl_raw.tolist())
+        if levels is None:
             raise InputError("column 'cluster' mixes numbers and text")
     cutoff = _as_real("cutoff", cutoff)
     if not math.isfinite(cutoff):
@@ -409,6 +415,7 @@ def _expand_categorical(name: str, values, baseline: Optional[str]):
         levels, codes = label_codes(values)
     except TypeError:
         levels = None
+    _check_labels(name, levels, values)
     if levels is None or not all(isinstance(lev, str) for lev in levels):
         levels, codes = label_codes([str(v) for v in values])
     base = levels[0] if baseline is None else str(baseline)
@@ -456,7 +463,7 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
     raw : dict
         Maps column name to a sequence of raw values (numeric for
         continuous/binary/quantile_bins, anything string-codeable for
-        categorical).
+        categorical, where a None, NaN or empty-text label is missing).
     spec : CovariateSpec
         Per-column expansion rules; output columns follow spec order.
 
@@ -469,7 +476,8 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
 
     Raises
     ------
-    UnknownLevel, DegenerateQuantiles, LengthMismatch, NonFinite
+    UnknownLevel, DegenerateQuantiles, LengthMismatch, NonFinite,
+    MissingLabel
     """
     cols: list[np.ndarray] = []
     labels: list[str] = []
@@ -531,16 +539,29 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
 
 # -- fit specification ---------------------------------------------------------
 
+def _as_bandwidth(name: str, value) -> float:
+    """A bandwidth as a float; NonPositiveBandwidth unless 0 < h < inf."""
+    h = _as_real(name, value)
+    # false for nan too
+    if not 0.0 < h < math.inf:
+        raise NonPositiveBandwidth(
+            f"bandwidths must be finite and > 0, got {h}"
+        )
+    return h
+
+
 @dataclass(frozen=True)
 class Fixed:
     """Per-side fixed bandwidths."""
 
     h_left: float
     h_right: float
+    mode: ClassVar[str] = "fixed"
 
     def __post_init__(self):
         for name in ("h_left", "h_right"):
-            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
+            value = _as_bandwidth(name, getattr(self, name))
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -548,9 +569,18 @@ class Common:
     """One bandwidth shared by both sides."""
 
     h: float
+    mode: ClassVar[str] = "fixed"
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _as_real("h", self.h))
+        object.__setattr__(self, "h", _as_bandwidth("h", self.h))
+
+    @property
+    def h_left(self) -> float:
+        return self.h
+
+    @property
+    def h_right(self) -> float:
+        return self.h
 
 
 @dataclass(frozen=True)
@@ -611,20 +641,3 @@ class FitSpec:
             raise InvalidSetting(f"unknown vce {self.vce!r}")
         if not 0.0 < self.level < 1.0:
             raise InvalidSetting("level must be in (0, 1)")
-        if not isinstance(self.bandwidth, Select):
-            for h in self.resolved_bandwidths():
-                # false for nan too
-                if not 0.0 < h < np.inf:
-                    raise NonPositiveBandwidth(
-                        f"bandwidths must be finite and > 0, got {h}"
-                    )
-
-    def resolved_bandwidths(self) -> tuple[float, float]:
-        """Return (h_left, h_right) for fixed-bandwidth specs."""
-        if isinstance(self.bandwidth, Fixed):
-            return self.bandwidth.h_left, self.bandwidth.h_right
-        if isinstance(self.bandwidth, Common):
-            return self.bandwidth.h, self.bandwidth.h
-        raise BandwidthUnresolved(
-            "bandwidth mode is Select; run bandwidth selection first"
-        )

@@ -13,7 +13,6 @@ import io
 import json
 
 from .estimands import EstimandRecord, HteResult
-from .model import Select
 
 __all__ = [
     "SCHEMA",
@@ -24,11 +23,6 @@ __all__ = [
 ]
 
 SCHEMA = "rdhte/1"
-
-
-def _bandwidth_mode(result: HteResult) -> str:
-    bw = result.spec.bandwidth
-    return bw.mode if isinstance(bw, Select) else "fixed"
 
 
 def _record_dict(rec: EstimandRecord) -> dict:
@@ -60,7 +54,7 @@ def result_payload(result: HteResult) -> dict:
     """Full-precision dictionary form of a result."""
     spec = result.spec
     bw = {
-        "mode": _bandwidth_mode(result),
+        "mode": spec.bandwidth.mode,
         "h_left": result.h_left,
         "h_right": result.h_right,
         "pilot_left": result.left.bias.pilot_fit.h,

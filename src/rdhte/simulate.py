@@ -17,6 +17,7 @@ Large runs use that to split their replications across forked workers
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import asdict, dataclass, field, replace
@@ -28,11 +29,12 @@ from numpy.polynomial import polynomial as npoly
 from .errors import AllReplicationsFailed, EstimationError, InvalidSetting
 from .estimands import (
     EstimandRecord,
-    HteResult,
     Selector,
+    _cate_point,
+    _is_extrapolated,
+    _make_record,
+    _selector_terms,
     _usable_cpus,
-    cate_at,
-    contrast,
     fit_hte,
 )
 from .model import FitSpec, RdSample, _as_order, _as_real, validate_sample
@@ -83,6 +85,21 @@ def _check_law(what: str, law) -> None:
         raise InvalidSetting(f"{what} law {law!r} is outside its domain")
 
 
+def _check_coefficients(name: str, coefs) -> None:
+    """InvalidSetting unless coefs is a non-empty sequence of finite reals."""
+    try:
+        values = list(coefs)
+    except TypeError:
+        values = []
+    if not values or not all(
+        isinstance(v, numbers.Real) and math.isfinite(v) for v in values
+    ):
+        raise InvalidSetting(
+            f"{name} must be a non-empty sequence of finite real numbers, "
+            f"got {coefs!r}"
+        )
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Sharp RD data-generating process with linear-in-w heterogeneity.
@@ -94,7 +111,8 @@ class DgpConfig:
     (category 0 is the omitted baseline). noise is ("constant", sigma) or
     ("affine", a, b) for sd a + b|x|, all >= 0; running is ("uniform", lo,
     hi) with lo < hi or ("beta", a, b) with a, b > 0 mapped onto [-1, 1].
-    A malformed law raises InvalidSetting.
+    A malformed law, or a coefficient tuple that is empty or holds an
+    entry that is not a finite real number, raises InvalidSetting.
     """
 
     alpha_left: tuple = (0.0,)
@@ -111,13 +129,24 @@ class DgpConfig:
         _check_law("noise", self.noise)
         for law in self.covariates:
             _check_law("covariate", law)
+        _check_coefficients("alpha_left", self.alpha_left)
+        _check_coefficients("alpha_right", self.alpha_right)
         d = self.n_columns
-        if len(self.lam_left) != d or len(self.lam_right) != d:
+        try:
+            counts = len(self.lam_left), len(self.lam_right)
+        except TypeError:
+            raise InvalidSetting(
+                "lam_left and lam_right must be sequences of coefficient "
+                "tuples"
+            ) from None
+        if counts != (d, d):
             raise InvalidSetting(
                 f"need {d} coefficient tuples per side for the generated "
-                f"covariate columns, got {len(self.lam_left)} left / "
-                f"{len(self.lam_right)} right"
+                f"covariate columns, got {counts[0]} left / {counts[1]} right"
             )
+        for side in ("left", "right"):
+            for ell, coefs in enumerate(getattr(self, f"lam_{side}")):
+                _check_coefficients(f"lam_{side}[{ell}]", coefs)
 
     @property
     def n_columns(self) -> int:
@@ -261,10 +290,24 @@ class McReport:
         }
 
 
-def _target_record(result: HteResult, target):
-    if isinstance(target, Selector):
-        return contrast(result, target)
-    return cate_at(result, target)
+def _target_plan(config: DgpConfig, spec: FitSpec, targets) -> list:
+    """(label, lead, w, nu, at_point, truth) of each (target, truth),
+    checked once against the config's covariate columns, as cate_at and
+    contrast check them; a truth must be a finite real number."""
+    d = config.n_columns
+    plan = []
+    for target, truth in targets:
+        truth = _as_real("truth", truth)
+        if not math.isfinite(truth):
+            raise InvalidSetting(f"truth must be finite, got {truth}")
+        if isinstance(target, Selector):
+            lead, w = _selector_terms(d, target)
+            nu = spec.nu if target.nu is None else target.nu
+            plan.append((target.label, lead, w, nu, False, truth))
+        else:
+            label, w = _cate_point(d, target)
+            plan.append((label, 1.0, w, spec.nu, True, truth))
+    return plan
 
 
 def _process_count(reps: int, n: int) -> int:
@@ -366,7 +409,10 @@ def monte_carlo(
         Replications, sample size of each, and the run's seed (>= 0).
     targets : sequence of (target, truth)
         target is a covariate vector (effect at that point) or a Selector;
-        truth is the value bias and coverage are measured against.
+        truth is the value bias and coverage are measured against. Each
+        target is checked against the config's covariate columns, and
+        each truth for being a finite real number, before the first
+        replication.
 
     Replications that fail estimation are counted and excluded from the
     summaries.
@@ -385,8 +431,11 @@ def monte_carlo(
     Raises
     ------
     InvalidSetting
-        If reps, n or seed is not an integer, reps or n is below 1, or
-        seed is negative.
+        If reps, n or seed is not an integer, reps or n is below 1, seed
+        is negative, or a truth is not a finite real number.
+    DimensionMismatch, NonFinite
+        If a target does not fit the covariate columns, as in cate_at and
+        contrast.
     AllReplicationsFailed
         If no replication produces estimates.
     """
@@ -400,12 +449,18 @@ def monte_carlo(
     if seed < 0:
         raise InvalidSetting(f"seed must be >= 0, got {seed}")
 
+    plan = _target_plan(config, spec, targets)
+
     def replicate(rep: int) -> Optional[list[EstimandRecord]]:
         """The target records of one replication, None if it fails."""
         sample = gen_sample(config, n, (seed, rep))
         try:
             result = fit_hte(sample, spec)
-            return [_target_record(result, t) for t, _ in targets]
+            return [
+                _make_record(result, label, lead, w, nu,
+                             at_point and _is_extrapolated(sample, w))
+                for label, lead, w, nu, at_point, _ in plan
+            ]
         except EstimationError:
             return None
 
@@ -427,7 +482,7 @@ def monte_carlo(
 
     out = []
     # zip(*kept) regroups the records by target
-    for (_, truth), recs in zip(targets, zip(*kept)):
+    for (*_, truth), recs in zip(plan, zip(*kept)):
         pt = np.array([rec.point for rec in recs])
         rb = np.array([rec.rbc_point for rec in recs])
         h = np.array([0.5 * (rec.h_left + rec.h_right) for rec in recs])
@@ -436,7 +491,7 @@ def monte_carlo(
         out.append(
             TargetReport(
                 label=recs[0].label,
-                truth=float(truth),
+                truth=truth,
                 reps_ok=n_ok,
                 mean_bias=float(np.mean(err)),
                 mean_bias_rbc=float(np.mean(err_rbc)),

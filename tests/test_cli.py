@@ -424,6 +424,22 @@ def test_empty_cluster_cell_exits_2(tmp_path, capsys):
     assert "missing label at row 7, column 'cid'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "hetero, col", [("w0:cat", 2), ("income:cat", 4), ("income", 4)]
+)
+def test_empty_hetero_cell_exits_2(tmp_path, capsys, hetero, col):
+    # a bare numeric column with a blank cell falls back to categorical,
+    # where the blank is a missing label, not a level of its own
+    path = tmp_path / "d.csv"
+    write_sample_csv(path, income=True)
+    _set_cell(path, 8, col, "")
+    assert main(cli_args(path, "--hetero", hetero, "--bw", "0.3")) == 2
+    name = hetero.partition(":")[0]
+    assert capsys.readouterr().err == (
+        f"error: missing label at row 8, column {name!r}\n"
+    )
+
+
 @pytest.mark.parametrize("column", ["earn", "score", "y"])
 def test_non_finite_cell_cites_csv_row_and_header(tmp_path, capsys, column):
     # a covariate named y: the outcome's library name is no CSV header

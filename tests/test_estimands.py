@@ -13,6 +13,7 @@ from oracles import long_regression, oracle_wls
 from rdhte.basis import extractor_vector, scaling_diag
 from rdhte.errors import (
     DimensionMismatch,
+    InvalidSetting,
     LeverageOne,
     NonFinite,
     NuOutOfRange,
@@ -224,6 +225,18 @@ def test_label_and_kind_length_validation():
         fit_hte(sample, spec, kinds=["indicator", "indicator"])
     with pytest.raises(DimensionMismatch):
         fit_hte(sample, spec, at=[(0.5, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "given",
+    [{"kinds": ["foo"]}, {"kinds": ["Indicator"]}, {"kinds": [None]},
+     {"labels": [5]}, {"labels": [None]}, {"labels": [b"w1"]},
+     {"labels": "w"}],
+)
+def test_label_and_kind_values_are_checked(given):
+    sample = random_instance(37)
+    with pytest.raises(InvalidSetting):
+        fit_hte(sample, FitSpec(bandwidth=Common(0.6)), **given)
 
 
 def test_result_record_lookup_and_counts():

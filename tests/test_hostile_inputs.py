@@ -101,7 +101,7 @@ def test_exact_rescale_of_x(sample, name, k):
     spec, a = RESCALE_SPECS.get(name, FitSpec()), 2.0**k
     moved_spec = spec
     if not isinstance(spec.bandwidth, Select):
-        h_left, h_right = spec.resolved_bandwidths()
+        h_left, h_right = spec.bandwidth.h_left, spec.bandwidth.h_right
         moved_spec = dataclasses.replace(
             spec, bandwidth=Fixed(a * h_left, a * h_right)
         )

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import json
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from rdhte.errors import (
-    BandwidthUnresolved,
     DegenerateQuantiles,
     InputError,
     InvalidSetting,
@@ -198,6 +198,26 @@ def test_categorical_levels_are_the_values_text():
     np.testing.assert_array_equal(
         w, [[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1]]
     )
+
+
+@pytest.mark.parametrize(
+    "values, row",
+    [
+        (["a", "", "b", None, float("nan")], 1),
+        (["a", "b", None], 2),
+        (["a", float("nan"), "b"], 1),
+        ([1, "a", None], 2),
+        (np.array([1.0, 2.0, 1.0, np.nan]), 3),
+        (np.array(["x", "y", ""]), 2),
+    ],
+)
+def test_categorical_missing_label_is_rejected(values, row):
+    # the rule validate_sample applies to cluster labels
+    with pytest.raises(MissingLabel) as info:
+        expand_covariates(
+            {"g": values}, CovariateSpec((ColumnSpec("g", "categorical"),))
+        )
+    assert (info.value.row, info.value.column) == (row, "g")
 
 
 def test_categorical_exclusive_indicators():
@@ -404,23 +424,22 @@ def test_scalar_settings_are_typed(make, name, stored):
 @pytest.mark.parametrize(
     "bandwidth",
     [
-        Common(float("nan")),
-        Common(float("inf")),
-        Fixed(0.3, float("inf")),
-        Fixed(float("nan"), 0.3),
-        Fixed(0.3, -0.1),
+        partial(Common, float("nan")),
+        partial(Common, float("inf")),
+        partial(Fixed, 0.3, float("inf")),
+        partial(Fixed, float("nan"), 0.3),
+        partial(Fixed, 0.3, -0.1),
     ],
 )
 def test_fitspec_rejects_non_finite_bandwidths(bandwidth):
+    # the fixed rules check their bandwidths when they are built
     with pytest.raises(NonPositiveBandwidth, match="finite and > 0"):
-        FitSpec(bandwidth=bandwidth)
+        bandwidth()
 
 
 def test_fitspec_bandwidth_resolution():
-    assert FitSpec(bandwidth=Common(0.4)).resolved_bandwidths() == (0.4, 0.4)
-    assert FitSpec(bandwidth=Fixed(0.3, 0.5)).resolved_bandwidths() == (
-        0.3,
-        0.5,
-    )
-    with pytest.raises(BandwidthUnresolved):
-        FitSpec(bandwidth=Select()).resolved_bandwidths()
+    assert (Common(0.4).h_left, Common(0.4).h_right) == (0.4, 0.4)
+    assert (Fixed(0.3, 0.5).h_left, Fixed(0.3, 0.5).h_right) == (0.3, 0.5)
+    assert Common(0.4).mode == Fixed(0.3, 0.5).mode == "fixed"
+    assert Select().mode == "two_sided"
+    assert Select("one_sided").mode == "one_sided"

@@ -7,7 +7,14 @@ import pytest
 from conftest import random_instance
 from oracles import RankDeficient, oracle_wls
 
-from rdhte.errors import AllReplicationsFailed, InvalidSetting
+from rdhte import simulate
+from rdhte.errors import (
+    AllReplicationsFailed,
+    DimensionMismatch,
+    InvalidSetting,
+    NonFinite,
+)
+from rdhte.estimands import Selector
 from rdhte.fitting import fit_side
 from rdhte.model import Common, FitSpec
 from rdhte.simulate import (
@@ -146,6 +153,32 @@ MALFORMED_LAWS = {
 def test_malformed_laws_raise_invalid_setting(name):
     with pytest.raises(InvalidSetting):
         DgpConfig(**MALFORMED_LAWS[name])
+
+
+MALFORMED_COEFFICIENTS = {
+    "alpha_text": dict(alpha_left=("a",)),
+    "alpha_empty": dict(alpha_right=()),
+    "alpha_nan": dict(alpha_left=(float("nan"),)),
+    "alpha_inf": dict(alpha_right=(0.0, float("inf"))),
+    "alpha_scalar": dict(alpha_left=0.5),
+    "alpha_none": dict(alpha_right=(None,)),
+    "lam_empty": dict(covariates=(("binary", 0.5),), lam_left=((),),
+                      lam_right=((0.0,),)),
+    "lam_text": dict(covariates=(("binary", 0.5),), lam_left=((0.0,),),
+                     lam_right=("ab",)),
+    "lam_nan": dict(covariates=(("binary", 0.5),), lam_left=((0.0,),),
+                    lam_right=((0.1, float("nan")),)),
+    "lam_scalar": dict(covariates=(("binary", 0.5),), lam_left=5,
+                       lam_right=((0.0,),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_COEFFICIENTS))
+def test_malformed_coefficients_raise_invalid_setting(name):
+    given = MALFORMED_COEFFICIENTS[name]
+    field = name.partition("_")[0]
+    with pytest.raises(InvalidSetting, match=f"^{field}_(left|right)"):
+        DgpConfig(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +385,35 @@ def test_monte_carlo_rejects_bad_counts(bad):
     with pytest.raises(InvalidSetting):
         monte_carlo(canonical_preset(), FitSpec(bandwidth=Common(0.5)),
                     targets=[(np.array([0.0]), 0.5)], **args)
+
+
+@pytest.mark.parametrize(
+    "target, truth, error",
+    [
+        (np.array([0.0, 1.0]), 0.5, DimensionMismatch),
+        (np.array([np.nan]), 0.5, NonFinite),
+        (Selector(np.array([1.0])), 0.5, DimensionMismatch),
+        (Selector(np.array([1.0, np.inf])), 0.5, NonFinite),
+        (np.array([0.0]), float("nan"), InvalidSetting),
+        (np.array([0.0]), float("-inf"), InvalidSetting),
+        (np.array([0.0]), "0.5", InvalidSetting),
+        (np.array([0.0]), None, InvalidSetting),
+    ],
+    ids=["short_point", "nan_point", "short_selector", "inf_selector",
+         "nan_truth", "inf_truth", "text_truth", "none_truth"],
+)
+def test_monte_carlo_checks_targets_before_any_replication(
+    monkeypatch, target, truth, error
+):
+    def no_replication(*args, **kwargs):
+        raise AssertionError("a replication or a fork ran first")
+
+    monkeypatch.setattr(simulate, "gen_sample", no_replication)
+    monkeypatch.setattr(simulate, "_run_forked", no_replication)
+    good = (np.array([1.0]), 0.9)
+    with pytest.raises(error):
+        monte_carlo(canonical_preset(), FitSpec(bandwidth=Common(0.5)),
+                    reps=50, n=2000, seed=1, targets=[good, (target, truth)])
 
 
 def test_monte_carlo_stores_plain_ints():
