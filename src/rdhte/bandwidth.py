@@ -226,11 +226,6 @@ class BandwidthSelection:
     bias_degenerate: bool
 
 
-def _h_bounds(sample: RdSample, side: str, k_dim: int):
-    view = sample.side_view(side)
-    return view.radius(min(k_dim + 2, view.n)), view.radius(view.n)
-
-
 def mse_bandwidth(
     sample: RdSample,
     spec: FitSpec,
@@ -242,6 +237,19 @@ def mse_bandwidth(
     The target is the linear functional whose MSE drives the choice: the
     effect at w = all-ones, the natural evaluation point when covariates
     are orthogonal indicators.
+
+    One rule serves both modes, which only group the sides: "one_sided"
+    solves each side alone, "two_sided" the jump across the cutoff for one
+    bandwidth on both. A group sums its sides' v = e' V e and takes its
+    bias b (the side's own e' bias, or b_right - b_left) and reference
+    h_ref (the side's own pilot h, or sqrt(h_left h_right)); with
+    q = min(p, s) it solves
+
+        h = (C v / (b^2 + reg))^(1/(3 + 2q)),
+        C = (1 + 2nu) / (2(1 + q - nu) n),  reg = BIAS_REG_EPS v / (n h_ref),
+
+    sets bias_degenerate when b^2 < reg, and clips h to the group's largest
+    per-side bounds: the radii holding k + 2 rows and every row.
 
     Parameters
     ----------
@@ -262,66 +270,59 @@ def mse_bandwidth(
     SingularGram, LeverageOne, TooFewClusters, BiasDegenerate
     """
     p, s, nu, vce = spec.p, spec.s, spec.nu, spec.vce
-    d = sample.d
-    mode = spec.bandwidth.mode
-    extractor = extractor_vector(nu, p, s, np.ones(d))
-
     n = sample.n
     q = min(p, s)
-    sides = ("left", "right")
-    pilots, v_val, b_val = {}, {}, {}
-    for sd, bias in zip(sides, (bias_left, bias_right)):
-        pilots[sd] = bias.pilot_fit.h
-        vmat = variance_constants(sample, bias, vce)
-        v_val[sd] = float(extractor @ vmat @ extractor)
-        b_val[sd] = float(extractor @ bias.bias)
-
+    k_dim = n_params(p, s, sample.d)
+    extractor = extractor_vector(nu, p, s, np.ones(sample.d))
     factor = (1 + 2 * nu) / (2.0 * (1 + q - nu) * n)
     expo = 1.0 / (3 + 2 * q)
-    k_dim = n_params(p, s, d)
-    bounds = {sd: _h_bounds(sample, sd, k_dim) for sd in sides}
 
-    def _solve(v_sum: float, b_sq: float, h_ref: float) -> tuple[float, bool]:
-        if v_sum == 0.0:
-            return 0.0, True
-        reg = BIAS_REG_EPS * v_sum / (n * h_ref) if h_ref > 0 else 0.0
-        denom = b_sq + reg
-        degenerate = b_sq < reg
-        if denom <= 0.0:
-            raise BiasDegenerate(
-                "bias denominator non-positive after regularization"
-            )
-        raw = (factor * v_sum / denom) ** expo
-        if not np.isfinite(raw):
-            raise BiasDegenerate(
-                "bandwidth non-finite after regularization"
-            )
-        return raw, degenerate
+    v, b, h_pilot, lo, hi = {}, {}, {}, {}, {}
+    for side, bias in (("left", bias_left), ("right", bias_right)):
+        vmat = variance_constants(sample, bias, vce)
+        v[side] = float(extractor @ vmat @ extractor)
+        b[side] = float(extractor @ bias.bias)
+        h_pilot[side] = bias.pilot_fit.h
+        view = sample.side_view(side)
+        lo[side] = view.radius(min(k_dim + 2, view.n))
+        hi[side] = view.radius(view.n)
 
-    if mode == "one_sided":
-        h_out, degen = {}, False
-        for side in sides:
-            raw, dg = _solve(v_val[side], b_val[side] ** 2, pilots[side])
-            degen = degen or dg
-            lo, hi = bounds[side]
-            h_out[side] = float(np.clip(raw, lo, hi))
-        h_left, h_right = h_out["left"], h_out["right"]
+    if spec.bandwidth.mode == "one_sided":
+        groups = (("left",), ("right",))
     else:
-        v_sum = v_val["left"] + v_val["right"]
-        b_diff = b_val["right"] - b_val["left"]
-        h_ref = float(np.sqrt(pilots["left"] * pilots["right"]))
-        raw, degen = _solve(v_sum, b_diff**2, h_ref)
-        lo = max(bounds["left"][0], bounds["right"][0])
-        hi = max(bounds["left"][1], bounds["right"][1])
-        h_common = float(np.clip(raw, lo, hi))
-        h_left = h_right = h_common
+        groups = (("left", "right"),)
+    h, degen = {}, False
+    for group in groups:
+        v_sum = sum(v[sd] for sd in group)
+        if len(group) == 1:
+            # the side's own h, not sqrt(h * h), which underflows to 0
+            b_sq, h_ref = b[group[0]] ** 2, h_pilot[group[0]]
+        else:
+            b_sq = (b["right"] - b["left"]) ** 2
+            h_ref = float(np.sqrt(h_pilot["left"] * h_pilot["right"]))
+        raw, dg = 0.0, True
+        if v_sum != 0.0:
+            reg = BIAS_REG_EPS * v_sum / (n * h_ref) if h_ref > 0 else 0.0
+            denom, dg = b_sq + reg, b_sq < reg
+            if denom <= 0.0:
+                raise BiasDegenerate(
+                    "bias denominator non-positive after regularization"
+                )
+            raw = (factor * v_sum / denom) ** expo
+            if not np.isfinite(raw):
+                raise BiasDegenerate(
+                    "bandwidth non-finite after regularization"
+                )
+        degen = degen or dg
+        bounds = max(lo[sd] for sd in group), max(hi[sd] for sd in group)
+        h.update(dict.fromkeys(group, float(np.clip(raw, *bounds))))
 
     return BandwidthSelection(
-        h_left=h_left,
-        h_right=h_right,
-        v_left=v_val["left"],
-        v_right=v_val["right"],
-        b_left=b_val["left"],
-        b_right=b_val["right"],
+        h_left=h["left"],
+        h_right=h["right"],
+        v_left=v["left"],
+        v_right=v["right"],
+        b_left=b["left"],
+        b_right=b["right"],
         bias_degenerate=degen,
     )

@@ -75,8 +75,10 @@ class Selector:
         object.__setattr__(self, "vector", vec)
         if self.nu is not None:
             object.__setattr__(self, "nu", _as_order("nu", self.nu))
-        if not self.label:
-            raise InvalidSetting("selector label must be nonempty")
+        if not (isinstance(self.label, str) and self.label):
+            raise InvalidSetting(
+                f"selector label must be non-empty text, got {self.label!r}"
+            )
 
 
 @dataclass(frozen=True)

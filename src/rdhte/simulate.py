@@ -111,8 +111,9 @@ class DgpConfig:
     (category 0 is the omitted baseline). noise is ("constant", sigma) or
     ("affine", a, b) for sd a + b|x|, all >= 0; running is ("uniform", lo,
     hi) with lo < hi or ("beta", a, b) with a, b > 0 mapped onto [-1, 1].
-    A malformed law, or a coefficient tuple that is empty or holds an
-    entry that is not a finite real number, raises InvalidSetting.
+    A malformed law, a coefficient tuple that is empty or holds an entry
+    that is not a finite real number, or a cutoff that is not one, raises
+    InvalidSetting; the cutoff is stored as a float.
     """
 
     alpha_left: tuple = (0.0,)
@@ -125,6 +126,10 @@ class DgpConfig:
     cutoff: float = 0.0
 
     def __post_init__(self):
+        cutoff = _as_real("cutoff", self.cutoff)
+        if not math.isfinite(cutoff):
+            raise InvalidSetting(f"cutoff must be finite, got {cutoff!r}")
+        object.__setattr__(self, "cutoff", cutoff)
         _check_law("running", self.running)
         _check_law("noise", self.noise)
         for law in self.covariates:

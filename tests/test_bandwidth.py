@@ -227,30 +227,42 @@ def test_mse_bandwidth_formula_arithmetic():
     assert (0.25 * 1.0 / 1.0) ** 0.2 == pytest.approx(0.757858, abs=5e-7)
 
 
+def _side_terms(sample, spec, side):
+    """One side's v = e'Ve, b = e'bias, pilot h and clip bounds, from the
+    constants and the raw distances rather than from the selection."""
+    p, s = spec.p, spec.s
+    e = extractor_vector(spec.nu, p, s, np.ones(sample.d))
+    h = pilot_bandwidth(sample, side, p, s)
+    bc = bias_constants(sample, side, p, s, spec.kernel, h)
+    v = float(e @ variance_constants(sample, bc, spec.vce) @ e)
+    right = sample.x >= sample.cutoff
+    on_side = right if side == "right" else ~right
+    dist = np.sort(np.abs(sample.x[on_side] - sample.cutoff))
+    k_dim = n_params(p, s, sample.d)
+    lo, hi = dist[k_dim + 1] * (1 + 1e-9), dist[-1] * (1 + 1e-9)
+    return v, float(e @ bc.bias), h, lo, hi
+
+
+def _formula_h(n, v, b, h_ref):
+    """The order-1 (nu = 0) rule: (v / (4n (b^2 + reg)))^(1/5)."""
+    reg = BIAS_REG_EPS * v / (n * h_ref)
+    return (v / (4.0 * n * (b**2 + reg))) ** 0.2
+
+
 def test_mse_bandwidth_reproduces_formula_from_constants():
     sample = random_instance(43, n=600, d=1)
     spec = FitSpec()
     sel = _select(sample, spec)
-    v_sum = sel.v_left + sel.v_right
-    b_diff = sel.b_right - sel.b_left
-    h_ref = np.sqrt(
-        pilot_bandwidth(sample, "left", 1, 1)
-        * pilot_bandwidth(sample, "right", 1, 1)
+    v_l, b_l, h_l, lo_l, hi_l = _side_terms(sample, spec, "left")
+    v_r, b_r, h_r, lo_r, hi_r = _side_terms(sample, spec, "right")
+    assert (sel.v_left, sel.v_right, sel.b_left, sel.b_right) == (
+        pytest.approx((v_l, v_r, b_l, b_r), rel=1e-12)
     )
-    reg = BIAS_REG_EPS * v_sum / (sample.n * h_ref)
-    raw = (v_sum / (4.0 * sample.n * (b_diff**2 + reg))) ** 0.2
+    raw = _formula_h(sample.n, v_l + v_r, b_r - b_l, np.sqrt(h_l * h_r))
+    # unclipped: the common rule is tested, not a bound
+    assert max(lo_l, lo_r) < raw < max(hi_l, hi_r)
     assert sel.h_left == sel.h_right
-    assert min(raw, 1.0) == pytest.approx(sel.h_left, rel=1e-12) or (
-        sel.h_left != raw  # clamped
-    )
-    dist = np.sort(np.abs(sample.x[sample.x >= 0]))
-    lo = np.sort(np.abs(sample.x[sample.x < 0]))
-    k_dim = 4
-    lo_bound = max(dist[k_dim + 1], lo[k_dim + 1]) * (1 + 1e-9)
-    hi_bound = max(dist[-1], lo[-1]) * (1 + 1e-9)
-    assert sel.h_left == pytest.approx(
-        float(np.clip(raw, lo_bound, hi_bound)), rel=1e-12
-    )
+    assert sel.h_left == pytest.approx(raw, rel=1e-12)
 
 
 def test_quadrupling_n_shrinks_h_at_fixed_constants():
@@ -320,9 +332,18 @@ def test_noisy_linear_dgp_still_selects():
 
 
 def test_one_sided_mode():
+    # each side solves the rule alone, with its own v, b and pilot h
     sample = random_instance(53, n=600, d=1)
-    sel = _select(sample, FitSpec(bandwidth=Select("one_sided")))
-    assert sel.h_left > 0 and sel.h_right > 0
+    spec = FitSpec(bandwidth=Select("one_sided"))
+    sel = _select(sample, spec)
+    for side in ("left", "right"):
+        v, b, h_pilot, lo, hi = _side_terms(sample, spec, side)
+        assert (getattr(sel, f"v_{side}"), getattr(sel, f"b_{side}")) == (
+            pytest.approx((v, b), rel=1e-12)
+        )
+        raw = _formula_h(sample.n, v, b, h_pilot)
+        assert lo < raw < hi
+        assert getattr(sel, f"h_{side}") == pytest.approx(raw, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,s", [(1, 1), (2, 1), (1, 2)])

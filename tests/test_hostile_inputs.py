@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rdhte.errors import SingularGram, TooFewObservations
+from rdhte.errors import BiasDegenerate, SingularGram, TooFewObservations
 from rdhte.estimands import Selector, contrast, fit_hte
 from rdhte.model import Common, Fixed, FitSpec, Select, validate_sample
 from rdhte.simulate import canonical_preset, gen_sample
@@ -33,6 +33,23 @@ def test_rows_on_one_side_are_too_few(sample, bandwidth):
     with pytest.raises(TooFewObservations):
         fit_hte(validate_sample(sample.y[right], sample.x[right], 0.0),
                 FitSpec(bandwidth=bandwidth))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-300])
+@pytest.mark.parametrize("mode", ["two_sided", "one_sided"])
+def test_selector_on_tiny_x_raises_bias_degenerate(mode, scale):
+    # the canonical draw with x shrunk so far that the bias contraction is
+    # NaN, and at 1e-300 a pilot h squared underflows to 0: the selector's
+    # finiteness guard must answer, not a ZeroDivisionError from a
+    # reference bandwidth of 0 or an earlier check that misnames the NaN
+    # denominator. ROADMAP item 1a (a scale-aware regularizer) may turn
+    # these inputs into fits and replace this pin.
+    draw = gen_sample(canonical_preset(), 4000, 0)
+    with np.errstate(all="ignore"), pytest.raises(
+        BiasDegenerate, match="^bandwidth non-finite after regularization$"
+    ):
+        fit_hte(validate_sample(draw.y, scale * draw.x, 0.0, draw.w),
+                FitSpec(bandwidth=Select(mode)))
 
 
 @pytest.mark.parametrize("bandwidth", [Common(0.5), Select()])

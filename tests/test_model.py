@@ -35,6 +35,7 @@ from rdhte.model import (
     validate_sample,
 )
 from rdhte.render import render_json
+from rdhte.simulate import DgpConfig
 
 
 def _clean_sample():
@@ -380,7 +381,12 @@ _XY = (np.zeros(4), np.array([-0.5, -0.2, 0.2, 0.5]))
         (lambda: Fixed(0.3, None), "h_right", None),
         (lambda: Selector(_VEC, nu=1.5), "nu", None),
         (lambda: Selector(_VEC, label=""), "selector label", None),
+        (lambda: Selector(_VEC, label=5), "selector label", None),
         (lambda: validate_sample(*_XY, cutoff="0"), "cutoff", None),
+        (lambda: DgpConfig(cutoff="a"), "cutoff", None),
+        (lambda: DgpConfig(cutoff=float("nan")), "cutoff", None),
+        (lambda: DgpConfig(cutoff=float("inf")), "cutoff", None),
+        (lambda: DgpConfig(cutoff=np.float32(0.25)), "cutoff", 0.25),
         (lambda: FitSpec(p=np.int64(2)), "p", 2),
         (lambda: FitSpec(level=np.float32(0.95)), "level",
          float(np.float32(0.95))),
@@ -399,14 +405,17 @@ _XY = (np.zeros(4), np.array([-0.5, -0.2, 0.2, 0.5]))
     ids=[
         "p_float", "s_float", "p_text", "nu_none", "level_text",
         "common_text", "fixed_none", "selector_nu_float", "selector_label",
-        "cutoff_text", "p_int64", "level_float32", "common_float32",
+        "selector_label_int",
+        "cutoff_text", "dgp_cutoff_text", "dgp_cutoff_nan", "dgp_cutoff_inf",
+        "dgp_cutoff_float32", "p_int64", "level_float32", "common_float32",
         "selector_nu_int64", "power_max_float", "bins_float",
         "power_max_text", "bins_int64", "power_max_int64",
     ],
 )
 def test_scalar_settings_are_typed(make, name, stored):
     # orders pass operator.index and become int, reals become float; any
-    # other value is an InvalidSetting that names the field
+    # other value, or a DgpConfig cutoff that is not finite, is an
+    # InvalidSetting that names the field
     if stored is None:
         with pytest.raises(InvalidSetting, match=f"^{name} must"):
             make()
