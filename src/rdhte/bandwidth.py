@@ -267,7 +267,10 @@ def mse_bandwidth(
 
     Raises
     ------
-    SingularGram, LeverageOne, TooFewClusters, BiasDegenerate
+    SingularGram, LeverageOne, TooFewClusters
+    BiasDegenerate
+        If a side's v or b is not finite (the message names the side and
+        the constant), or the regularized rule has no finite solution.
     """
     p, s, nu, vce = spec.p, spec.s, spec.nu, spec.vce
     n = sample.n
@@ -282,6 +285,11 @@ def mse_bandwidth(
         vmat = variance_constants(sample, bias, vce)
         v[side] = float(extractor @ vmat @ extractor)
         b[side] = float(extractor @ bias.bias)
+        for constant, value in (("variance", v[side]), ("bias", b[side])):
+            if not np.isfinite(value):
+                raise BiasDegenerate(
+                    f"{side} {constant} constant non-finite ({value})"
+                )
         h_pilot[side] = bias.pilot_fit.h
         view = sample.side_view(side)
         lo[side] = view.radius(min(k_dim + 2, view.n))

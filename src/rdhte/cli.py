@@ -203,18 +203,22 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     )
 
 
-def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
+def load_csv(
+    path: str, columns: Sequence[str], numeric: Sequence[str] = ()
+) -> dict[str, list[str] | np.ndarray]:
     """Read the named columns from a headered CSV (UTF-8, BOM tolerated).
 
-    Values come back as strings; numeric parsing happens per binding so
-    parse errors can cite the exact cell. Every line after the header is
-    one row: a blank line is a row of empty cells, missing trailing cells
-    are empty and extra cells are ignored.
+    A column named in numeric (it is read even if columns omits it) comes
+    back as a float64 array, every cell parsed by float(); the others come
+    back as strings. Every line after the header is one row: a blank line
+    is a row of empty cells, missing trailing cells are empty and extra
+    cells are ignored.
 
     The file is read in blocks of whole lines, about 1 MiB each, so no
-    file-sized text is held. A block without a quote character is split
-    column-wise in one pass; from the first block that holds one, the rest
-    of the file goes through csv.reader, which parses RFC 4180 quoting.
+    file-sized text is held, and a numeric column is parsed block by block,
+    so none of its cells outlives its block as text. Quote-free blocks are
+    split column-wise in one pass; from the first quote on, csv.reader
+    parses RFC 4180 quoting.
 
     Raises
     ------
@@ -222,7 +226,11 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
     InputError
         If the file has no header row, or a requested column appears more
         than once in it.
+    ParseError
+        Once the whole file is read, for the first bad cell of the first
+        column in numeric order that has one, citing its 1-based data row.
     """
+    names = list(dict.fromkeys([*columns, *numeric]))
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -232,7 +240,7 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
         index = {}
         for j, name in enumerate(header):
             index.setdefault(name, j)
-        for name in columns:
+        for name in names:
             if name not in index:
                 raise MissingColumn(name)
             if header.count(name) > 1:
@@ -240,24 +248,69 @@ def load_csv(path: str, columns: Sequence[str]) -> dict[str, list[str]]:
                     f"{path}: column {name!r} appears more than once in "
                     "the header"
                 )
-        # a column named in several roles is read once
-        out: dict[str, list[str]] = {name: [] for name in columns}
-        want = [(out[name], index[name]) for name in out]
-        ncol = len(header)
-        while want:
-            lines = fh.readlines(_BLOCK_CHARS)
-            if not lines:
-                break
-            text = "".join(lines)
-            if '"' in text:
-                for row in csv.reader(itertools.chain(lines, fh)):
-                    for values, j in want:
-                        values.append(row[j] if j < len(row) else "")
-                break
-            cells = _split_block(text, len(lines), ncol)
-            for values, j in want:
-                values.extend(cells[j::ncol])
+        # a column named in several roles is read once; a numeric column
+        # collects one array per block and, after its first bad cell, none
+        out = {name: [] for name in names}
+        bad: dict[str, ParseError] = {}
+        want = [(name, index[name], name in numeric) for name in names]
+        nrows, ncol = 0, len(header)
+        for block_rows, cells in _cell_blocks(fh, ncol) if want else ():
+            for name, j, typed in want:
+                column = cells[j::ncol]
+                if not typed:
+                    out[name].extend(column)
+                elif name not in bad:
+                    try:
+                        out[name].append(_parse_numeric(name, column, nrows))
+                    except ParseError as exc:
+                        bad[name] = exc
+            nrows += block_rows
+            del cells, column  # before the next block is read
+    for name in numeric:
+        if name in bad:
+            raise bad[name]
+    for name, _, typed in want:
+        if typed:
+            out[name] = np.concatenate(out[name]) if out[name] else np.empty(0)
     return out
+
+
+def _cell_blocks(fh, ncol: int):
+    """The data rows after the header in blocks of about _BLOCK_CHARS, as
+    (nrows, cells): cells is row-major, ncol a row, short rows padded with
+    empty cells and long ones cut.
+
+    Quote-free blocks of whole lines go through _split_block; from the
+    first block with a quote on, csv.reader parses the rest of the file,
+    in batches of as many rows as that block has lines.
+    """
+    # each block's text is dropped before it is handed on and its cells
+    # before the next block is read, so one block is held at a time
+    while lines := fh.readlines(_BLOCK_CHARS):
+        text = "".join(lines)
+        if '"' in text:
+            break
+        nrows = len(lines)
+        del lines
+        cells = _split_block(text, nrows, ncol)
+        del text
+        yield nrows, cells
+        del cells
+    else:
+        return
+    del text
+    rows = csv.reader(itertools.chain(lines, fh))
+    size, fill = len(lines), [""] * ncol
+    del lines
+    while batch := list(itertools.islice(rows, size)):
+        cells = []
+        for row in batch:
+            cells += row[:ncol]
+            cells += fill[len(row):]
+        nrows = len(batch)
+        del batch
+        yield nrows, cells
+        del cells
 
 
 def _split_block(text: str, nrows: int, ncol: int) -> list[str]:
@@ -288,17 +341,28 @@ def _split_block(text: str, nrows: int, ncol: int) -> list[str]:
     return cells
 
 
-def _parse_numeric(name: str, values: list[str]) -> np.ndarray:
+def _parse_numeric(
+    name: str, values: list[str], start: int = 0
+) -> np.ndarray:
+    """values as float64 by float(); values[0] is data row start + 1, the
+    row a ParseError for it cites."""
     try:
         return np.fromiter(map(float, values), float, len(values))
     except ValueError:
         # a second pass only to name the first bad cell
-        for i, v in enumerate(values):
+        for row, v in enumerate(values, start + 1):
             try:
                 float(v)
             except ValueError:
-                raise ParseError(i + 1, name, v) from None
+                raise ParseError(row, name, v) from None
         raise
+
+
+def _numbers(name: str, values) -> np.ndarray:
+    """A column load_csv returned: parsed already, or text to parse."""
+    if isinstance(values, np.ndarray):
+        return values
+    return _parse_numeric(name, values)
 
 
 def build_result(config: RunConfig):
@@ -320,10 +384,21 @@ def _load_sample(config: RunConfig):
     names += [name for name, _ in config.hetero]
     if config.cluster is not None:
         names.append(config.cluster)
-    raw = load_csv(config.data, names)
+    # the numeric roles in the order their parse errors are raised;
+    # load_csv parses them as it reads, up to the first that also has a
+    # text role: that column and the rest stay text and are parsed below
+    text = {config.cluster}
+    text.update(name for name, col in config.hetero
+                if col is None or col.kind == "categorical")
+    numeric = [config.outcome, config.running]
+    numeric += [name for name, col in config.hetero
+                if col is not None and col.kind != "categorical"]
+    numeric = list(itertools.takewhile(lambda name: name not in text,
+                                       numeric))
+    raw = load_csv(config.data, names, numeric)
 
-    y = _parse_numeric(config.outcome, raw[config.outcome])
-    x = _parse_numeric(config.running, raw[config.running])
+    y = _numbers(config.outcome, raw[config.outcome])
+    x = _numbers(config.running, raw[config.running])
 
     # a bare name is parsed once: as numbers when every cell parses (0/1
     # columns are binary, others continuous), else kept as categorical text
@@ -332,7 +407,7 @@ def _load_sample(config: RunConfig):
         values = raw[name]
         if col is None or col.kind != "categorical":
             try:
-                values = _parse_numeric(name, values)
+                values = _numbers(name, values)
             except ParseError:
                 if col is not None:
                     raise

@@ -5,7 +5,8 @@ Usage: python tests/runtime_smoke.py TMPDIR
 The script blocks scipy before it imports rdhte, so a lazy scipy import
 anywhere on the paths below fails the run. It fits seeded samples through
 the library API and runs the command line in process, through
-rdhte.cli.main, on small CSV files that it writes to TMPDIR. It prints
+rdhte.cli.main, on CSV files that it writes to TMPDIR: small ones, and
+one of more than 2 MiB that the CLI reads block by block. It prints
 "ok" and exits 0 when every check passes. It imports no test framework,
 so it runs in an environment that holds only the package and numpy; the
 tier-1 suite runs it too (test_pipeline_runs_with_scipy_blocked).
@@ -127,6 +128,29 @@ def check_cli(tmp):
     assert "missing label at row 5, column 'g'" in err, err
 
 
+def check_blocks(tmp):
+    # more than 2 MiB, so the CLI reads it in three blocks of about 1 MiB:
+    # the first two are split without csv.reader, which takes over at the
+    # only quoted cell, in the last row
+    sample = gen_sample(canonical_preset(), 55_000, 4)
+    rows = [f"{float(y)!r},{float(x)!r},{float(w)!r}\n"
+            for y, x, w in zip(sample.y, sample.x, sample.w[:, 0])]
+    plain = tmp / "blocks.csv"
+    plain.write_text("y,x,w\n" + "".join(rows))
+    y, rest = rows[-1].split(",", 1)
+    rows[-1] = f'"{y}",{rest}'
+    quoted = tmp / "blocks_quoted.csv"
+    quoted.write_text("y,x,w\n" + "".join(rows))
+    text = quoted.read_text()
+    assert text.index('"') > 2 << 20 and text.count('"') == 2
+
+    flags = ("--outcome", "y", "--running", "x", "--cutoff", "0",
+             "--hetero", "w:bin", "--bw", "0.4", "--format", "json")
+    code, out, err = run_cli("--data", plain, *flags)
+    assert code == 0 and err == "", err
+    assert run_cli("--data", quoted, *flags) == (0, out, "")
+
+
 def main(argv):
     if len(argv) != 2:
         raise SystemExit("usage: python runtime_smoke.py TMPDIR")
@@ -134,6 +158,7 @@ def main(argv):
     check_library()
     check_pipeline(tmp)
     check_cli(tmp)
+    check_blocks(tmp)
     print("ok")
 
 

@@ -229,9 +229,9 @@ def test_bare_numeric_hetero_is_parsed_once(tmp_path, monkeypatch):
     parsed = []
     original = rdhte.cli._parse_numeric
 
-    def counting(name, values):
+    def counting(name, values, *start):
         parsed.append(name)
-        return original(name, values)
+        return original(name, values, *start)
 
     monkeypatch.setattr(rdhte.cli, "_parse_numeric", counting)
     result = build_result(parse_config(

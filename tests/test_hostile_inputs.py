@@ -39,14 +39,14 @@ def test_rows_on_one_side_are_too_few(sample, bandwidth):
 @pytest.mark.parametrize("mode", ["two_sided", "one_sided"])
 def test_selector_on_tiny_x_raises_bias_degenerate(mode, scale):
     # the canonical draw with x shrunk so far that the bias contraction is
-    # NaN, and at 1e-300 a pilot h squared underflows to 0: the selector's
-    # finiteness guard must answer, not a ZeroDivisionError from a
-    # reference bandwidth of 0 or an earlier check that misnames the NaN
-    # denominator. ROADMAP item 1a (a scale-aware regularizer) may turn
+    # NaN, and at 1e-300 a pilot h squared underflows to 0: the error must
+    # name the first constant that is not finite, the left side's bias, not
+    # a ZeroDivisionError from a reference bandwidth of 0 or a later stage
+    # of the solve. ROADMAP item 1a (a scale-aware regularizer) may turn
     # these inputs into fits and replace this pin.
     draw = gen_sample(canonical_preset(), 4000, 0)
     with np.errstate(all="ignore"), pytest.raises(
-        BiasDegenerate, match="^bandwidth non-finite after regularization$"
+        BiasDegenerate, match=r"^left bias constant non-finite \(nan\)$"
     ):
         fit_hte(validate_sample(draw.y, scale * draw.x, 0.0, draw.w),
                 FitSpec(bandwidth=Select(mode)))
@@ -186,3 +186,22 @@ def test_affine_change_of_outcome(sample, name, a, b):
         for got, want in ((r1.se, r0.se), (r1.rbc_se, r0.rbc_se)):
             assert got == pytest.approx(abs(a) * want, rel=1e-9, abs=0.0)
         assert r1.p_value == pytest.approx(r0.p_value, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("p,s", [(1, 1), (2, 1), (2, 2), (1, 2)])
+def test_shift_of_a_covariate_moves_the_slope_only_when_s_exceeds_p(p, s):
+    # w -> w + 1: for p >= s the intercepts absorb the shift, but for s > p
+    # the column (W + 1) u^j with p < j <= s adds u^j, which is not a basis
+    # column, so the model changes; the README states this property
+    draw = gen_sample(canonical_preset(), 4000, 0)
+    spec = FitSpec(p=p, s=s, bandwidth=Common(0.5))
+    slopes = []
+    for shift in (0.0, 1.0):
+        result = fit_hte(validate_sample(draw.y, draw.x, 0.0, draw.w + shift),
+                         spec, kinds=["continuous"])
+        slopes += [rec for rec in result.records if rec.label == "Slope: w1"]
+    assert len(slopes) == 2
+    for field in ("point", "se", "rbc_point", "rbc_se"):
+        a, b = (getattr(rec, field) for rec in slopes)
+        moved = abs(b - a) / abs(a)
+        assert moved > 1e-3 if s > p else moved <= 1e-11, field

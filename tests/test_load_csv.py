@@ -2,10 +2,13 @@
 
 load_csv splits quote-free blocks of lines itself and hands the rest of
 the file to csv.reader from the first quote on; on every input it must
-return the lists the reference reader returns.
+return the lists the reference reader returns, and float() of those lists
+for the columns it parses as numbers.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +29,14 @@ plain_cells = st.text(alphabet="01.-e xé \t;", max_size=5)
 quoted_cells = st.text(alphabet='0a ,"\n\ré', max_size=6).map(
     lambda s: '"' + s.replace('"', '""') + '"'
 )
+# cells float() reads, so that whole numeric columns parse
+number_cells = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "-inf", " 1_0 ", "1e999", "-0", "0x1"]),
+)
 rows = st.lists(
-    st.one_of(plain_cells, plain_cells, quoted_cells), max_size=len(NAMES) + 2
+    st.one_of(plain_cells, plain_cells, quoted_cells, number_cells),
+    max_size=len(NAMES) + 2,
 )
 
 
@@ -66,20 +75,53 @@ def _assert_same_parse_errors(got, expected):
         assert outcomes[0] == outcomes[1]
 
 
+def _first_bad_cell(name, values):
+    """(1-based row, name, value) of the first cell float() rejects."""
+    for row, value in enumerate(values, 1):
+        try:
+            float(value)
+        except ValueError:
+            return row, name, value
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=csv_texts(), block=st.sampled_from([1, 7, 40, 1 << 20]),
-       columns=st.sampled_from([NAMES, ("d", "a"), ("c",), ("b", "b")]))
+       columns=st.sampled_from([NAMES, ("d", "a"), ("c",), ("b", "b")]),
+       data=st.data())
 def test_load_csv_equals_the_reference_reader(
-    tmp_path_factory, text, block, columns
+    tmp_path_factory, text, block, columns, data
 ):
     # small blocks put block boundaries and the quote handoff anywhere
+    numeric = data.draw(st.lists(st.sampled_from(columns), min_size=1,
+                                 unique=True),
+                        label="numeric")
     path = _write(tmp_path_factory.mktemp("csv"), text)
     expected = reference_load_csv(path, columns)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rdhte.cli, "_BLOCK_CHARS", block)
         got = load_csv(path, columns)
+        try:
+            typed, error = load_csv(path, columns, numeric), None
+        except ParseError as exc:
+            typed, error = None, (exc.row, exc.column, exc.value)
     assert got == expected
     _assert_same_parse_errors(got, expected)
+
+    # the first numeric column, in numeric order, with a bad cell raises
+    bad = (_first_bad_cell(name, expected[name]) for name in numeric)
+    assert error == next(filter(None, bad), None)
+    if error is not None:
+        return
+    assert typed.keys() == expected.keys()
+    for name, values in expected.items():
+        if name not in numeric:
+            assert typed[name] == values
+            continue
+        # bit for bit, NaN payloads and signed zeros included
+        ref = np.array([float(v) for v in values], dtype=np.float64)
+        assert typed[name].dtype == np.float64
+        assert typed[name].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -141,3 +183,75 @@ def test_load_csv_across_blocks_and_the_quote_handoff(tmp_path):
         assert (exc.value.row, exc.value.column, exc.value.value) == (
             row, name, value
         )
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
+def test_cli_cites_the_outcome_before_an_earlier_running_cell(
+    tmp_path, monkeypatch, quoted
+):
+    # a bad running-variable cell in the first block and a bad outcome
+    # cell in the last: parse errors follow the roles, not the file order
+    rng = np.random.default_rng(5)
+    lines = [f"{float(y)!r},{float(x)!r}" for y, x in
+             rng.standard_normal((400, 2))]
+    lines[2] = lines[2].split(",")[0] + ",x?"
+    lines[-1] = "y?," + lines[-1].split(",")[1]
+    if quoted:
+        lines[0] = '"' + lines[0].replace(",", '","') + '"'
+    path = _write(tmp_path, "y,x\n" + "\n".join(lines) + "\n")
+    monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", 1 << 10)
+    assert len(lines[0]) + len(lines[1]) + len(lines[2]) < 1 << 10
+    assert sum(map(len, lines[:-1])) > 10 << 10
+
+    config = parse_config(["--data", path, "--outcome", "y",
+                           "--running", "x", "--cutoff", "0"])
+    with pytest.raises(ParseError) as exc:
+        build_result(config)
+    assert (exc.value.row, exc.value.column, exc.value.value) == (
+        400, "y", "y?"
+    )
+    text, code = rdhte.cli.run(config)
+    assert code == 2 and "row 400" in text and "'y'" in text
+
+
+def _write_study_csv(path, rows):
+    """A CSV shaped like the benchmark's: three numeric columns (outcome,
+    running variable, income) and two text columns (region, school)."""
+    rng = np.random.default_rng(rows)
+    score = rng.uniform(-1.0, 1.0, rows)
+    income = np.exp(rng.normal(10.5, 0.6, rows))
+    region = np.array(["north", "south", "west"])[rng.choice(3, rows)]
+    school = rng.integers(0, 400, rows)
+    earnings = score + (score >= 0) + rng.standard_normal(rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("earnings,score,income,region,school\n")
+        for e, s, i, r, c in zip(earnings, score, income, region, school):
+            fh.write(f"{float(e)!r},{float(s)!r},{float(i)!r},{r},{c}\n")
+
+
+def test_load_sample_memory_grows_at_most_300_bytes_a_row(
+    tmp_path, monkeypatch
+):
+    # the traced peak of one ingest, 20k rows against 80k: a probe read
+    # 434-453 B/row while every cell was held as text until the whole file
+    # was read, and 208-227 B/row with numeric columns parsed block by
+    # block (the text columns alone hold about 124 B/row)
+    monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", 64 << 10)
+    peaks = {}
+    for rows in (20_000, 20_000, 80_000):  # the first run warms up
+        path = tmp_path / f"study_{rows}.csv"
+        if not path.exists():
+            _write_study_csv(path, rows)
+        config = parse_config([
+            "--data", str(path), "--outcome", "earnings", "--running",
+            "score", "--cutoff", "0", "--hetero", "income:q4", "--hetero",
+            "region:cat", "--cluster", "school", "--vce", "cluster",
+        ])
+        tracemalloc.start()
+        try:
+            rdhte.cli._load_sample(config)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_row = (peaks[80_000] - peaks[20_000]) / 60_000
+    assert per_row <= 300, per_row
