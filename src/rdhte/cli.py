@@ -205,20 +205,21 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 def load_csv(
     path: str, columns: Sequence[str], numeric: Sequence[str] = ()
-) -> dict[str, list[str] | np.ndarray]:
+) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
     """Read the named columns from a headered CSV (UTF-8, BOM tolerated).
 
-    A column named in numeric (it is read even if columns omits it) comes
-    back as a float64 array, every cell parsed by float(); the others come
-    back as strings. Every line after the header is one row: a blank line
-    is a row of empty cells, missing trailing cells are empty and extra
-    cells are ignored.
+    Returns (text, numbers): text maps each name in columns to its cells
+    as strings, numbers each name in numeric to its cells parsed by
+    float() as a float64 array. A name in both lists is read once and
+    comes back in both forms. Every line after the header is one row: a
+    blank line is a row of empty cells, missing trailing cells are empty
+    and extra cells are ignored.
 
     The file is read in blocks of whole lines, about 1 MiB each, so no
     file-sized text is held, and a numeric column is parsed block by block,
-    so none of its cells outlives its block as text. Quote-free blocks are
-    split column-wise in one pass; from the first quote on, csv.reader
-    parses RFC 4180 quoting.
+    so none of its cells outlives its block as text unless the column is
+    in columns too. Quote-free blocks are split column-wise in one pass;
+    from the first quote on, csv.reader parses RFC 4180 quoting.
 
     Raises
     ------
@@ -229,8 +230,10 @@ def load_csv(
     ParseError
         Once the whole file is read, for the first bad cell of the first
         column in numeric order that has one, citing its 1-based data row.
+    UnicodeDecodeError
+        If the file is not UTF-8.
     """
-    names = list(dict.fromkeys([*columns, *numeric]))
+    names = list(dict.fromkeys([*numeric, *columns]))
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -248,20 +251,20 @@ def load_csv(
                     f"{path}: column {name!r} appears more than once in "
                     "the header"
                 )
-        # a column named in several roles is read once; a numeric column
-        # collects one array per block and, after its first bad cell, none
-        out = {name: [] for name in names}
+        # a numeric column collects one array per block and, after its
+        # first bad cell, none
+        text = {name: [] for name in columns}
+        parts = {name: [] for name in numeric}
         bad: dict[str, ParseError] = {}
-        want = [(name, index[name], name in numeric) for name in names]
         nrows, ncol = 0, len(header)
-        for block_rows, cells in _cell_blocks(fh, ncol) if want else ():
-            for name, j, typed in want:
-                column = cells[j::ncol]
-                if not typed:
-                    out[name].extend(column)
-                elif name not in bad:
+        for block_rows, cells in _cell_blocks(fh, ncol) if names else ():
+            for name in names:
+                column = cells[index[name]::ncol]
+                if name in text:
+                    text[name] += column
+                if name in parts and name not in bad:
                     try:
-                        out[name].append(_parse_numeric(name, column, nrows))
+                        parts[name].append(_parse_numeric(name, column, nrows))
                     except ParseError as exc:
                         bad[name] = exc
             nrows += block_rows
@@ -269,10 +272,9 @@ def load_csv(
     for name in numeric:
         if name in bad:
             raise bad[name]
-    for name, _, typed in want:
-        if typed:
-            out[name] = np.concatenate(out[name]) if out[name] else np.empty(0)
-    return out
+    numbers = {name: np.concatenate(arrays) if arrays else np.empty(0)
+               for name, arrays in parts.items()}
+    return text, numbers
 
 
 def _cell_blocks(fh, ncol: int):
@@ -358,13 +360,6 @@ def _parse_numeric(
         raise
 
 
-def _numbers(name: str, values) -> np.ndarray:
-    """A column load_csv returned: parsed already, or text to parse."""
-    if isinstance(values, np.ndarray):
-        return values
-    return _parse_numeric(name, values)
-
-
 def build_result(config: RunConfig):
     """Load, validate, and fit; shared by run() and the tests.
 
@@ -378,47 +373,40 @@ def build_result(config: RunConfig):
 def _load_sample(config: RunConfig):
     """The validated sample, covariate labels and kinds of the CSV input.
 
-    The text columns die when this returns, so they are not held while the
-    sample is fitted."""
-    names = [config.outcome, config.running]
-    names += [name for name, _ in config.hetero]
-    if config.cluster is not None:
-        names.append(config.cluster)
-    # the numeric roles in the order their parse errors are raised;
-    # load_csv parses them as it reads, up to the first that also has a
-    # text role: that column and the rest stay text and are parsed below
-    text = {config.cluster}
-    text.update(name for name, col in config.hetero
-                if col is None or col.kind == "categorical")
+    The CSV is read once: the numeric roles (outcome, running variable,
+    --hetero declared :cont, :cont^k, :bin or :q<k>) as numbers, in the
+    order their parse errors are raised, and the text roles (--cluster,
+    :cat and bare --hetero names) as text. The text columns die when this
+    returns, so they are not held while the sample is fitted."""
     numeric = [config.outcome, config.running]
     numeric += [name for name, col in config.hetero
                 if col is not None and col.kind != "categorical"]
-    numeric = list(itertools.takewhile(lambda name: name not in text,
-                                       numeric))
-    raw = load_csv(config.data, names, numeric)
-
-    y = _numbers(config.outcome, raw[config.outcome])
-    x = _numbers(config.running, raw[config.running])
+    text_roles = [name for name, col in config.hetero
+                  if col is None or col.kind == "categorical"]
+    if config.cluster is not None:
+        text_roles.append(config.cluster)
+    text, numbers = load_csv(config.data, text_roles, numeric)
 
     # a bare name is parsed once: as numbers when every cell parses (0/1
     # columns are binary, others continuous), else kept as categorical text
     col_specs, expand_raw = [], {}
     for name, col in config.hetero:
-        values = raw[name]
-        if col is None or col.kind != "categorical":
-            try:
-                values = _numbers(name, values)
-            except ParseError:
-                if col is not None:
-                    raise
-                col = ColumnSpec(name, "categorical")
+        if col is not None and col.kind != "categorical":
+            values = numbers[name]
+        else:
+            values = text[name]
         if col is None:
-            kind = "binary" if is_binary(values) else "continuous"
-            col = ColumnSpec(name, kind)
+            try:
+                values = _parse_numeric(name, values)
+            except ParseError:
+                col = ColumnSpec(name, "categorical")
+            else:
+                kind = "binary" if is_binary(values) else "continuous"
+                col = ColumnSpec(name, kind)
         col_specs.append(col)
         expand_raw[name] = values
 
-    cluster = None if config.cluster is None else raw[config.cluster]
+    cluster = None if config.cluster is None else text[config.cluster]
     headers = {}  # expand_covariates names columns by their headers
     try:
         w, labels, kinds = expand_covariates(
@@ -427,7 +415,8 @@ def _load_sample(config: RunConfig):
         headers = {"y": config.outcome, "x": config.running,
                    "cluster": config.cluster}
         sample = validate_sample(
-            y, x, config.cutoff, w if w.shape[1] else None, cluster
+            numbers[config.outcome], numbers[config.running],
+            config.cutoff, w if w.shape[1] else None, cluster,
         )
     except (NonFinite, MissingLabel) as exc:
         if exc.row < 0:
@@ -441,12 +430,10 @@ def run(config: RunConfig) -> tuple[str, int]:
     """Execute one configured run; returns (output text, exit code)."""
     try:
         result = build_result(config)
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         return f"error: {exc}\n", 2
     except EstimationError as exc:
         return f"error: {exc}\n", 3
-    except OSError as exc:
-        return f"error: {exc}\n", 2
     if config.fmt == "json":
         return render_json(result), 0
     if config.fmt == "csv":

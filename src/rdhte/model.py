@@ -410,6 +410,10 @@ class CovariateSpec:
 
 
 def _expand_categorical(name: str, values, baseline: Optional[str]):
+    """The labels of the column's levels, each value's level code and the
+    baseline level's position."""
+    if len(values) == 0:
+        raise EmptySample(f"column {name!r} has no rows")
     # levels are the values' text; text values are coded as they are
     try:
         levels, codes = label_codes(values)
@@ -423,16 +427,12 @@ def _expand_categorical(name: str, values, baseline: Optional[str]):
         raise UnknownLevel(
             f"baseline level {base!r} not observed in column {name!r}"
         )
-    cols, names = [], []
-    for j, lev in enumerate(levels):
-        if lev == base:
-            continue
-        cols.append((codes == j).astype(float))
-        names.append(f"{name}={lev}")
-    return cols, names
+    return [f"{name}={lev}" for lev in levels], codes, levels.index(base)
 
 
 def _expand_quantile_bins(name: str, values, k: int):
+    """The labels of the k bins, each value's bin and the baseline bin's
+    position (the lowest)."""
     vals = np.asarray(values, dtype=float)
     _check_finite(name, vals)
     if np.unique(vals).size < k:
@@ -448,11 +448,7 @@ def _expand_quantile_bins(name: str, values, k: int):
     # left-closed bins: bin j iff cuts[j-1] <= v < cuts[j]; bin 0 (baseline)
     # is v < cuts[0]
     assignment = np.searchsorted(cuts, vals, side="right")
-    cols, names = [], []
-    for j in range(1, k):
-        cols.append((assignment == j).astype(float))
-        names.append(f"{name}:q{j + 1}")
-    return cols, names
+    return [f"{name}:q{j + 1}" for j in range(k)], assignment, 0
 
 
 def expand_covariates(raw: dict, spec: CovariateSpec):
@@ -494,20 +490,21 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
             raise LengthMismatch(
                 f"column {cs.name!r} has {n_here} rows, expected {n_ref}"
             )
-        if cs.kind == "categorical":
-            new_cols, new_names = _expand_categorical(
-                cs.name, values, cs.baseline
-            )
-            cols.extend(new_cols)
-            labels.extend(new_names)
-            kinds.extend(["indicator"] * len(new_cols))
-        elif cs.kind == "quantile_bins":
-            new_cols, new_names = _expand_quantile_bins(
-                cs.name, values, cs.bins
-            )
-            cols.extend(new_cols)
-            labels.extend(new_names)
-            kinds.extend(["indicator"] * len(new_cols))
+        if cs.kind in ("categorical", "quantile_bins"):
+            if cs.kind == "categorical":
+                levels, codes, base = _expand_categorical(
+                    cs.name, values, cs.baseline
+                )
+            else:
+                levels, codes, base = _expand_quantile_bins(
+                    cs.name, values, cs.bins
+                )
+            for j, label in enumerate(levels):
+                if j != base:
+                    cols.append((codes == j).astype(float))
+                    labels.append(label)
+                    kinds.append("indicator")
+            del codes  # before the next column is expanded
         elif cs.kind == "binary":
             vals = np.asarray(values, dtype=float)
             _check_finite(cs.name, vals)

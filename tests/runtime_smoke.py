@@ -5,11 +5,12 @@ Usage: python tests/runtime_smoke.py TMPDIR
 The script blocks scipy before it imports rdhte, so a lazy scipy import
 anywhere on the paths below fails the run. It fits seeded samples through
 the library API and runs the command line in process, through
-rdhte.cli.main, on CSV files that it writes to TMPDIR: small ones, and
-one of more than 2 MiB that the CLI reads block by block. It prints
-"ok" and exits 0 when every check passes. It imports no test framework,
-so it runs in an environment that holds only the package and numpy; the
-tier-1 suite runs it too (test_pipeline_runs_with_scipy_blocked).
+rdhte.cli.main, on CSV files that it writes to TMPDIR: small ones, one
+of more than 2 MiB that the CLI reads block by block, and one that is
+not UTF-8. It prints "ok" and exits 0 when every check passes. It
+imports no test framework, so it runs in an environment that holds only
+the package and numpy; the tier-1 suite runs it too
+(test_pipeline_runs_with_scipy_blocked).
 """
 
 import contextlib
@@ -150,6 +151,24 @@ def check_blocks(tmp):
     assert code == 0 and err == "", err
     assert run_cli("--data", quoted, *flags) == (0, out, "")
 
+    # the outcome is also the cluster, so it is read as numbers and as text
+    labels = [row.split(",", 1)[0] for row in rows[:-1]] + [y]
+    lib = fit_hte(
+        validate_sample(sample.y, sample.x, 0.0, sample.w[:, :1], labels),
+        FitSpec(bandwidth=Common(0.4), vce="cluster"),
+        labels=["w"],
+    )
+    assert run_cli("--data", plain, *flags, "--cluster", "y", "--vce",
+                   "cluster") == (0, render_json(lib), "")
+
+
+def check_encoding(tmp):
+    latin = tmp / "latin.csv"
+    latin.write_bytes(b"y,x\n1,0.5\n2,\xff\xfe\n")
+    code, out, err = run_cli("--data", latin, "--outcome", "y",
+                             "--running", "x", "--cutoff", "0")
+    assert (code, out) == (2, "") and err.startswith("error: "), err
+
 
 def main(argv):
     if len(argv) != 2:
@@ -159,6 +178,7 @@ def main(argv):
     check_pipeline(tmp)
     check_cli(tmp)
     check_blocks(tmp)
+    check_encoding(tmp)
     print("ok")
 
 

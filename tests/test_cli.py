@@ -152,15 +152,16 @@ def test_parse_config_rejects_invalid_settings_before_reading_data():
 def test_load_csv_three_rows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y,x\n1,0.1\n2,0.2\n3,0.3\n")
-    raw = load_csv(str(path), ["y", "x"])
-    assert raw == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
+    text, numbers = load_csv(str(path), ["y", "x"])
+    assert text == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
+    assert numbers == {}
 
 
 def test_load_csv_strips_bom(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("y,x\n1,0.1\n", encoding="utf-8-sig")
-    raw = load_csv(str(path), ["y", "x"])
-    assert raw["y"] == ["1"]
+    text, _ = load_csv(str(path), ["y", "x"])
+    assert text["y"] == ["1"]
 
 
 def test_load_csv_missing_column(tmp_path):
@@ -180,8 +181,8 @@ def test_load_csv_empty_file(tmp_path):
 def test_load_csv_pads_short_rows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y,x\n1\n2,0.2\n")
-    raw = load_csv(str(path), ["y", "x"])
-    assert raw["x"] == ["", "0.2"]
+    text, _ = load_csv(str(path), ["y", "x"])
+    assert text["x"] == ["", "0.2"]
 
 
 def test_parse_error_cites_cell(tmp_path):
@@ -329,9 +330,9 @@ def test_cli_numbers_equal_library_api(tmp_path):
     config = parse_config(cli_args(path, "--bw", "0.3", "--format", "json"))
     payload = json.loads(run(config)[0])
 
-    raw = load_csv(str(path), ["y", "x"])
-    y = np.array([float(v) for v in raw["y"]])
-    x = np.array([float(v) for v in raw["x"]])
+    text, _ = load_csv(str(path), ["y", "x"])
+    y = np.array([float(v) for v in text["y"]])
+    x = np.array([float(v) for v in text["x"]])
     sample = validate_sample(y, x, 0.0)
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.3)))
     rec = result.records[0]
@@ -513,6 +514,22 @@ def test_missing_file_exits_2(tmp_path):
     assert text.startswith("error:")
 
 
+def test_header_only_categorical_exits_2(tmp_path, capsys):
+    path = tmp_path / "h.csv"
+    path.write_text("y,x,g\n")
+    assert main(cli_args(path, "--hetero", "g:cat")) == 2
+    assert capsys.readouterr().err == "error: column 'g' has no rows\n"
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"y,x\n1,0.1\n2,\xff\xfe\n")
+    assert main(cli_args(path)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_main_writes_streams(tmp_path, capsys):
     path = tmp_path / "d.csv"
     write_sample_csv(path, n=400)
@@ -592,7 +609,9 @@ def test_load_csv_duplicate_requested_column(tmp_path):
     path.write_text("y,x,y\n1,0.1,2\n")
     with pytest.raises(InputError, match="'y'"):
         load_csv(str(path), ["x", "y"])
-    assert load_csv(str(path), ["x"]) == {"x": ["0.1"]}
+    assert load_csv(str(path), ["x"]) == ({"x": ["0.1"]}, {})
+    with pytest.raises(InputError, match="'y'"):
+        load_csv(str(path), ["x"], ["y"])
     text, code = run(parse_config(cli_args(path)))
     assert code == 2
     assert "'y'" in text
@@ -627,8 +646,11 @@ def test_cli_json_equals_library_with_integer_cluster_ids(tmp_path):
 def test_load_csv_reads_a_repeated_column_once(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y,x\n1,0.1\n2,0.2\n3,0.3\n")
-    raw = load_csv(str(path), ["y", "x", "y"])
-    assert raw == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
+    text, numbers = load_csv(str(path), ["y", "x", "y"], ["x", "y", "x"])
+    assert text == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
+    assert numbers.keys() == {"x", "y"}
+    np.testing.assert_array_equal(numbers["y"], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(numbers["x"], [0.1, 0.2, 0.3])
 
 
 def test_cli_heterogeneity_by_the_cluster_column(tmp_path):

@@ -88,38 +88,35 @@ def _first_bad_cell(name, values):
 @settings(max_examples=300, deadline=None)
 @given(text=csv_texts(), block=st.sampled_from([1, 7, 40, 1 << 20]),
        columns=st.sampled_from([NAMES, ("d", "a"), ("c",), ("b", "b")]),
-       data=st.data())
+       numeric=st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
 def test_load_csv_equals_the_reference_reader(
-    tmp_path_factory, text, block, columns, data
+    tmp_path_factory, text, block, columns, numeric
 ):
-    # small blocks put block boundaries and the quote handoff anywhere
-    numeric = data.draw(st.lists(st.sampled_from(columns), min_size=1,
-                                 unique=True),
-                        label="numeric")
+    # small blocks put block boundaries and the quote handoff anywhere;
+    # numeric names may or may not be text columns too
     path = _write(tmp_path_factory.mktemp("csv"), text)
-    expected = reference_load_csv(path, columns)
+    expected = reference_load_csv(path, NAMES)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rdhte.cli, "_BLOCK_CHARS", block)
-        got = load_csv(path, columns)
+        got, untyped = load_csv(path, columns)
         try:
-            typed, error = load_csv(path, columns, numeric), None
+            (same, typed), error = load_csv(path, columns, numeric), None
         except ParseError as exc:
-            typed, error = None, (exc.row, exc.column, exc.value)
-    assert got == expected
-    _assert_same_parse_errors(got, expected)
+            error = (exc.row, exc.column, exc.value)
+    reference = reference_load_csv(path, columns)
+    assert got == reference and untyped == {}
+    _assert_same_parse_errors(got, reference)
 
     # the first numeric column, in numeric order, with a bad cell raises
     bad = (_first_bad_cell(name, expected[name]) for name in numeric)
     assert error == next(filter(None, bad), None)
     if error is not None:
         return
-    assert typed.keys() == expected.keys()
-    for name, values in expected.items():
-        if name not in numeric:
-            assert typed[name] == values
-            continue
+    assert same == got
+    assert typed.keys() == set(numeric)
+    for name in numeric:
         # bit for bit, NaN payloads and signed zeros included
-        ref = np.array([float(v) for v in values], dtype=np.float64)
+        ref = np.array([float(v) for v in expected[name]], dtype=np.float64)
         assert typed[name].dtype == np.float64
         assert typed[name].tobytes() == ref.tobytes()
 
@@ -139,7 +136,7 @@ def test_load_csv_equals_the_reference_reader(
 )
 def test_load_csv_dialect(tmp_path, text, expected):
     path = _write(tmp_path, text)
-    assert load_csv(path, ["a", "b"]) == expected
+    assert load_csv(path, ["a", "b"]) == (expected, {})
     assert reference_load_csv(path, ["a", "b"]) == expected
 
 
@@ -167,7 +164,7 @@ def test_load_csv_across_blocks_and_the_quote_handoff(tmp_path):
     path = _write(tmp_path, text)
 
     expected = reference_load_csv(path, ["y", "x", "g"])
-    got = load_csv(path, ["y", "x", "g"])
+    got, _ = load_csv(path, ["y", "x", "g"])
     assert got == expected
     assert [got[name][20_000] for name in "yxg"] == ["", "", ""]
     assert got["g"][20_001] == "" and got["x"][20_003] == "nope"
@@ -185,26 +182,42 @@ def test_load_csv_across_blocks_and_the_quote_handoff(tmp_path):
         )
 
 
-@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
+#: flags that give a column a second, text role, by test id
+DUAL_ROLES = {
+    "": (),
+    "outcome_cluster": ("--cluster", "y"),
+    "outcome_cat": ("--hetero", "y:cat"),
+    "running_bare": ("--hetero", "x"),
+    "bin_cluster": ("--hetero", "b:bin", "--cluster", "b"),
+}
+
+
+@pytest.mark.parametrize("quoted, roles", [
+    pytest.param(quoted, roles, id="-".join(filter(None, (path, name))))
+    for quoted, path in ((False, "split"), (True, "csv_reader"))
+    for name, roles in DUAL_ROLES.items()
+])
 def test_cli_cites_the_outcome_before_an_earlier_running_cell(
-    tmp_path, monkeypatch, quoted
+    tmp_path, monkeypatch, quoted, roles
 ):
-    # a bad running-variable cell in the first block and a bad outcome
-    # cell in the last: parse errors follow the roles, not the file order
+    # a bad 0/1 cell and a bad running-variable cell in the first block and
+    # a bad outcome cell in the last: parse errors follow the roles, not
+    # the file order, also when a numeric column has a text role too
     rng = np.random.default_rng(5)
-    lines = [f"{float(y)!r},{float(x)!r}" for y, x in
-             rng.standard_normal((400, 2))]
-    lines[2] = lines[2].split(",")[0] + ",x?"
-    lines[-1] = "y?," + lines[-1].split(",")[1]
+    lines = [f"{float(y)!r},{float(x)!r},{b}" for (y, x), b in
+             zip(rng.standard_normal((400, 2)), rng.integers(0, 2, 400))]
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",b?"
+    lines[2] = lines[2].split(",")[0] + ",x?,1"
+    lines[-1] = "y?," + lines[-1].split(",", 1)[1]
     if quoted:
         lines[0] = '"' + lines[0].replace(",", '","') + '"'
-    path = _write(tmp_path, "y,x\n" + "\n".join(lines) + "\n")
+    path = _write(tmp_path, "y,x,b\n" + "\n".join(lines) + "\n")
     monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", 1 << 10)
     assert len(lines[0]) + len(lines[1]) + len(lines[2]) < 1 << 10
     assert sum(map(len, lines[:-1])) > 10 << 10
 
     config = parse_config(["--data", path, "--outcome", "y",
-                           "--running", "x", "--cutoff", "0"])
+                           "--running", "x", "--cutoff", "0", *roles])
     with pytest.raises(ParseError) as exc:
         build_result(config)
     assert (exc.value.row, exc.value.column, exc.value.value) == (
@@ -235,23 +248,26 @@ def test_load_sample_memory_grows_at_most_300_bytes_a_row(
     # the traced peak of one ingest, 20k rows against 80k: a probe read
     # 434-453 B/row while every cell was held as text until the whole file
     # was read, and 208-227 B/row with numeric columns parsed block by
-    # block (the text columns alone hold about 124 B/row)
+    # block (the text columns alone hold about 124 B/row). An outcome that
+    # is also the cluster is held as text and as numbers: 278 B/row, where
+    # parsing it only after the whole file was read took 428
     monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", 64 << 10)
-    peaks = {}
-    for rows in (20_000, 20_000, 80_000):  # the first run warms up
-        path = tmp_path / f"study_{rows}.csv"
-        if not path.exists():
-            _write_study_csv(path, rows)
-        config = parse_config([
-            "--data", str(path), "--outcome", "earnings", "--running",
-            "score", "--cutoff", "0", "--hetero", "income:q4", "--hetero",
-            "region:cat", "--cluster", "school", "--vce", "cluster",
-        ])
-        tracemalloc.start()
-        try:
-            rdhte.cli._load_sample(config)
-            peaks[rows] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    per_row = (peaks[80_000] - peaks[20_000]) / 60_000
-    assert per_row <= 300, per_row
+    flags = ["--outcome", "earnings", "--running", "score", "--cutoff", "0",
+             "--hetero", "income:q4", "--hetero", "region:cat",
+             "--vce", "cluster"]
+    for cluster in ("school", "earnings"):
+        peaks = {}
+        for rows in (20_000, 20_000, 80_000):  # the first run warms up
+            path = tmp_path / f"study_{rows}.csv"
+            if not path.exists():
+                _write_study_csv(path, rows)
+            config = parse_config(["--data", str(path), *flags,
+                                   "--cluster", cluster])
+            tracemalloc.start()
+            try:
+                rdhte.cli._load_sample(config)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[80_000] - peaks[20_000]) / 60_000
+        assert per_row <= 300, (cluster, per_row)

@@ -9,6 +9,7 @@ import pytest
 
 from rdhte.errors import (
     DegenerateQuantiles,
+    EmptySample,
     InputError,
     InvalidSetting,
     LengthMismatch,
@@ -165,6 +166,13 @@ def test_categorical_unknown_baseline():
             {"g": ["a", "b"]},
             CovariateSpec((ColumnSpec("g", "categorical", baseline="z"),)),
         )
+
+
+@pytest.mark.parametrize("baseline", [None, "a"])
+def test_empty_categorical_column_is_an_empty_sample(baseline):
+    with pytest.raises(EmptySample, match="column 'g' has no rows"):
+        column = ColumnSpec("g", "categorical", baseline=baseline)
+        expand_covariates({"g": []}, CovariateSpec((column,)))
 
 
 @pytest.mark.parametrize(
