@@ -24,6 +24,7 @@ from .errors import (
     MissingLabel,
     NonFinite,
     ParseError,
+    TooFewObservations,
 )
 from .estimands import fit_hte
 from .model import (
@@ -218,7 +219,9 @@ def load_csv(
     The file is read in blocks of whole lines, about 1 MiB each, so no
     file-sized text is held, and a numeric column is parsed block by block,
     so none of its cells outlives its block as text unless the column is
-    in columns too. Quote-free blocks are split column-wise in one pass;
+    in columns too. Equal cells of a text column in one block are one
+    string object, so a column of few distinct labels holds about one
+    pointer a row. Quote-free blocks are split column-wise in one pass;
     from the first quote on, csv.reader parses RFC 4180 quoting.
 
     Raises
@@ -261,7 +264,9 @@ def load_csv(
             for name in names:
                 column = cells[index[name]::ncol]
                 if name in text:
-                    text[name] += column
+                    # a pool of this block's labels: equal cells share its
+                    # first copy and the rest die with cells
+                    text[name] += map({}.setdefault, column, column)
                 if name in parts and name not in bad:
                     try:
                         parts[name].append(_parse_numeric(name, column, nrows))
@@ -376,48 +381,58 @@ def _load_sample(config: RunConfig):
     The CSV is read once: the numeric roles (outcome, running variable,
     --hetero declared :cont, :cont^k, :bin or :q<k>) as numbers, in the
     order their parse errors are raised, and the text roles (--cluster,
-    :cat and bare --hetero names) as text. The text columns die when this
-    returns, so they are not held while the sample is fitted."""
+    :cat and bare --hetero names of no numeric role) as text. The text
+    columns die when this returns, so they are not held while the sample
+    is fitted."""
     numeric = [config.outcome, config.running]
     numeric += [name for name, col in config.hetero
                 if col is not None and col.kind != "categorical"]
     text_roles = [name for name, col in config.hetero
-                  if col is None or col.kind == "categorical"]
+                  if (name not in numeric if col is None
+                      else col.kind == "categorical")]
     if config.cluster is not None:
         text_roles.append(config.cluster)
     text, numbers = load_csv(config.data, text_roles, numeric)
 
-    # a bare name is parsed once: as numbers when every cell parses (0/1
-    # columns are binary, others continuous), else kept as categorical text
+    # a bare name takes the numbers of its numeric role, if it has one;
+    # else its text is parsed once and kept as categorical text if a cell
+    # does not parse. Numbers make 0/1 columns binary, others continuous
     col_specs, expand_raw = [], {}
     for name, col in config.hetero:
-        if col is not None and col.kind != "categorical":
+        if col is not None and col.kind == "categorical":
+            values = text[name]
+        elif name in numbers:
             values = numbers[name]
         else:
-            values = text[name]
-        if col is None:
             try:
-                values = _parse_numeric(name, values)
+                values = _parse_numeric(name, text[name])
             except ParseError:
-                col = ColumnSpec(name, "categorical")
-            else:
-                kind = "binary" if is_binary(values) else "continuous"
-                col = ColumnSpec(name, kind)
+                values, col = text[name], ColumnSpec(name, "categorical")
+        if col is None:
+            kind = "binary" if is_binary(values) else "continuous"
+            col = ColumnSpec(name, kind)
         col_specs.append(col)
         expand_raw[name] = values
 
+    y, x = numbers[config.outcome], numbers[config.running]
     cluster = None if config.cluster is None else text[config.cluster]
+    roles = {"y": config.outcome, "x": config.running,
+             "cluster": config.cluster}
     headers = {}  # expand_covariates names columns by their headers
     try:
-        w, labels, kinds = expand_covariates(
-            expand_raw, CovariateSpec(tuple(col_specs))
-        )
-        headers = {"y": config.outcome, "x": config.running,
-                   "cluster": config.cluster}
-        sample = validate_sample(
-            numbers[config.outcome], numbers[config.running],
-            config.cutoff, w if w.shape[1] else None, cluster,
-        )
+        try:
+            w, labels, kinds = expand_covariates(
+                expand_raw, CovariateSpec(tuple(col_specs))
+            )
+        except TooFewObservations:
+            # no fit can use this W, but a bad cell of y, x or the cluster
+            # is still cited first
+            headers = roles
+            validate_sample(y, x, config.cutoff, None, cluster)
+            raise
+        headers = roles
+        sample = validate_sample(y, x, config.cutoff,
+                                 w if w.shape[1] else None, cluster)
     except (NonFinite, MissingLabel) as exc:
         if exc.row < 0:
             raise

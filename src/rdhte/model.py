@@ -13,6 +13,7 @@ empirical-quantile bins with the lowest bin as the dropped baseline.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -32,6 +33,7 @@ from .errors import (
     NonFinite,
     NonPositiveBandwidth,
     NuOutOfRange,
+    TooFewObservations,
     UnknownLevel,
 )
 from .kernels import resolve_kernel
@@ -351,7 +353,7 @@ def validate_sample(
             levels, cl = label_codes(cl_raw)
         except TypeError:
             levels = None
-        _check_labels("cluster", levels, cl_raw.tolist())
+        _check_labels("cluster", levels, cl_raw)
         if levels is None:
             raise InputError("column 'cluster' mixes numbers and text")
     cutoff = _as_real("cutoff", cutoff)
@@ -474,10 +476,17 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
     ------
     UnknownLevel, DegenerateQuantiles, LengthMismatch, NonFinite,
     MissingLabel
+    TooFewObservations
+        Before W is allocated, if it has d >= 1 columns but 0 < n < 4 + 4d
+        rows: each side's pilot fit needs n_params(p + 1, s + 1, d) >=
+        2 + 2d rows, so no fit on these rows can use W.
     """
-    cols: list[np.ndarray] = []
     labels: list[str] = []
     kinds: list[str] = []
+    # every column is checked before W is allocated, and kept as (name,
+    # width, its columns of W): indicators still to be made from level
+    # codes, or the checked powers of its values
+    parts = []
     n_ref = None
     for cs in spec.columns:
         if cs.name not in raw:
@@ -499,12 +508,10 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
                 levels, codes, base = _expand_quantile_bins(
                     cs.name, values, cs.bins
                 )
-            for j, label in enumerate(levels):
-                if j != base:
-                    cols.append((codes == j).astype(float))
-                    labels.append(label)
-                    kinds.append("indicator")
-            del codes  # before the next column is expanded
+            keys = [j for j in range(len(levels)) if j != base]
+            labels += [levels[j] for j in keys]
+            kinds += ["indicator"] * len(keys)
+            parts.append((cs.name, len(keys), map(codes.__eq__, keys)))
         elif cs.kind == "binary":
             vals = np.asarray(values, dtype=float)
             _check_finite(cs.name, vals)
@@ -512,25 +519,35 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
                 raise UnknownLevel(
                     f"binary column {cs.name!r} has values outside {{0, 1}}"
                 )
-            cols.append(vals)
             labels.append(cs.name)
             kinds.append("indicator")
+            parts.append((cs.name, 1, [vals]))
         else:
             vals = np.asarray(values, dtype=float)
             _check_finite(cs.name, vals)
-            for power in range(1, cs.power_max + 1):
-                label = cs.name if power == 1 else f"{cs.name}^{power}"
+            powers = [vals]
+            labels.append(cs.name)
+            for power in range(2, cs.power_max + 1):
+                labels.append(f"{cs.name}^{power}")
                 # a finite value may overflow once raised to the power
                 with np.errstate(over="ignore"):
-                    col = vals**power
-                _check_finite(label, col)
-                cols.append(col)
-                labels.append(label)
-                kinds.append("continuous")
-    if not cols:
-        return np.empty((n_ref or 0, 0)), labels, kinds
-    w = np.column_stack(cols)
-    _check_finite("w", w)
+                    powers.append(vals**power)
+                _check_finite(labels[-1], powers[-1])
+            kinds += ["continuous"] * cs.power_max
+            parts.append((cs.name, cs.power_max, powers))
+    n, d = n_ref or 0, len(labels)
+    # no rows at all is an EmptySample, raised by validate_sample
+    if d and 0 < n < 4 + 4 * d:
+        name, width, _ = max(parts, key=lambda part: part[1])
+        raise TooFewObservations(
+            f"column {name!r} expands to {width} of {d} covariate columns, "
+            f"more than a fit on {n} rows can use (at most "
+            f"{max(n - 4, 0) // 4})"
+        )
+    w = np.empty((n, d))
+    columns = itertools.chain.from_iterable(part[2] for part in parts)
+    for j, column in enumerate(columns):
+        w[:, j] = column
     return w, labels, kinds
 
 

@@ -25,13 +25,16 @@ import numpy as np  # noqa: E402
 
 import rdhte.cli  # noqa: E402
 from rdhte import (  # noqa: E402
+    ColumnSpec,
     Common,
+    CovariateSpec,
     FitSpec,
     Select,
     Selector,
     canonical_preset,
     cate_at,
     contrast,
+    expand_covariates,
     fit_hte,
     gen_sample,
     render_json,
@@ -134,14 +137,16 @@ def check_blocks(tmp):
     # the first two are split without csv.reader, which takes over at the
     # only quoted cell, in the last row
     sample = gen_sample(canonical_preset(), 55_000, 4)
-    rows = [f"{float(y)!r},{float(x)!r},{float(w)!r}\n"
-            for y, x, w in zip(sample.y, sample.x, sample.w[:, 0])]
+    # g: a text column of few labels, each shared by many rows of a block
+    groups = [f"site{k}" for k in np.arange(sample.n) * 7 % 12]
+    rows = [f"{float(y)!r},{float(x)!r},{float(w)!r},{g}\n"
+            for y, x, w, g in zip(sample.y, sample.x, sample.w[:, 0], groups)]
     plain = tmp / "blocks.csv"
-    plain.write_text("y,x,w\n" + "".join(rows))
+    plain.write_text("y,x,w,g\n" + "".join(rows))
     y, rest = rows[-1].split(",", 1)
     rows[-1] = f'"{y}",{rest}'
     quoted = tmp / "blocks_quoted.csv"
-    quoted.write_text("y,x,w\n" + "".join(rows))
+    quoted.write_text("y,x,w,g\n" + "".join(rows))
     text = quoted.read_text()
     assert text.index('"') > 2 << 20 and text.count('"') == 2
 
@@ -160,6 +165,21 @@ def check_blocks(tmp):
     )
     assert run_cli("--data", plain, *flags, "--cluster", "y", "--vce",
                    "cluster") == (0, render_json(lib), "")
+
+    # the label column is both the cluster and a categorical covariate
+    w, names, kinds = expand_covariates(
+        {"w": sample.w[:, 0], "g": groups},
+        CovariateSpec((ColumnSpec("w", "binary"),
+                       ColumnSpec("g", "categorical"))),
+    )
+    lib = fit_hte(validate_sample(sample.y, sample.x, 0.0, w, groups),
+                  FitSpec(bandwidth=Common(0.4), vce="cluster"),
+                  labels=names, kinds=kinds)
+    for path in (plain, quoted):
+        assert run_cli("--data", path, *flags, "--hetero", "g:cat",
+                       "--cluster", "g", "--vce", "cluster") == (
+            0, render_json(lib), ""
+        )
 
 
 def check_encoding(tmp):

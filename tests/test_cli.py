@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -519,6 +520,75 @@ def test_header_only_categorical_exits_2(tmp_path, capsys):
     path.write_text("y,x,g\n")
     assert main(cli_args(path, "--hetero", "g:cat")) == 2
     assert capsys.readouterr().err == "error: column 'g' has no rows\n"
+
+
+def test_expansion_wider_than_any_fit_exits_3(tmp_path, capsys):
+    # a continuous column declared :cat has a level a row; its W of
+    # 2000 x 1999 (32 MB) is refused before it is allocated
+    path = tmp_path / "d.csv"
+    write_sample_csv(path, n=2000)
+    tracemalloc.start()
+    try:
+        code = main(cli_args(path, "--hetero", "y:cat"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 4 << 20, peak
+    assert capsys.readouterr().err == (
+        "error: column 'y' expands to 1999 of 1999 covariate columns, more "
+        "than a fit on 2000 rows can use (at most 499)\n"
+    )
+
+
+@pytest.mark.parametrize("n, bad, flags, err", [
+    (12, None, (), "left side has 6 observations; need >= 10"),
+    (7, None, (), "column 'w0' expands to 1 of 1 covariate columns, more "
+                  "than a fit on 7 rows can use (at most 0)"),
+    (7, "y", (), "non-finite value at row 3, column 'y'"),
+    (7, "cid", ("--cluster", "cid", "--vce", "cluster"),
+     "missing label at row 3, column 'cid'"),
+], ids=["too_few_per_side", "too_wide", "bad_outcome", "missing_cluster"])
+def test_small_file_errors(tmp_path, capsys, n, bad, flags, err):
+    # too few rows stay an estimation error (exit 3), and a bad cell of y
+    # or the cluster is still cited before a W too wide for the rows
+    path = tmp_path / "small.csv"
+    rows = ["y,x,w0,cid"]
+    for i in range(n):
+        x = (i + 1) / (n + 1) * 2 - 1
+        y = "inf" if bad == "y" and i == 2 else repr(0.5 * x + i % 3)
+        cid = "" if bad == "cid" and i == 2 else f"c{i % 3}"
+        rows.append(f"{y},{x!r},{i % 2},{cid}")
+    path.write_text("\n".join(rows) + "\n")
+    code = main(cli_args(path, "--hetero", "w0:bin", *flags))
+    assert (code, capsys.readouterr().err) == (
+        3 if bad is None else 2, f"error: {err}\n"
+    )
+
+
+@pytest.mark.parametrize("bare, roles, parsed", [
+    ("x", (), ["y", "x"]),
+    ("income", ("--hetero", "income:q4"), ["y", "x", "income"]),
+], ids=["running", "declared"])
+def test_bare_hetero_on_a_numeric_role_is_parsed_once(
+    tmp_path, monkeypatch, bare, roles, parsed
+):
+    # the bare name takes the numbers of its numeric role and is not read
+    # as text again; it then expands as its declared continuous twin
+    path = tmp_path / "d.csv"
+    write_sample_csv(path, income=True)
+    names = []
+
+    def parse(name, values, start=0):
+        names.append(name)
+        return parse_numeric(name, values, start)
+
+    parse_numeric = rdhte.cli._parse_numeric
+    monkeypatch.setattr(rdhte.cli, "_parse_numeric", parse)
+    flags = ("--bw", "0.5", "--format", "json", *roles)
+    got = run(parse_config(cli_args(path, *flags, "--hetero", bare)))
+    assert names == parsed
+    assert got == run(parse_config(cli_args(path, *flags, "--hetero",
+                                            f"{bare}:cont")))
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):

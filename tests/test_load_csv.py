@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import rdhte.cli
 from rdhte.cli import build_result, load_csv, parse_config
 from rdhte.errors import ParseError
+from rdhte.model import ColumnSpec, CovariateSpec, expand_covariates
 
 from oracles import reference_load_csv
 
@@ -271,3 +272,60 @@ def test_load_sample_memory_grows_at_most_300_bytes_a_row(
                 tracemalloc.stop()
         per_row = (peaks[80_000] - peaks[20_000]) / 60_000
         assert per_row <= 300, (cluster, per_row)
+
+
+def _traced_slope(tmp_path, measure):
+    """Bytes a row of the traced peak of measure(path), 20k rows against
+    80k of the study CSV; the first of two 20k runs warms up."""
+    peaks = {}
+    for rows in (20_000, 20_000, 80_000):
+        path = tmp_path / f"study_{rows}.csv"
+        if not path.exists():
+            _write_study_csv(path, rows)
+        peaks[rows] = measure(str(path))
+    return (peaks[80_000] - peaks[20_000]) / 60_000
+
+
+def _traced_peak(call, *args, **kwargs):
+    """The traced peak of call(*args, **kwargs) above what was allocated
+    before it."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_columns_hold_one_string_per_label(tmp_path):
+    # a probe at the default block size: region + school read 126 B/row
+    # with one str a cell and 20 with a pool per block; an all-distinct
+    # column 79 and 80, and 112 with one pool for the whole file
+    labels = _traced_slope(
+        tmp_path, lambda path: _traced_peak(load_csv, path,
+                                            ["region", "school"]))
+    assert labels <= 32, labels
+    distinct = _traced_slope(
+        tmp_path, lambda path: _traced_peak(load_csv, path, ["earnings"]))
+    assert distinct <= 90, distinct
+
+    path = tmp_path / "study_20000.csv"
+    assert 1 << 20 < path.stat().st_size < 2 << 20  # two blocks
+    text, _ = load_csv(str(path), ["region", "school"])
+    assert len(set(map(id, text["region"]))) <= 3 * 2
+    assert text == reference_load_csv(str(path), ["region", "school"])
+
+
+def test_expand_covariates_writes_w_once(tmp_path):
+    # a probe read 8d + 43 B/row above the inputs while every column was
+    # built and then stacked, 8d + 18 with W allocated once
+    spec = CovariateSpec((ColumnSpec("income", "quantile_bins", bins=4),
+                          ColumnSpec("region", "categorical")))
+
+    def measure(path):
+        text, numbers = load_csv(path, ["region"], ["income"])
+        raw = {"income": numbers["income"], "region": text["region"]}
+        return _traced_peak(expand_covariates, raw, spec)
+
+    d = 3 + 2
+    assert _traced_slope(tmp_path, measure) <= 8 * d + 32

@@ -17,6 +17,7 @@ from rdhte.errors import (
     NonFinite,
     NonPositiveBandwidth,
     NuOutOfRange,
+    TooFewObservations,
     UnknownLevel,
 )
 from conftest import random_instance
@@ -143,21 +144,21 @@ def test_cluster_labels_mixing_numbers_and_text_are_input_error(labels):
 
 def test_categorical_expansion():
     w, labels, kinds = expand_covariates(
-        {"g": ["a", "b", "c"]},
+        {"g": ["a", "b", "c"] * 4},
         CovariateSpec((ColumnSpec("g", "categorical"),)),
     )
     assert labels == ["g=b", "g=c"]
     assert kinds == ["indicator", "indicator"]
-    np.testing.assert_array_equal(w, [[0, 0], [1, 0], [0, 1]])
+    np.testing.assert_array_equal(w, [[0, 0], [1, 0], [0, 1]] * 4)
 
 
 def test_categorical_baseline_override():
     w, labels, _ = expand_covariates(
-        {"g": ["a", "b", "a"]},
+        {"g": ["a", "b", "a"] * 3},
         CovariateSpec((ColumnSpec("g", "categorical", baseline="b"),)),
     )
     assert labels == ["g=a"]
-    np.testing.assert_array_equal(w[:, 0], [1, 0, 1])
+    np.testing.assert_array_equal(w[:, 0], [1, 0, 1] * 3)
 
 
 def test_categorical_unknown_baseline():
@@ -173,6 +174,22 @@ def test_empty_categorical_column_is_an_empty_sample(baseline):
     with pytest.raises(EmptySample, match="column 'g' has no rows"):
         column = ColumnSpec("g", "categorical", baseline=baseline)
         expand_covariates({"g": []}, CovariateSpec((column,)))
+
+
+def test_expansion_needs_4_plus_4d_rows():
+    # three levels and a 0/1 column: d = 3, so a fit needs 16 rows; the
+    # error names the widest column
+    spec = CovariateSpec((ColumnSpec("t", "binary"),
+                          ColumnSpec("g", "categorical")))
+    raw = {"t": [0.0, 1.0] * 8, "g": list("abca" * 4)}
+    w, _, _ = expand_covariates(raw, spec)
+    assert w.shape == (16, 3)
+    raw = {name: values[:-1] for name, values in raw.items()}
+    with pytest.raises(TooFewObservations, match=(
+        r"^column 'g' expands to 2 of 3 covariate columns, more than a fit "
+        r"on 15 rows can use \(at most 2\)$"
+    )):
+        expand_covariates(raw, spec)
 
 
 @pytest.mark.parametrize(
@@ -199,13 +216,13 @@ def test_label_codes_reject_numbers_mixed_with_text():
 def test_categorical_levels_are_the_values_text():
     # numbers are coded by their text, which sorts "10" before "2"
     w, labels, _ = expand_covariates(
-        {"g": [10, 2, 10, 1.5], "h": [1, "a", 1, "a"]},
+        {"g": [10, 2, 10, 1.5] * 4, "h": [1, "a", 1, "a"] * 4},
         CovariateSpec((ColumnSpec("g", "categorical"),
                        ColumnSpec("h", "categorical"))),
     )
     assert labels == ["g=10", "g=2", "h=a"]
     np.testing.assert_array_equal(
-        w, [[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1]]
+        w, [[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1]] * 4
     )
 
 
@@ -239,14 +256,14 @@ def test_categorical_exclusive_indicators():
 
 
 def test_continuous_powers():
-    income = [1.0, 2.0, 3.0]
+    income = [1.0, 2.0, 3.0] * 4
     w, labels, kinds = expand_covariates(
         {"income": income},
         CovariateSpec((ColumnSpec("income", "continuous", power_max=2),)),
     )
     assert labels == ["income", "income^2"]
     assert kinds == ["continuous", "continuous"]
-    np.testing.assert_array_equal(w, [[1, 1], [2, 4], [3, 9]])
+    np.testing.assert_array_equal(w, [[1, 1], [2, 4], [3, 9]] * 4)
 
 
 def test_power_overflow_is_non_finite_at_the_power():
@@ -260,11 +277,11 @@ def test_power_overflow_is_non_finite_at_the_power():
 
 def test_binary_passthrough_and_rejection():
     w, labels, kinds = expand_covariates(
-        {"t": [0.0, 1.0, 1.0]},
+        {"t": [0.0, 1.0, 1.0] * 3},
         CovariateSpec((ColumnSpec("t", "binary"),)),
     )
     assert labels == ["t"] and kinds == ["indicator"]
-    np.testing.assert_array_equal(w[:, 0], [0, 1, 1])
+    np.testing.assert_array_equal(w[:, 0], [0, 1, 1] * 3)
     with pytest.raises(UnknownLevel):
         expand_covariates(
             {"t": [0.0, 2.0]}, CovariateSpec((ColumnSpec("t", "binary"),))
@@ -292,8 +309,8 @@ def test_is_binary_matches_the_sorted_set_test(values, expected):
 
 
 def test_quantile_bins_frozen_quartiles():
-    # quartiles of 1..8 under linear interpolation: 2.75, 4.5, 6.25
-    vals = list(map(float, range(1, 9)))
+    # quartiles of 1..8 twice under linear interpolation: 2.75, 4.5, 6.25
+    vals = list(map(float, range(1, 9))) * 2
     np.testing.assert_allclose(
         np.quantile(vals, [0.25, 0.5, 0.75], method="linear"),
         [2.75, 4.5, 6.25],
