@@ -228,52 +228,61 @@ def load_csv(
     ------
     MissingColumn
     InputError
-        If the file has no header row, or a requested column appears more
-        than once in it.
+        If the file has no header row, a requested column appears more
+        than once in it, the file is not UTF-8 (with the decoder's
+        message), or csv.reader rejects a line, such as one with a field
+        longer than csv.field_size_limit() (citing the file's line).
     ParseError
         Once the whole file is read, for the first bad cell of the first
         column in numeric order that has one, citing its 1-based data row.
-    UnicodeDecodeError
-        If the file is not UTF-8.
     """
     names = list(dict.fromkeys([*numeric, *columns]))
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, header row required")
-        index = {}
-        for j, name in enumerate(header):
-            index.setdefault(name, j)
-        for name in names:
-            if name not in index:
-                raise MissingColumn(name)
-            if header.count(name) > 1:
-                raise InputError(
-                    f"{path}: column {name!r} appears more than once in "
-                    "the header"
-                )
-        # a numeric column collects one array per block and, after its
-        # first bad cell, none
-        text = {name: [] for name in columns}
-        parts = {name: [] for name in numeric}
-        bad: dict[str, ParseError] = {}
-        nrows, ncol = 0, len(header)
-        for block_rows, cells in _cell_blocks(fh, ncol) if names else ():
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InputError(f"{path}: empty file, header row required")
+            except csv.Error as exc:
+                raise csv.Error(f"line {reader.line_num}: {exc}") from None
+            index = {}
+            for j, name in enumerate(header):
+                index.setdefault(name, j)
             for name in names:
-                column = cells[index[name]::ncol]
-                if name in text:
-                    # a pool of this block's labels: equal cells share its
-                    # first copy and the rest die with cells
-                    text[name] += map({}.setdefault, column, column)
-                if name in parts and name not in bad:
-                    try:
-                        parts[name].append(_parse_numeric(name, column, nrows))
-                    except ParseError as exc:
-                        bad[name] = exc
-            nrows += block_rows
-            del cells, column  # before the next block is read
+                if name not in index:
+                    raise MissingColumn(name)
+                if header.count(name) > 1:
+                    raise InputError(
+                        f"{path}: column {name!r} appears more than once in "
+                        "the header"
+                    )
+            # a numeric column collects one array per block and, after its
+            # first bad cell, none
+            text = {name: [] for name in columns}
+            parts = {name: [] for name in numeric}
+            bad: dict[str, ParseError] = {}
+            nrows, ncol = 0, len(header)
+            blocks = _cell_blocks(fh, ncol, reader.line_num) if names else ()
+            for block_rows, cells in blocks:
+                for name in names:
+                    column = cells[index[name]::ncol]
+                    if name in text:
+                        # a pool of this block's labels: equal cells share
+                        # its first copy and the rest die with cells
+                        text[name] += map({}.setdefault, column, column)
+                    if name in parts and name not in bad:
+                        try:
+                            parts[name].append(
+                                _parse_numeric(name, column, nrows))
+                        except ParseError as exc:
+                            bad[name] = exc
+                nrows += block_rows
+                del cells, column  # before the next block is read
+    except csv.Error as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from None
     for name in numeric:
         if name in bad:
             raise bad[name]
@@ -282,14 +291,16 @@ def load_csv(
     return text, numbers
 
 
-def _cell_blocks(fh, ncol: int):
+def _cell_blocks(fh, ncol: int, line: int):
     """The data rows after the header in blocks of about _BLOCK_CHARS, as
     (nrows, cells): cells is row-major, ncol a row, short rows padded with
     empty cells and long ones cut.
 
     Quote-free blocks of whole lines go through _split_block; from the
     first block with a quote on, csv.reader parses the rest of the file,
-    in batches of as many rows as that block has lines.
+    in batches of as many rows as that block has lines. line is the count
+    of the file's lines before fh's position, so that a csv.Error cites
+    the file's line it was raised on.
     """
     # each block's text is dropped before it is handed on and its cells
     # before the next block is read, so one block is held at a time
@@ -298,6 +309,7 @@ def _cell_blocks(fh, ncol: int):
         if '"' in text:
             break
         nrows = len(lines)
+        line += nrows
         del lines
         cells = _split_block(text, nrows, ncol)
         del text
@@ -309,15 +321,18 @@ def _cell_blocks(fh, ncol: int):
     rows = csv.reader(itertools.chain(lines, fh))
     size, fill = len(lines), [""] * ncol
     del lines
-    while batch := list(itertools.islice(rows, size)):
-        cells = []
-        for row in batch:
-            cells += row[:ncol]
-            cells += fill[len(row):]
-        nrows = len(batch)
-        del batch
-        yield nrows, cells
-        del cells
+    try:
+        while batch := list(itertools.islice(rows, size)):
+            cells = []
+            for row in batch:
+                cells += row[:ncol]
+                cells += fill[len(row):]
+            nrows = len(batch)
+            del batch
+            yield nrows, cells
+            del cells
+    except csv.Error as exc:
+        raise csv.Error(f"line {line + rows.line_num}: {exc}") from None
 
 
 def _split_block(text: str, nrows: int, ncol: int) -> list[str]:
@@ -445,7 +460,7 @@ def run(config: RunConfig) -> tuple[str, int]:
     """Execute one configured run; returns (output text, exit code)."""
     try:
         result = build_result(config)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         return f"error: {exc}\n", 2
     except EstimationError as exc:
         return f"error: {exc}\n", 3

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +80,19 @@ class Selector:
             )
 
 
+class Term(NamedTuple):
+    """One requested estimand, checked: the long-form selector (lead
+    weights the baseline jump, w the covariate-coefficient jumps) at
+    derivative order nu. at_point marks a covariate evaluation point,
+    which _make_record flags when it lies outside the observed range."""
+
+    label: str
+    lead: float
+    w: np.ndarray
+    nu: int
+    at_point: bool
+
+
 @dataclass(frozen=True)
 class EstimandRecord:
     """One reported estimand with plug-in and bias-corrected inference."""
@@ -119,8 +131,9 @@ class HteResult:
     and serves every derivative order, so each record costs four dot
     products, O(k^2). varsigma, read off forms on first use, stacks the
     baseline and covariate-coefficient jumps at the requested derivative
-    order. records, built with the result, hold the default report set
-    plus the evaluation points, given as (label, lead, w, extrapolated).
+    order. points holds the Terms of the requested evaluation points;
+    records, built with the result, hold the default report set and then
+    one record per point.
     """
 
     sample: RdSample
@@ -130,15 +143,14 @@ class HteResult:
     selection: Optional[BandwidthSelection]
     labels: tuple[str, ...] = ()
     kinds: tuple[str, ...] = ()
-    points: tuple[tuple[str, float, np.ndarray, bool], ...] = ()
+    points: tuple[Term, ...] = ()
     records: tuple[EstimandRecord, ...] = field(init=False)
 
     def __post_init__(self):
-        nu, d = self.spec.nu, self.sample.d
-        plan = _default_plan(d, nu, self.labels, self.kinds)
+        plan = _default_plan(self.sample.d, self.spec.nu, self.labels,
+                             self.kinds)
         object.__setattr__(self, "records", tuple(
-            _make_record(self, label, lead, w, nu, extrap)
-            for label, lead, w, extrap in plan + list(self.points)
+            _make_record(self, term) for term in plan + list(self.points)
         ))
 
     @property
@@ -173,14 +185,11 @@ class HteResult:
         raise KeyError(label)
 
 
-def _make_record(
-    result: HteResult,
-    label: str,
-    lead: float,
-    w: np.ndarray,
-    nu: int,
-    extrapolated: bool,
-) -> EstimandRecord:
+def _make_record(result: HteResult, term: Term) -> EstimandRecord:
+    """The record of term on result. Every record is built here, so equal
+    terms give equal records; a covariate point outside the observed
+    covariate range is flagged extrapolated."""
+    label, lead, w, nu, at_point = term
     spec = result.spec
     evec = extractor_vector(nu, spec.p, spec.s, w, lead=lead)
     forms = result.forms
@@ -209,32 +218,32 @@ def _make_record(
         p_value=p_val,
         level=spec.level,
         zero_se=zero,
-        extrapolated=extrapolated,
+        extrapolated=at_point and _is_extrapolated(result.sample, w),
         eff_n=result.eff_n,
         h_left=result.h_left,
         h_right=result.h_right,
     )
 
 
-def _default_plan(d, nu, labels, kinds):
-    """Default report set: (label, lead, w, extrapolated) rows."""
+def _default_plan(d, nu, labels, kinds) -> list[Term]:
+    """Default report set."""
     if d == 0:
         name = "RD effect" if nu == 0 else f"RD derivative (order {nu})"
-        return [(name, 1.0, np.zeros(0), False)]
-    plan = [("Baseline (w=0)", 1.0, np.zeros(d), False)]
+        return [Term(name, 1.0, np.zeros(0), nu, False)]
+    plan = [Term("Baseline (w=0)", 1.0, np.zeros(d), nu, False)]
     for ell in range(d):
         unit = np.zeros(d)
         unit[ell] = 1.0
         if kinds[ell] == "indicator":
-            plan.append((f"CATE: {labels[ell]}", 1.0, unit, False))
-            plan.append((f"Diff: {labels[ell]}", 0.0, unit, False))
+            plan.append(Term(f"CATE: {labels[ell]}", 1.0, unit, nu, False))
+            plan.append(Term(f"Diff: {labels[ell]}", 0.0, unit, nu, False))
         else:
-            plan.append((f"Slope: {labels[ell]}", 0.0, unit, False))
+            plan.append(Term(f"Slope: {labels[ell]}", 0.0, unit, nu, False))
     return plan
 
 
-def _cate_point(d: int, w) -> tuple[str, np.ndarray]:
-    """Record label and validated array of a covariate evaluation point."""
+def _point_term(d: int, nu: int, w) -> Term:
+    """The checked term of a covariate evaluation point."""
     w_arr = np.atleast_1d(np.array(w, dtype=float))
     if w_arr.shape != (d,):
         raise DimensionMismatch(
@@ -244,11 +253,12 @@ def _cate_point(d: int, w) -> tuple[str, np.ndarray]:
     pretty = ", ".join(f"{v:g}" for v in vals)
     if not all(map(math.isfinite, vals)):
         raise NonFinite(-1, f"evaluation point w=({pretty})")
-    return f"CATE at w=({pretty})", w_arr
+    return Term(f"CATE at w=({pretty})", 1.0, w_arr, nu, True)
 
 
-def _selector_terms(d: int, selector: Selector) -> tuple[float, np.ndarray]:
-    """Validated lead and covariate weights of a long-form selector."""
+def _selector_term(d: int, nu: int, selector: Selector) -> Term:
+    """The checked term of a long-form selector; its own nu, if set,
+    overrides nu."""
     vec = selector.vector
     if vec.shape != (1 + d,):
         raise DimensionMismatch(
@@ -257,7 +267,8 @@ def _selector_terms(d: int, selector: Selector) -> tuple[float, np.ndarray]:
     if not np.isfinite(vec).all():
         pretty = ", ".join(f"{v:g}" for v in vec)
         raise NonFinite(-1, f"selector ({pretty})")
-    return float(vec[0]), vec[1:].copy()
+    nu = nu if selector.nu is None else selector.nu
+    return Term(selector.label, float(vec[0]), vec[1:].copy(), nu, False)
 
 
 def _is_extrapolated(sample: RdSample, w: np.ndarray) -> bool:
@@ -283,24 +294,12 @@ def _both_sides(fn, threaded: bool) -> tuple:
     side's error wins, as in a left-then-right loop."""
     if not threaded:
         return fn("left"), fn("right")
-    right = []
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        try:
-            right.append((fn("right"), None))
-        except BaseException as exc:
-            right.append((None, exc))
-
-    worker = threading.Thread(target=work, name="rdhte-right-side")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="rdhte-right-side") as pool:
+        right = pool.submit(fn, "right")
         left = fn("left")
-    finally:
-        worker.join()
-    value, exc = right[0]
-    if exc is not None:
-        raise exc
-    return left, value
+    return left, right.result()
 
 
 def fit_hte(
@@ -396,11 +395,6 @@ def fit_hte(
         return SideStage.of(fit, bias, side_forms(sample, fit, bias, vce))
 
     left, right = _both_sides(main_stage, threaded)
-
-    points = []
-    for w_pt in at or ():
-        label, w_arr = _cate_point(d, w_pt)
-        points.append((label, 1.0, w_arr, _is_extrapolated(sample, w_arr)))
     return HteResult(
         sample=sample,
         spec=spec,
@@ -409,7 +403,7 @@ def fit_hte(
         selection=selection,
         labels=labels,
         kinds=kinds,
-        points=tuple(points),
+        points=tuple(_point_term(d, spec.nu, w) for w in at or ()),
     )
 
 
@@ -422,11 +416,8 @@ def cate_at(result: HteResult, w) -> EstimandRecord:
     O(k^2) whatever the sample size. Points outside the observed covariate
     range are flagged as extrapolated; non-finite ones raise NonFinite.
     """
-    label, w_arr = _cate_point(result.sample.d, w)
-    return _make_record(
-        result, label, 1.0, w_arr, result.spec.nu,
-        _is_extrapolated(result.sample, w_arr),
-    )
+    term = _point_term(result.sample.d, result.spec.nu, w)
+    return _make_record(result, term)
 
 
 def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
@@ -436,6 +427,5 @@ def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
     weight the covariate-coefficient jumps; a selector of zeros yields a
     zero point estimate with zero variance, a non-finite one NonFinite.
     """
-    lead, w = _selector_terms(result.sample.d, selector)
-    nu = result.spec.nu if selector.nu is None else selector.nu
-    return _make_record(result, selector.label, lead, w, nu, False)
+    term = _selector_term(result.sample.d, result.spec.nu, selector)
+    return _make_record(result, term)

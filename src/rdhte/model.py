@@ -254,7 +254,7 @@ def label_codes(labels) -> tuple[list, np.ndarray]:
 
     Numeric arrays are coded by np.unique; anything else by a set and a
     dict lookup per label, which beats np.unique's sort of every label on
-    text and objects.
+    text and objects; an object array is read as it is.
 
     Raises
     ------
@@ -265,7 +265,8 @@ def label_codes(labels) -> tuple[list, np.ndarray]:
         if labels.dtype.kind in "biufc":
             levels, codes = np.unique(labels, return_inverse=True)
             return levels.tolist(), codes
-        labels = labels.tolist()
+        if labels.dtype.kind != "O":
+            labels = labels.tolist()
     levels = sorted(set(labels))
     index = dict(zip(levels, range(len(levels))))
     codes = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))

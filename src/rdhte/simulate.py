@@ -30,10 +30,9 @@ from .errors import AllReplicationsFailed, EstimationError, InvalidSetting
 from .estimands import (
     EstimandRecord,
     Selector,
-    _cate_point,
-    _is_extrapolated,
     _make_record,
-    _selector_terms,
+    _point_term,
+    _selector_term,
     _usable_cpus,
     fit_hte,
 )
@@ -296,22 +295,17 @@ class McReport:
 
 
 def _target_plan(config: DgpConfig, spec: FitSpec, targets) -> list:
-    """(label, lead, w, nu, at_point, truth) of each (target, truth),
-    checked once against the config's covariate columns, as cate_at and
-    contrast check them; a truth must be a finite real number."""
+    """(Term, truth) of each (target, truth), checked once against the
+    config's covariate columns, as cate_at and contrast check them; a
+    truth must be a finite real number."""
     d = config.n_columns
     plan = []
     for target, truth in targets:
         truth = _as_real("truth", truth)
         if not math.isfinite(truth):
             raise InvalidSetting(f"truth must be finite, got {truth}")
-        if isinstance(target, Selector):
-            lead, w = _selector_terms(d, target)
-            nu = spec.nu if target.nu is None else target.nu
-            plan.append((target.label, lead, w, nu, False, truth))
-        else:
-            label, w = _cate_point(d, target)
-            plan.append((label, 1.0, w, spec.nu, True, truth))
+        make = _selector_term if isinstance(target, Selector) else _point_term
+        plan.append((make(d, spec.nu, target), truth))
     return plan
 
 
@@ -461,11 +455,7 @@ def monte_carlo(
         sample = gen_sample(config, n, (seed, rep))
         try:
             result = fit_hte(sample, spec)
-            return [
-                _make_record(result, label, lead, w, nu,
-                             at_point and _is_extrapolated(sample, w))
-                for label, lead, w, nu, at_point, _ in plan
-            ]
+            return [_make_record(result, term) for term, _ in plan]
         except EstimationError:
             return None
 
@@ -487,7 +477,7 @@ def monte_carlo(
 
     out = []
     # zip(*kept) regroups the records by target
-    for (*_, truth), recs in zip(plan, zip(*kept)):
+    for (_, truth), recs in zip(plan, zip(*kept)):
         pt = np.array([rec.point for rec in recs])
         rb = np.array([rec.rbc_point for rec in recs])
         h = np.array([0.5 * (rec.h_left + rec.h_right) for rec in recs])

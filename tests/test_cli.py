@@ -600,6 +600,31 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     assert out.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("block", [1 << 20, 1 << 10])
+def test_overlong_quoted_field_exits_2(tmp_path, monkeypatch, capsys, block):
+    # once a file has a quote, csv.reader parses the rest of it, and a
+    # field over csv.field_size_limit() stops it, in any column. At 1 KiB
+    # blocks the quote is a few blocks in, so the cited line counts the
+    # quote-free blocks before it too
+    rng = np.random.default_rng(8)
+    cells = rng.uniform(-1, 1, (200, 2)).tolist()
+    lines = [f"{y!r},{x!r},z" for y, x in cells]
+    lines[150] += "a" * 200_000
+    plain = tmp_path / "plain.csv"
+    plain.write_text("y,x,note\n" + "\n".join(lines) + "\n")
+    lines[100] = '"' + lines[100].replace(",", '","') + '"'
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("y,x,note\n" + "\n".join(lines) + "\n")
+    monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", block)
+    assert main(cli_args(plain)) == 0
+    capsys.readouterr()
+    assert main(cli_args(quoted)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {quoted}: line 152: field larger than "
+                       f"field limit ({csv.field_size_limit()})\n")
+
+
 def test_main_writes_streams(tmp_path, capsys):
     path = tmp_path / "d.csv"
     write_sample_csv(path, n=400)

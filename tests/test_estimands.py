@@ -305,6 +305,24 @@ def test_requested_points_become_records():
     assert rec.point == pytest.approx(cate_at(result, [0.5]).point, rel=1e-14)
 
 
+@pytest.mark.parametrize("w", [(0.25, -0.5), (0.25, 1.5)],
+                         ids=["inside", "extrapolated"])
+def test_at_cate_at_and_contrast_build_one_record(w):
+    # at=, cate_at and contrast take one path to a record: the same point
+    # gives the same record, and its selector the same numbers
+    sample = random_instance(46, n=400, d=2, binary=False)
+    result = fit_hte(sample, FitSpec(bandwidth=Common(0.6)), at=[w])
+    at_rec = result.records[-1]
+    assert at_rec.label == f"CATE at w=(0.25, {w[1]:g})"
+    assert at_rec.extrapolated == (w[1] > 1)
+    assert cate_at(result, w) == at_rec
+    sel = contrast(result, Selector([1.0, *w], label="at w"))
+    assert (sel.label, sel.extrapolated) == ("at w", False)
+    assert dataclasses.replace(
+        sel, label=at_rec.label, extrapolated=at_rec.extrapolated
+    ) == at_rec
+
+
 # ---------------------------------------------------------------------------
 # contrast
 

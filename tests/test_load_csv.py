@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 import rdhte.cli
 from rdhte.cli import build_result, load_csv, parse_config
 from rdhte.errors import ParseError
-from rdhte.model import ColumnSpec, CovariateSpec, expand_covariates
+from rdhte.model import (
+    ColumnSpec,
+    CovariateSpec,
+    expand_covariates,
+    validate_sample,
+)
 
 from oracles import reference_load_csv
 
@@ -329,3 +334,14 @@ def test_expand_covariates_writes_w_once(tmp_path):
 
     d = 3 + 2
     assert _traced_slope(tmp_path, measure) <= 8 * d + 32
+
+
+def test_validate_sample_codes_a_text_cluster_without_a_list_copy(tmp_path):
+    # a probe read 24 B/row above the inputs while label_codes listed the
+    # object array of labels, and 18 with the array coded as it is
+    def measure(path):
+        text, numbers = load_csv(path, ["school"], ["earnings", "score"])
+        return _traced_peak(validate_sample, numbers["earnings"],
+                            numbers["score"], 0.0, None, text["school"])
+
+    assert _traced_slope(tmp_path, measure) <= 21

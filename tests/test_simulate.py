@@ -14,7 +14,7 @@ from rdhte.errors import (
     InvalidSetting,
     NonFinite,
 )
-from rdhte.estimands import Selector
+from rdhte.estimands import Selector, cate_at, contrast, fit_hte
 from rdhte.fitting import fit_side
 from rdhte.model import Common, FitSpec
 from rdhte.simulate import (
@@ -292,6 +292,25 @@ def test_monte_carlo_is_deterministic():
     a = monte_carlo(cfg, spec, **kwargs)
     b = monte_carlo(cfg, spec, **kwargs)
     assert a.to_dict() == b.to_dict()
+
+
+def test_monte_carlo_targets_take_the_records_of_cate_at_and_contrast():
+    # one replication: each target's report holds the numbers of the record
+    # cate_at or contrast returns on that replication's draw
+    cfg, spec, w, truth = canonical_preset(), FitSpec(), (1.0,), 0.9
+    sel = Selector([1.0, *w], label="at w")
+    report = monte_carlo(cfg, spec, reps=1, n=2000, seed=21,
+                         targets=[(w, truth), (sel, truth)])
+    result = fit_hte(gen_sample(cfg, 2000, (21, 0)), spec)
+    for target, rec in zip(report.targets,
+                           (cate_at(result, w), contrast(result, sel))):
+        assert target.label == rec.label
+        assert target.mean_bias == rec.point - truth
+        assert target.mean_bias_rbc == rec.rbc_point - truth
+        assert target.mean_se_plugin == rec.se
+        assert target.mean_se_rbc == rec.rbc_se
+        assert target.mean_h == 0.5 * (rec.h_left + rec.h_right)
+    assert report.targets[0].label == "CATE at w=(1)"
 
 
 def test_monte_carlo_report_serializes():
