@@ -32,13 +32,7 @@ from .bandwidth import (
 from .basis import extractor_vector
 from .errors import DimensionMismatch, InvalidSetting, NonFinite
 from .fitting import fit_side
-from .inference import (
-    ContrastForms,
-    SideStage,
-    ci_pvalue,
-    contrast_forms,
-    side_forms,
-)
+from .inference import ContrastForms, SideStage, ci_pvalue, side_forms
 from .model import FitSpec, RdSample, Select, _as_order
 
 __all__ = [
@@ -175,7 +169,7 @@ class HteResult:
 
     @cached_property
     def forms(self) -> ContrastForms:
-        return contrast_forms(self.left, self.right)
+        return self.left.forms + self.right.forms
 
     def record(self, label: str) -> EstimandRecord:
         """Look up a record by its label."""

@@ -29,8 +29,10 @@ leverages (cluster: the rows of A are summed within clusters instead).
 A coefficient of power j scales as h^-j and its bias correction as
 c_j = h^(1+q-j) whatever order nu an extractor reads, so side_forms
 states both forms in raw-coefficient units, one k x k pair per side that
-serves every nu. contrast_forms sums the two sides' stages once per fit;
-each record is then four dot products, O(k^2) whatever the sample size.
+serves every nu, and with them the side's share of the jump and the bias.
+A result's ContrastForms are the sum of its two sides' shares, made once
+per fit; each record is then four dot products, O(k^2) whatever the
+sample size.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ if TYPE_CHECKING:
     from .bandwidth import BiasConstants
 
 __all__ = [
-    "SideForms",
     "SideStage",
     "ContrastForms",
     "VarianceEstimate",
@@ -62,7 +63,6 @@ __all__ = [
     "plugin_form",
     "rbc_form",
     "side_forms",
-    "contrast_forms",
     "coef_variance",
     "rbc_variance",
     "ci_pvalue",
@@ -307,26 +307,15 @@ def _bias_scales(fit: SideFit) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SideForms:
-    """One side's plug-in and bias-corrected variance quadratic forms.
-
-    Both are k x k and in raw-coefficient units, so an extractor e of any
-    derivative order reads the side's variances as e' plugin e and
-    e' rbc e. Records read them through contrast_forms, both sides summed.
-    """
-
-    plugin: np.ndarray
-    rbc: np.ndarray
-
-
-@dataclass(frozen=True)
 class SideStage(SideFit):
     """One side's main fit, extended with its pilot stage (bias, whose
-    pilot_fit is the pilot fit) and its variance forms. It serves wherever
-    a SideFit does, and dataclasses.replace copies the whole side."""
+    pilot_fit is the pilot fit) and its share of the contrast (forms, see
+    side_forms). It serves wherever a SideFit does, and
+    dataclasses.replace copies the whole side. The share is built with the
+    stage: replacing theta_norm or bias in a built stage does not move it."""
 
     bias: BiasConstants
-    forms: SideForms
+    forms: ContrastForms
 
     @classmethod
     def of(cls, fit: SideFit, bias, forms) -> SideStage:
@@ -340,13 +329,15 @@ _SIDE_FIT_FIELDS = tuple(f.name for f in fields(SideFit))
 
 @dataclass(frozen=True)
 class ContrastForms:
-    """Right-minus-left contraction forms, for every derivative order.
+    """Contraction forms in raw-coefficient units, for every derivative
+    order: one side's share of the right-minus-left contrast, or the sum
+    of both sides' shares.
 
     For an extractor e: the point estimate is e' jump, the bias estimate
     e' bias, the plug-in variance e' plugin e and the bias-corrected
-    variance e' rbc e. jump is theta_right - theta_left; bias is
-    sum_s +-c_s o bias_s with c_s the side's _bias_scales; plugin and rbc
-    are the sums of the sides' SideForms.
+    variance e' rbc e. Shares add field by field, so left + right has
+    jump theta_right - theta_left and bias c_R o bias_R - c_L o bias_L,
+    with c the side's _bias_scales.
     """
 
     jump: np.ndarray
@@ -354,30 +345,32 @@ class ContrastForms:
     plugin: np.ndarray
     rbc: np.ndarray
 
+    def __add__(self, other: ContrastForms) -> ContrastForms:
+        return ContrastForms(*(
+            getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        ))
+
 
 def side_forms(
     sample: RdSample, fit: SideFit, bias: BiasConstants, vce: str
-) -> SideForms:
-    """Both quadratic forms of one side, with the sample's cluster labels:
-    plugin_form's entry (i, j) over n h^(i+j+1), for the column powers i
-    and j, and rbc_form's matrix reduced at c = _bias_scales(fit)."""
+) -> ContrastForms:
+    """One side's share of the contrast, with the sample's cluster labels:
+    jump theta and bias c o bias.bias, both negated on the left side;
+    plugin, plugin_form's entry (i, j) over n h^(i+j+1) for the column
+    powers i and j; and rbc, rbc_form's matrix reduced at c, where
+    c = _bias_scales(fit)."""
     n, h, powers = fit.n_total, fit.h, column_powers(fit.p, fit.s, fit.d)
     plugin = plugin_form(fit, vce, sample.cluster)
     # in place, so plugin keeps plugin_form's memory layout and with it the
     # order in which a contraction e' plugin e sums
     plugin /= [[n * h ** (i + j + 1) for j in powers] for i in powers]
-    rbc = _rbc_block_sum(rbc_form(sample, fit, bias, vce), _bias_scales(fit))
-    return SideForms(plugin=plugin, rbc=rbc)
-
-
-def contrast_forms(left: SideStage, right: SideStage) -> ContrastForms:
-    """Combine both sides' stages into their ContrastForms."""
-    scaled = [_bias_scales(side) * side.bias.bias for side in (left, right)]
+    c = _bias_scales(fit)
+    rbc = _rbc_block_sum(rbc_form(sample, fit, bias, vce), c)
+    sign = -1.0 if fit.side == "left" else 1.0
     return ContrastForms(
-        jump=right.theta - left.theta,
-        bias=scaled[1] - scaled[0],
-        plugin=left.forms.plugin + right.forms.plugin,
-        rbc=left.forms.rbc + right.forms.rbc,
+        jump=sign * fit.theta, bias=sign * (c * bias.bias),
+        plugin=plugin, rbc=rbc,
     )
 
 

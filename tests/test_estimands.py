@@ -21,7 +21,6 @@ from rdhte.errors import (
 )
 from rdhte.estimands import Selector, cate_at, contrast, fit_hte
 from rdhte.fitting import fit_side
-from rdhte.inference import contrast_forms
 from rdhte.model import Common, Fixed, FitSpec, Select, validate_sample
 
 
@@ -80,14 +79,14 @@ def test_varsigma_follows_replaced_side_fits():
 
 
 def test_replaced_side_is_swapped_whole():
-    # a side's stage carries its fit, pilot stage and variance forms, so a
-    # copy with another left side reads all three from that side
+    # a side's stage carries its fit, pilot stage and share of the
+    # contrast, so a copy with another left side reads all three from it
     spec = FitSpec(p=2, s=2, nu=1, bandwidth=Common(0.6))
     result = fit_hte(random_instance(30), spec, at=[(0.5,)])
     other = fit_hte(random_instance(33), spec)
     swapped = dataclasses.replace(result, left=other.left)
     assert swapped.left.bias.pilot_fit is other.left.bias.pilot_fit
-    expect = contrast_forms(other.left, result.right)
+    expect = other.left.forms + result.right.forms
     for name in ("jump", "bias", "plugin", "rbc"):
         np.testing.assert_array_equal(
             getattr(swapped.forms, name), getattr(expect, name)
@@ -495,7 +494,8 @@ def test_records_cost_no_window_work(monkeypatch, vce):
         name: _count_calls(monkeypatch, "inference", name)
         for name in ("plugin_form", "rbc_form")
     }
-    combined = _count_calls(monkeypatch, "inference", "contrast_forms")
+    shares = _count_calls(monkeypatch, "inference", "side_forms")
+    scales = _count_calls(monkeypatch, "inference", "_bias_scales")
     # once per side, however many records the fit reports
     at = [(v,) for v in np.linspace(-1.0, 1.0, 25)]
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.5), vce=vce), at=at)
@@ -503,17 +503,18 @@ def test_records_cost_no_window_work(monkeypatch, vce):
     assert {name: len(c) for name, c in form_calls.items()} == {
         "plugin_form": 2, "rbc_form": 2,
     }
+    # each side's share reads its bias scales once
+    assert len(shares) == 2 and len(scales) == 2
 
     work = [
         _count_calls(monkeypatch, mod, name) for mod, name in PER_RECORD_WORK
     ]
     for w in np.linspace(-1.0, 1.0, 50):
         cate_at(result, [w])
-    # the fit's combined forms serve its 27 records and every cate_at
-    assert len(combined) == 1
+    # the two shares serve the fit's 27 records and every cate_at
     contrast(result, Selector(np.array([0.0, 1.0]), nu=1))
-    # the same forms serve every derivative order
-    assert len(combined) == 1
+    # and every derivative order
+    assert len(shares) == 2 and len(scales) == 2
     assert all(calls == [] for calls in work)
     assert all(len(c) == 2 for c in form_calls.values())
 

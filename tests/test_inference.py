@@ -332,11 +332,12 @@ def test_outcome_scaling_scales_se_leaves_z_and_p():
 
 def test_rbc_point_zero_bias_is_identity():
     result = fit_hte(random_instance(18), FitSpec(bandwidth=Common(0.7)))
+    # a stage's share of the contrast is built with it, so zero the share
     flat = {
         side: dataclasses.replace(
             stage,
-            bias=dataclasses.replace(
-                stage.bias, routes=np.zeros_like(stage.bias.routes)
+            forms=dataclasses.replace(
+                stage.forms, bias=np.zeros_like(stage.forms.bias)
             ),
         )
         for side, stage in (("left", result.left), ("right", result.right))
