@@ -270,7 +270,8 @@ def mse_bandwidth(
     SingularGram, LeverageOne, TooFewClusters
     BiasDegenerate
         If a side's v or b is not finite (the message names the side and
-        the constant), or the regularized rule has no finite solution.
+        the constant), its squared bias term overflows, or the regularized
+        rule has no finite solution.
     """
     p, s, nu, vce = spec.p, spec.s, spec.nu, spec.vce
     n = sample.n
@@ -304,10 +305,17 @@ def mse_bandwidth(
         v_sum = sum(v[sd] for sd in group)
         if len(group) == 1:
             # the side's own h, not sqrt(h * h), which underflows to 0
-            b_sq, h_ref = b[group[0]] ** 2, h_pilot[group[0]]
+            b_term, h_ref = b[group[0]], h_pilot[group[0]]
         else:
-            b_sq = (b["right"] - b["left"]) ** 2
+            b_term = b["right"] - b["left"]
             h_ref = float(np.sqrt(h_pilot["left"] * h_pilot["right"]))
+        try:
+            b_sq = b_term**2
+        except OverflowError:
+            raise BiasDegenerate(
+                f"{' and '.join(group)} squared bias constant overflows "
+                f"({b_term:g})"
+            ) from None
         raw, dg = 0.0, True
         if v_sum != 0.0:
             reg = BIAS_REG_EPS * v_sum / (n * h_ref) if h_ref > 0 else 0.0

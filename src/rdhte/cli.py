@@ -182,6 +182,13 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     ns = parser.parse_args(argv)
     if ns.vce == "cluster" and ns.cluster is None:
         parser.error("--vce cluster requires --cluster")
+    for name, _ in ns.hetero:
+        # in a window x is affine in u, and a level or bin indicator of x
+        # is constant on one side: every kind is singular
+        if name == ns.running:
+            parser.error(f"--hetero {name!r} is the --running column; as "
+                         "a covariate it is collinear with the local "
+                         "polynomial in it")
     if ns.bw is not None:
         bandwidth = Common(ns.bw)
     elif ns.bw_side is not None:
@@ -230,7 +237,8 @@ def load_csv(
     InputError
         If the file has no header row, a requested column appears more
         than once in it, the file is not UTF-8 (with the decoder's
-        message), or csv.reader rejects a line, such as one with a field
+        message, citing the file's line and the byte within it), or
+        csv.reader rejects a line, such as one with a field
         longer than csv.field_size_limit() (citing the file's line).
     ParseError
         Once the whole file is read, for the first bad cell of the first
@@ -282,13 +290,32 @@ def load_csv(
     except csv.Error as exc:
         raise InputError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(_decode_error(path, exc)) from None
     for name in numeric:
         if name in bad:
             raise bad[name]
     numbers = {name: np.concatenate(arrays) if arrays else np.empty(0)
                for name, arrays in parts.items()}
     return text, numbers
+
+
+def _decode_error(path: str, exc: UnicodeDecodeError) -> str:
+    """The message of exc, raised on the file at path: the decoder's text,
+    its position (which counts within the decoder's chunk) replaced by the
+    file's 1-based line and byte within that line of the first bad byte.
+
+    The file is read again in binary, line by line; no multi-byte UTF-8
+    sequence holds a newline byte, so a line fails to decode exactly where
+    the whole file does."""
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, 1):
+            try:
+                raw.decode(exc.encoding)
+            except UnicodeDecodeError as bad:
+                head = str(bad).partition(" in position ")[0]
+                return (f"{head}: {bad.reason} ({path}, line {line}, "
+                        f"byte {bad.start + 1})")
+    return str(exc)
 
 
 def _cell_blocks(fh, ncol: int, line: int):

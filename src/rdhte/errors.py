@@ -104,6 +104,12 @@ class BiasDegenerate(EstimationError):
     pass
 
 
+class FormsDegenerate(EstimationError):
+    """A side's share of the contrast leaves the floating-point range: a
+    power of its bandwidth overflows or underflows to 0, or an entry is not
+    finite. The message names the side and the quantity."""
+
+
 class LeverageOne(EstimationError):
     """Some leverage reached 1: an observation is fit exactly and HC2/HC3
     weights are undefined."""

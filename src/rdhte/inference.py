@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .basis import column_powers, design_rows, scaling_diag
-from .errors import LeverageOne, TooFewClusters
+from .errors import FormsDegenerate, LeverageOne, TooFewClusters
 from .fitting import SideFit
 from .model import RdSample
 
@@ -359,19 +359,47 @@ def side_forms(
     jump theta and bias c o bias.bias, both negated on the left side;
     plugin, plugin_form's entry (i, j) over n h^(i+j+1) for the column
     powers i and j; and rbc, rbc_form's matrix reduced at c, where
-    c = _bias_scales(fit)."""
+    c = _bias_scales(fit).
+
+    Raises
+    ------
+    FormsDegenerate
+        If a power of h overflows or underflows to 0, or an entry of the
+        share is not finite; the message names the side and the quantity.
+    LeverageOne, TooFewClusters
+        As plugin_form and rbc_form raise them.
+    """
     n, h, powers = fit.n_total, fit.h, column_powers(fit.p, fit.s, fit.d)
+    try:
+        scale = np.array([[n * h ** (i + j + 1) for j in powers]
+                          for i in powers])
+        c = _bias_scales(fit)
+        if not np.isfinite(scale).all():
+            raise OverflowError
+    except OverflowError:
+        raise FormsDegenerate(
+            f"{fit.side} side: a power of h = {h:g} overflows"
+        ) from None
+    if not (scale.all() and c.all()):
+        raise FormsDegenerate(
+            f"{fit.side} side: a power of h = {h:g} underflows to 0"
+        )
     plugin = plugin_form(fit, vce, sample.cluster)
     # in place, so plugin keeps plugin_form's memory layout and with it the
     # order in which a contraction e' plugin e sums
-    plugin /= [[n * h ** (i + j + 1) for j in powers] for i in powers]
-    c = _bias_scales(fit)
+    plugin /= scale
     rbc = _rbc_block_sum(rbc_form(sample, fit, bias, vce), c)
     sign = -1.0 if fit.side == "left" else 1.0
-    return ContrastForms(
+    share = ContrastForms(
         jump=sign * fit.theta, bias=sign * (c * bias.bias),
         plugin=plugin, rbc=rbc,
     )
+    for f in fields(share):
+        if not np.isfinite(getattr(share, f.name)).all():
+            raise FormsDegenerate(
+                f"{fit.side} side: the {f.name} share is not finite"
+            )
+    return share
 
 
 @dataclass(frozen=True)

@@ -566,9 +566,9 @@ def test_small_file_errors(tmp_path, capsys, n, bad, flags, err):
 
 
 @pytest.mark.parametrize("bare, roles, parsed", [
-    ("x", (), ["y", "x"]),
+    ("y", (), ["y", "x"]),
     ("income", ("--hetero", "income:q4"), ["y", "x", "income"]),
-], ids=["running", "declared"])
+], ids=["outcome", "declared"])
 def test_bare_hetero_on_a_numeric_role_is_parsed_once(
     tmp_path, monkeypatch, bare, roles, parsed
 ):
@@ -598,6 +598,39 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_non_utf8_byte_late_in_a_large_file_cites_its_line(tmp_path, capsys):
+    # the decoder reads the file in chunks, so its own position counts
+    # within the last chunk; the message cites the file's line and byte
+    rng = np.random.default_rng(9)
+    cells = rng.uniform(-1, 1, (40_000, 2)).tolist()
+    data = ("y,x\n" + "".join(f"{y!r},{x!r}\n" for y, x in cells)).encode()
+    bad = len(data) - 5
+    data = data[:bad] + b"\xff" + data[bad + 1:]
+    assert len(data) > 1 << 20
+    path = tmp_path / "late.csv"
+    path.write_bytes(data)
+    line = data.count(b"\n", 0, bad) + 1
+    byte = bad - data.rfind(b"\n", 0, bad)
+    assert main(cli_args(path)) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: 'utf-8' codec can't decode byte 0xff: invalid start byte "
+        f"({path}, line {line}, byte {byte})\n"
+    )
+
+
+@pytest.mark.parametrize("token", ["x", "x:cont", "x:cont^2", "x:bin",
+                                   "x:cat", "x:q4"])
+def test_hetero_naming_the_running_column_is_a_usage_error(capsys, token):
+    # x is affine in u inside a window and an indicator of x is constant on
+    # one side, so every kind is singular; the file is never opened
+    argv = cli_args("missing.csv", "--hetero", token)
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv)
+    assert exc.value.code == 2
+    assert "--hetero 'x' is the --running column" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block", [1 << 20, 1 << 10])

@@ -8,7 +8,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rdhte.errors import BiasDegenerate, SingularGram, TooFewObservations
+from rdhte.errors import (
+    BiasDegenerate,
+    FormsDegenerate,
+    SingularGram,
+    TooFewObservations,
+)
 from rdhte.estimands import Selector, contrast, fit_hte
 from rdhte.model import Common, Fixed, FitSpec, Select, validate_sample
 from rdhte.simulate import canonical_preset, gen_sample
@@ -50,6 +55,47 @@ def test_selector_on_tiny_x_raises_bias_degenerate(mode, scale):
     ):
         fit_hte(validate_sample(draw.y, scale * draw.x, 0.0, draw.w),
                 FitSpec(bandwidth=Select(mode)))
+
+
+@pytest.mark.parametrize(
+    "scale, mode", [(1e-100, "two_sided"), (1e-120, "two_sided"),
+                    (1e-120, "one_sided")]
+)
+def test_selector_on_small_x_raises_when_the_squared_bias_overflows(
+    scale, mode
+):
+    # the bias constant is finite, but its square is not a float
+    draw = gen_sample(canonical_preset(), 4000, 0)
+    sides = "left and right" if mode == "two_sided" else "left"
+    with pytest.raises(
+        BiasDegenerate, match=f"^{sides} squared bias constant overflows"
+    ):
+        fit_hte(validate_sample(draw.y, scale * draw.x, 0.0, draw.w),
+                FitSpec(bandwidth=Select(mode)))
+
+
+SHARE_FAILURES = {
+    1e110: r"a power of h = 3e\+109 overflows",
+    1e120: r"a power of h = 3e\+119 overflows",
+    1e-110: r"a power of h = 3e-111 underflows to 0",
+    1e-120: r"a power of h = 3e-121 underflows to 0",
+    1e100: r"the rbc share is not finite",
+    1e-100: r"the rbc share is not finite",
+}
+
+
+@pytest.mark.parametrize("scale", list(SHARE_FAILURES))
+def test_side_share_out_of_float_range_raises_forms_degenerate(scale):
+    # x and h scaled together: the fit in u = x/h is the same, but the
+    # powers of h that put the share in raw units leave the float range
+    draw = gen_sample(canonical_preset(), 4000, 0)
+    sample = validate_sample(draw.y, scale * draw.x, 0.0, draw.w)
+    spec = FitSpec(bandwidth=Common(0.3 * scale), vce="hc3")
+    # at 1e+-100 numpy warns of its overflow in the RBC form first
+    with np.errstate(all="ignore"), pytest.raises(
+        FormsDegenerate, match=f"^left side: {SHARE_FAILURES[scale]}$"
+    ):
+        fit_hte(sample, spec)
 
 
 @pytest.mark.parametrize("bandwidth", [Common(0.5), Select()])

@@ -193,7 +193,7 @@ DUAL_ROLES = {
     "": (),
     "outcome_cluster": ("--cluster", "y"),
     "outcome_cat": ("--hetero", "y:cat"),
-    "running_bare": ("--hetero", "x"),
+    "outcome_bare": ("--hetero", "y"),
     "bin_cluster": ("--hetero", "b:bin", "--cluster", "b"),
 }
 

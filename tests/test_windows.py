@@ -12,11 +12,19 @@ from hypothesis import strategies as st
 from oracles import full_scan_window
 
 import rdhte.fitting
+import rdhte.inference
 from rdhte.basis import n_params
 from rdhte.estimands import fit_hte
 from rdhte.fitting import fit_side, side_design
 from rdhte.kernels import KERNELS
-from rdhte.model import Common, FitSpec, RdSample, Select, validate_sample
+from rdhte.model import (
+    Common,
+    Fixed,
+    FitSpec,
+    RdSample,
+    Select,
+    validate_sample,
+)
 
 SIDES = ("left", "right")
 
@@ -171,29 +179,58 @@ def test_side_view_quartiles_equal_np_quantile_bitwise(cutoff, left, right):
         assert np.all(np.diff(view.dist) >= 0)
 
 
-def test_fixed_bandwidth_fit_evaluates_kernel_on_window_rows(monkeypatch):
-    sample = random_instance(9, n=20_000, d=1)
-    spec = FitSpec(bandwidth=Common(0.1), vce="hc3")
+@pytest.fixture(scope="module")
+def clustered_sample():
+    base = random_instance(9, n=20_000, d=1)
+    labels = np.random.default_rng(9).integers(0, 400, base.n)
+    return validate_sample(base.y, base.x, 0.0, base.w, labels)
+
+
+@pytest.mark.parametrize(
+    "bandwidth", [Common(0.1), Fixed(0.08, 0.12), Select()],
+    ids=["common", "fixed", "select"],
+)
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("vce", ["hc0", "hc1", "hc2", "hc3", "cluster"])
+def test_fit_evaluates_kernel_and_basis_on_window_rows(
+    monkeypatch, clustered_sample, vce, kernel, bandwidth
+):
+    sample = clustered_sample
+    spec = FitSpec(kernel=kernel, bandwidth=bandwidth, vce=vce)
     fit_hte(sample, spec)
 
-    seen = []
+    seen, built = [], []
     kernel_eval = rdhte.fitting.kernel_eval
 
     def counting(u, kind="triangular"):
-        seen.append(np.asarray(u))
+        seen.append(np.asarray(u).size)
         return kernel_eval(u, kind)
 
+    def counting_rows(module):
+        design_rows = module.design_rows
+
+        def rows(u, w, p, s):
+            built.append((module, np.asarray(u).size))
+            return design_rows(u, w, p, s)
+        return rows
+
     monkeypatch.setattr(rdhte.fitting, "kernel_eval", counting)
+    for module in (rdhte.fitting, rdhte.inference):
+        monkeypatch.setattr(module, "design_rows", counting_rows(module))
     result = fit_hte(sample, spec)
-    windows = [
-        result.left, result.right,
-        result.left.bias.pilot_fit, result.right.bias.pilot_fit,
-    ]
-    assert len(seen) == len(windows)
-    # only the window rows and boundary ties reach the kernel
-    assert all(np.all(np.abs(u) <= 1.0 + 2e-9) for u in seen)
-    assert sum(u.size for u in seen) == sum(f.eff_n for f in windows)
-    assert sum(u.size for u in seen) < sample.n / 2
+    windows = sorted(
+        f.eff_n for f in (result.left, result.right,
+                          result.left.bias.pilot_fit,
+                          result.right.bias.pilot_fit)
+    )
+    # one kernel evaluation and one set of basis rows per window, on its
+    # rows only; the RBC form builds the pilot's rows on the larger main
+    # window, once per side at most
+    assert sorted(seen) == windows
+    assert sorted(m for mod, m in built if mod is rdhte.fitting) == windows
+    assert all(m in windows for _, m in built)
+    assert len(built) <= len(windows) + 2
+    assert sum(windows) < sample.n
 
 
 def test_refit_does_not_scan_the_sample(monkeypatch):
