@@ -310,7 +310,7 @@ def mse_bandwidth(
             b_term = b["right"] - b["left"]
             h_ref = float(np.sqrt(h_pilot["left"] * h_pilot["right"]))
         try:
-            b_sq = b_term**2
+            b_sq = b_term ** 2
         except OverflowError:
             raise BiasDegenerate(
                 f"{' and '.join(group)} squared bias constant overflows "

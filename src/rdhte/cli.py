@@ -304,9 +304,9 @@ def _decode_error(path: str, exc: UnicodeDecodeError) -> str:
     its position (which counts within the decoder's chunk) replaced by the
     file's 1-based line and byte within that line of the first bad byte.
 
-    The file is read again in binary, line by line; no multi-byte UTF-8
-    sequence holds a newline byte, so a line fails to decode exactly where
-    the whole file does."""
+    The file is read again in binary, line by line (lines end at LF); no
+    multi-byte UTF-8 sequence holds a newline byte, so a line fails to
+    decode exactly where the whole file does."""
     with open(path, "rb") as fh:
         for line, raw in enumerate(fh, 1):
             try:

@@ -120,14 +120,14 @@ class HteResult:
 
     left and right are the side stages (inference.SideStage): each is the
     side's main fit with its pilot stage (bias.pilot_fit is the pilot fit)
-    and variance forms, so dataclasses.replace(result, left=...) swaps a
-    whole side. forms combines both stages once (inference.ContrastForms)
-    and serves every derivative order, so each record costs four dot
-    products, O(k^2). varsigma, read off forms on first use, stacks the
-    baseline and covariate-coefficient jumps at the requested derivative
-    order. points holds the Terms of the requested evaluation points;
-    records, built with the result, hold the default report set and then
-    one record per point.
+    and its share of the contrast, so dataclasses.replace(result,
+    left=...) swaps a whole side. forms, left.forms + right.forms
+    (inference.ContrastForms), is summed once and serves every derivative
+    order, so each record costs four dot products, O(k^2). varsigma, read
+    off forms on first use, stacks the baseline and covariate-coefficient
+    jumps at the requested derivative order. points holds the Terms of the
+    requested evaluation points; records, built with the result, hold the
+    default report set and then one record per point.
     """
 
     sample: RdSample
@@ -307,8 +307,9 @@ def fit_hte(
 
     Runs each side's pilot stage, resolves bandwidths (MSE-optimal
     selection when the specification asks for it), fits the interacted
-    local polynomial on each side with its variance forms, and builds the
-    default estimand report plus any requested covariate evaluation points.
+    local polynomial on each side with its share of the contrast, and
+    builds the default estimand report plus any requested covariate
+    evaluation points.
 
     When the smaller side holds at least PARALLEL_MIN_SIDE_ROWS rows and
     the process may use two or more CPUs, each stage runs the right side on
@@ -335,8 +336,9 @@ def fit_hte(
 
     Raises
     ------
-    TooFewObservations, SingularGram, BiasDegenerate, DimensionMismatch,
-    NonFinite, InvalidSetting, LeverageOne, TooFewClusters
+    TooFewObservations, SingularGram, BiasDegenerate, FormsDegenerate,
+    DimensionMismatch, NonFinite, InvalidSetting, LeverageOne,
+    TooFewClusters
     """
     p, s, kernel, vce = spec.p, spec.s, spec.kernel, spec.vce
     d = sample.d
@@ -406,7 +408,7 @@ def cate_at(result: HteResult, w) -> EstimandRecord:
 
     The point estimate is the baseline jump plus the coefficient jumps
     contracted with w; variance, bias correction, and interval come from
-    the fits and variance forms stored on the result, so a call costs
+    the contrast forms stored on the result, so a call costs
     O(k^2) whatever the sample size. Points outside the observed covariate
     range are flagged as extrapolated; non-finite ones raise NonFinite.
     """

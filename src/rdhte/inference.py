@@ -370,6 +370,7 @@ def side_forms(
         As plugin_form and rbc_form raise them.
     """
     n, h, powers = fit.n_total, fit.h, column_powers(fit.p, fit.s, fit.d)
+    # float ** int raises on overflow, but n times a power may still be inf
     try:
         scale = np.array([[n * h ** (i + j + 1) for j in powers]
                           for i in powers])
