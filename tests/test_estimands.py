@@ -492,29 +492,25 @@ def test_records_cost_no_window_work(monkeypatch, vce):
     sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
     form_calls = {
         name: _count_calls(monkeypatch, "inference", name)
-        for name in ("plugin_form", "rbc_form")
+        for name in ("plugin_form", "rbc_form", "side_forms", "_bias_scales")
     }
-    shares = _count_calls(monkeypatch, "inference", "side_forms")
-    scales = _count_calls(monkeypatch, "inference", "_bias_scales")
-    # once per side, however many records the fit reports
+    # once per side, however many records the fit reports; each side's
+    # share reads its bias scales once
     at = [(v,) for v in np.linspace(-1.0, 1.0, 25)]
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.5), vce=vce), at=at)
     assert len(result.records) == 27
-    assert {name: len(c) for name, c in form_calls.items()} == {
-        "plugin_form": 2, "rbc_form": 2,
-    }
-    # each side's share reads its bias scales once
-    assert len(shares) == 2 and len(scales) == 2
+    assert {name: len(c) for name, c in form_calls.items()} == dict.fromkeys(
+        form_calls, 2
+    )
 
     work = [
         _count_calls(monkeypatch, mod, name) for mod, name in PER_RECORD_WORK
     ]
     for w in np.linspace(-1.0, 1.0, 50):
         cate_at(result, [w])
-    # the two shares serve the fit's 27 records and every cate_at
     contrast(result, Selector(np.array([0.0, 1.0]), nu=1))
-    # and every derivative order
-    assert len(shares) == 2 and len(scales) == 2
+    # the two shares serve the fit's 27 records, every cate_at and every
+    # derivative order
     assert all(calls == [] for calls in work)
     assert all(len(c) == 2 for c in form_calls.values())
 
