@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -26,7 +28,7 @@ from .errors import (
     ParseError,
     TooFewObservations,
 )
-from .estimands import fit_hte
+from .estimands import _process_count, _run_forked, fit_hte
 from .model import (
     ColumnSpec,
     Common,
@@ -44,8 +46,14 @@ __all__ = ["RunConfig", "parse_config", "load_csv", "run", "main"]
 
 _HETERO_SYNTAX = "COL[:cat|:bin|:cont[^k]|:q<k>]"
 _HETERO_KINDS = {"cat": "categorical", "bin": "binary", "cont": "continuous"}
-#: load_csv reads whole lines until a block holds at least this many chars
+#: load_csv cuts the data into ranges of whole lines of at least this many
+#: bytes, and _cell_blocks sizes its batches of rows by this many chars
 _BLOCK_CHARS = 1 << 20
+#: a quote-free CSV with at least this many bytes after its header is read
+#: by the caller and forked workers together (see load_csv); below it the
+#: fork and the worker's first, slower range cost more than they save
+PARALLEL_MIN_BYTES = 4 << 20
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -189,6 +197,11 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
             parser.error(f"--hetero {name!r} is the --running column; as "
                          "a covariate it is collinear with the local "
                          "polynomial in it")
+        # y then fits itself exactly in every window, and the effects
+        # printed are rounding noise
+        if name == ns.outcome:
+            parser.error(f"--hetero {name!r} is the --outcome column; a "
+                         "covariate must not be the outcome it explains")
     if ns.bw is not None:
         bandwidth = Common(ns.bw)
     elif ns.bw_side is not None:
@@ -221,15 +234,26 @@ def load_csv(
     float() as a float64 array. A name in both lists is read once and
     comes back in both forms. Every line after the header is one row: a
     blank line is a row of empty cells, missing trailing cells are empty
-    and extra cells are ignored.
+    and extra cells are ignored. Lines end in LF, CRLF or CR.
 
-    The file is read in blocks of whole lines, about 1 MiB each, so no
-    file-sized text is held, and a numeric column is parsed block by block,
-    so none of its cells outlives its block as text unless the column is
-    in columns too. Equal cells of a text column in one block are one
-    string object, so a column of few distinct labels holds about one
-    pointer a row. Quote-free blocks are split column-wise in one pass;
-    from the first quote on, csv.reader parses RFC 4180 quoting.
+    The data after the header is cut into ranges of whole lines of about
+    _BLOCK_CHARS bytes each, so no file-sized text is held. Each range is
+    read and split column-wise in one pass, and its numeric columns are
+    parsed there, so none of their cells outlives its range as text unless
+    the column is in columns too. Equal cells of a text column in one
+    range are one string object, so a column of few distinct labels holds
+    about one pointer a row. From the first range with a quote on,
+    csv.reader parses RFC 4180 quoting, as it does all rows of a file that
+    cannot seek, such as a pipe.
+
+    A file of at least PARALLEL_MIN_BYTES after its header, with no quote
+    there, is parsed by the caller and forked worker processes together,
+    one per further usable CPU, under the gate monte_carlo forks under
+    (two or more CPUs on Linux, no other live thread, a caller that is
+    not daemonic); each process takes the next range from one shared
+    counter. The ranges are joined in file order, so the columns equal
+    the serial ones bit for bit, errors are those of the serial read, and
+    no worker outlives the call.
 
     Raises
     ------
@@ -245,15 +269,12 @@ def load_csv(
         column in numeric order that has one, citing its 1-based data row.
     """
     names = list(dict.fromkeys([*numeric, *columns]))
+    text = {name: [] for name in columns}
+    parts = {name: [] for name in numeric}
+    bad: dict[str, ParseError] = {}
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: empty file, header row required")
-            except csv.Error as exc:
-                raise csv.Error(f"line {reader.line_num}: {exc}") from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, line, start = _read_header(fh, path)
             index = {}
             for j, name in enumerate(header):
                 index.setdefault(name, j)
@@ -265,28 +286,45 @@ def load_csv(
                         f"{path}: column {name!r} appears more than once in "
                         "the header"
                     )
-            # a numeric column collects one array per block and, after its
-            # first bad cell, none
-            text = {name: [] for name in columns}
-            parts = {name: [] for name in numeric}
-            bad: dict[str, ParseError] = {}
-            nrows, ncol = 0, len(header)
-            blocks = _cell_blocks(fh, ncol, reader.line_num) if names else ()
-            for block_rows, cells in blocks:
-                for name in names:
-                    column = cells[index[name]::ncol]
+            ncol = len(header)
+            wanted = [(name, index[name]) for name in names]
+
+            def take(cells: list[str]) -> tuple[dict, dict]:
+                """A block's text columns, with equal cells one string, and
+                its numeric columns, each an array or the ParseError of its
+                first bad cell, the row counted from the block's start."""
+                texts, numbers = {}, {}
+                for name, j in wanted:
+                    column = cells[j::ncol]
                     if name in text:
                         # a pool of this block's labels: equal cells share
                         # its first copy and the rest die with cells
-                        text[name] += map({}.setdefault, column, column)
-                    if name in parts and name not in bad:
+                        texts[name] = list(map({}.setdefault, column, column))
+                    if name in parts:
                         try:
-                            parts[name].append(
-                                _parse_numeric(name, column, nrows))
+                            numbers[name] = _parse_numeric(name, column)
                         except ParseError as exc:
-                            bad[name] = exc
+                            numbers[name] = exc
+                return texts, numbers
+
+            if not names:
+                blocks = ()
+            elif fh.seekable():
+                blocks = _blocks(path, start, line, ncol, take)
+            else:  # a pipe: csv.reader reads on from the header
+                blocks = ((nrows, take(cells))
+                          for nrows, cells in _cell_blocks(fh, ncol, line))
+            nrows = 0
+            for block_rows, (texts, numbers) in blocks:
+                for name, cells in texts.items():
+                    text[name] += cells
+                for name, got in numbers.items():
+                    if isinstance(got, ParseError):
+                        bad.setdefault(name, ParseError(
+                            nrows + got.row, name, got.value))
+                    elif name not in bad:
+                        parts[name].append(got)
                 nrows += block_rows
-                del cells, column  # before the next block is read
     except csv.Error as exc:
         raise InputError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -297,6 +335,119 @@ def load_csv(
     numbers = {name: np.concatenate(arrays) if arrays else np.empty(0)
                for name, arrays in parts.items()}
     return text, numbers
+
+
+def _read_header(fh, path: str) -> tuple[list[str], int, int]:
+    """(header, lines, start): the header row of the CSV open as the text
+    file fh (UTF-8, newline=""), the count of the file's lines it spans
+    and the byte offset where the line after it starts. A BOM that starts
+    the file is not text, as utf-8-sig decodes it; fh is left at the line
+    after the header."""
+    head = []  # the header's lines as read, with their line ends
+
+    def lines():
+        while line := fh.readline():
+            head.append(line)
+            if len(head) == 1:
+                line = line.removeprefix("\ufeff")
+            if line:
+                yield line
+
+    reader = csv.reader(lines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file, header row required")
+    except csv.Error as exc:
+        raise csv.Error(f"line {reader.line_num}: {exc}") from None
+    return header, reader.line_num, len("".join(head).encode("utf-8"))
+
+
+def _blocks(path: str, start: int, line: int, ncol: int, take):
+    """(nrows, take(cells)) for each block of the data rows from byte
+    start on, in file order, with cells row-major, ncol a row; line is the
+    count of the file's lines before start.
+
+    The blocks are the ranges of _range_cuts, read and split by
+    _split_block, until the first range with a quote; that range and the
+    rest of the file go through _cell_blocks. When the gate allows and
+    the data holds no quote, the ranges are read by the caller and forked
+    workers first, and each range is read here only if its process failed.
+    """
+    cuts = _range_cuts(path, start)
+    tasks = len(cuts) - 1
+
+    def read_range(i: int):
+        """(nrows, take(cells)) of range i, or None if it holds a quote."""
+        with open(path, "rb") as fb:
+            fb.seek(cuts[i])
+            raw = fb.read(cuts[i + 1] - cuts[i])
+        if b'"' in raw:
+            return None
+        text = raw.decode("utf-8")
+        del raw
+        nrows, cells = _split_block(text, ncol)
+        del text
+        return nrows, take(cells)
+
+    procs = _process_count(tasks, cuts[-1] - start, PARALLEL_MIN_BYTES)
+    if procs > 1 and _has_quote(path, start):
+        procs = 1
+    done = _run_forked(read_range, tasks, procs) if procs > 1 else {}
+    for i in range(tasks):
+        block = done.pop(i) if i in done else read_range(i)
+        if block is None:
+            break
+        line += block[0]
+        yield block
+    else:
+        return
+    with open(path, "rb") as fb:
+        fb.seek(cuts[i])
+        with io.TextIOWrapper(fb, encoding="utf-8", newline="") as fh:
+            for nrows, cells in _cell_blocks(fh, ncol, line):
+                yield nrows, take(cells)
+
+
+def _range_cuts(path: str, start: int) -> list[int]:
+    """Byte offsets that cut the file at path, from start to its end, into
+    ranges of whole lines: start, then after each cut the first line start
+    at least _BLOCK_CHARS bytes later, and the file's size."""
+    with open(path, "rb") as fb:
+        size = fb.seek(0, io.SEEK_END)
+        cuts = [start]
+        while cuts[-1] < size:
+            cuts.append(_line_start(fb, cuts[-1] + _BLOCK_CHARS, size))
+    return cuts
+
+
+def _line_start(fb, pos: int, size: int) -> int:
+    """The offset of the first line start at or after pos in the binary
+    file fb of size bytes, or size; a line ends in LF, CRLF or CR."""
+    if pos >= size:
+        return size
+    fb.seek(pos - 1)
+    at, buf = pos - 1, b""
+    while more := fb.read(1 << 12):
+        buf += more
+        end = _LINE_END.search(buf)
+        if end is None:
+            at, buf = at + len(buf), b""
+        elif end.end() < len(buf):  # a CR that ends buf may start a CRLF
+            return at + end.end()
+    return size
+
+
+def _has_quote(path: str, start: int) -> bool:
+    """Whether the file at path holds a double quote at or after byte
+    start."""
+    buf = bytearray(1 << 20)
+    with open(path, "rb") as fb:
+        fb.seek(start)
+        while n := fb.readinto(buf):
+            if buf.find(b'"', 0, n) >= 0:
+                return True
+    return False
 
 
 def _decode_error(path: str, exc: UnicodeDecodeError) -> str:
@@ -319,32 +470,16 @@ def _decode_error(path: str, exc: UnicodeDecodeError) -> str:
 
 
 def _cell_blocks(fh, ncol: int, line: int):
-    """The data rows after the header in blocks of about _BLOCK_CHARS, as
-    (nrows, cells): cells is row-major, ncol a row, short rows padded with
-    empty cells and long ones cut.
+    """The data rows from fh's position on, parsed by csv.reader (RFC 4180
+    quoting), as (nrows, cells): cells is row-major, ncol a row, short
+    rows padded with empty cells and long ones cut.
 
-    Quote-free blocks of whole lines go through _split_block; from the
-    first block with a quote on, csv.reader parses the rest of the file,
-    in batches of as many rows as that block has lines. line is the count
-    of the file's lines before fh's position, so that a csv.Error cites
-    the file's line it was raised on.
+    The rows come in batches of as many rows as the first _BLOCK_CHARS
+    chars of whole lines hold lines, so one batch is held at a time. line
+    is the count of the file's lines before fh's position, so that a
+    csv.Error cites the file's line it was raised on.
     """
-    # each block's text is dropped before it is handed on and its cells
-    # before the next block is read, so one block is held at a time
-    while lines := fh.readlines(_BLOCK_CHARS):
-        text = "".join(lines)
-        if '"' in text:
-            break
-        nrows = len(lines)
-        line += nrows
-        del lines
-        cells = _split_block(text, nrows, ncol)
-        del text
-        yield nrows, cells
-        del cells
-    else:
-        return
-    del text
+    lines = fh.readlines(_BLOCK_CHARS)
     rows = csv.reader(itertools.chain(lines, fh))
     size, fill = len(lines), [""] * ncol
     del lines
@@ -362,17 +497,19 @@ def _cell_blocks(fh, ncol: int, line: int):
         raise csv.Error(f"line {line + rows.line_num}: {exc}") from None
 
 
-def _split_block(text: str, nrows: int, ncol: int) -> list[str]:
-    """The cells of nrows unquoted lines as one row-major list, ncol a row.
+def _split_block(text: str, ncol: int) -> tuple[int, list[str]]:
+    """(nrows, cells): the count of unquoted lines in text and their cells
+    as one row-major list, ncol a row.
 
     Each line ends at one line end (LF, CRLF or CR), save perhaps the
-    file's last. Lines with fewer cells are padded with empty ones and
+    text's last. Lines with fewer cells are padded with empty ones and
     lines with more are cut to ncol.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.endswith("\n"):
         text += "\n"
+    nrows = text.count("\n")
     # every line end is followed by a comma, so each cell holds at most one
     # line end, at its end: the block is regular iff it has nrows * ncol
     # cells and all nrows line ends sit in the cells of the last column
@@ -381,13 +518,13 @@ def _split_block(text: str, nrows: int, ncol: int) -> list[str]:
     last = "".join(cells[ncol - 1::ncol])
     if len(cells) == nrows * ncol and last.count("\n") == nrows:
         cells[ncol - 1::ncol] = last.split("\n")[:-1]
-        return cells
+        return nrows, cells
     # some line is blank, short or long: pad or cut each line to ncol
     fill = "," * (ncol - 1)
     cells = []
     for row in text.split("\n")[:-1]:
         cells += (row + fill).split(",")[:ncol]
-    return cells
+    return nrows, cells
 
 
 def _parse_numeric(

@@ -9,16 +9,19 @@ bias-corrected point estimate, interval, and p-value.
 The two sides meet only in bandwidth selection and in the final contrast,
 so on large samples fit_hte runs each side's stages on its own thread
 (numpy releases the GIL in the heavy calls); both paths run the same
-per-side code, so results are bit-identical.
+per-side code, so results are bit-identical. The fork scheduler that
+monte_carlo and the CLI's CSV reader share lives here too
+(_process_count and _run_forked).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -280,6 +283,93 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _process_count(tasks: int, size: int, min_size: int) -> int:
+    """Processes to run tasks on, the caller included: one per usable CPU,
+    at most tasks, when size is at least min_size, else 1.
+
+    A fork copies only the forking thread, so a lock another thread holds
+    stays locked in the child: any live thread keeps the run serial, as
+    does a daemonic caller, which may not start children, and a platform
+    without os.sched_getaffinity. multiprocessing is imported only for a
+    run that may fork.
+    """
+    if (
+        size < min_size
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() != 1
+    ):
+        return 1
+    procs = min(_usable_cpus(), tasks)
+    if procs < 2:
+        return 1
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else procs
+
+
+def _run_forked(fn: Callable, tasks: int, procs: int) -> dict:
+    """{i: fn(i)} from the caller and procs - 1 forked children, each
+    pulling the next task index below tasks from one shared counter.
+
+    A process whose fn raises stops the counter for all and keeps no
+    outcome for that task; every task left out is for the caller to run,
+    in order, so that it raises what a serial loop raises. Every child is
+    joined before this returns or raises.
+    """
+    # fork, not spawn: a spawned worker re-imports numpy and rdhte, which
+    # costs more than the tasks it would take over
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    lock = ctx.Lock()
+    counter = ctx.RawValue("l", 0)
+
+    def stop() -> None:
+        with lock:
+            counter.value = tasks
+
+    def pull() -> dict:
+        done = {}
+        while True:
+            with lock:
+                i = counter.value
+                counter.value = i + 1
+            if i >= tasks:
+                return done
+            try:
+                done[i] = fn(i)
+            except Exception:
+                # the caller re-runs this task and raises the real exception
+                stop()
+                return done
+
+    def child(conn) -> None:
+        conn.send(pull())
+        conn.close()
+
+    outcomes = {}
+    children = []
+    try:
+        for _ in range(procs - 1):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send_end,),
+                               name="rdhte-worker")
+            proc.start()
+            send_end.close()
+            children.append((proc, recv_end))
+        outcomes.update(pull())
+    finally:
+        stop()  # if the caller raised, the children end after their task
+        for proc, recv_end in children:
+            try:
+                outcomes.update(recv_end.recv())
+            except EOFError:  # the child died; its tasks are left out
+                pass
+            recv_end.close()
+            proc.join()
+    return outcomes
 
 
 def _both_sides(fn, threaded: bool) -> tuple:

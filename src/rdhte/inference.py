@@ -361,6 +361,10 @@ def side_forms(
     powers i and j; and rbc, rbc_form's matrix reduced at c, where
     c = _bias_scales(fit).
 
+    numpy's floating-point warnings are silenced while the share is built,
+    so its finiteness checks give the verdict, also under warnings as
+    errors.
+
     Raises
     ------
     FormsDegenerate
@@ -385,16 +389,19 @@ def side_forms(
         raise FormsDegenerate(
             f"{fit.side} side: a power of h = {h:g} underflows to 0"
         )
-    plugin = plugin_form(fit, vce, sample.cluster)
-    # in place, so plugin keeps plugin_form's memory layout and with it the
-    # order in which a contraction e' plugin e sums
-    plugin /= scale
-    rbc = _rbc_block_sum(rbc_form(sample, fit, bias, vce), c)
-    sign = -1.0 if fit.side == "left" else 1.0
-    share = ContrastForms(
-        jump=sign * fit.theta, bias=sign * (c * bias.bias),
-        plugin=plugin, rbc=rbc,
-    )
+    # numpy's overflow and invalid warnings would escape ahead of the typed
+    # error under warnings-as-errors: the finiteness checks below decide
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        plugin = plugin_form(fit, vce, sample.cluster)
+        # in place, so plugin keeps plugin_form's memory layout and with it
+        # the order in which a contraction e' plugin e sums
+        plugin /= scale
+        rbc = _rbc_block_sum(rbc_form(sample, fit, bias, vce), c)
+        sign = -1.0 if fit.side == "left" else 1.0
+        share = ContrastForms(
+            jump=sign * fit.theta, bias=sign * (c * bias.bias),
+            plugin=plugin, rbc=rbc,
+        )
     for f in fields(share):
         if not np.isfinite(getattr(share, f.name)).all():
             raise FormsDegenerate(

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -32,8 +30,9 @@ from .estimands import (
     Selector,
     _make_record,
     _point_term,
+    _process_count,
+    _run_forked,
     _selector_term,
-    _usable_cpus,
     fit_hte,
 )
 from .model import FitSpec, RdSample, _as_order, _as_real, validate_sample
@@ -309,89 +308,6 @@ def _target_plan(config: DgpConfig, spec: FitSpec, targets) -> list:
     return plan
 
 
-def _process_count(reps: int, n: int) -> int:
-    """Processes to run the replications on, the caller included.
-
-    A fork copies only the forking thread, so a lock another thread holds
-    stays locked in the child: any live thread keeps the run serial, as
-    does a daemonic caller, which may not start children.
-    """
-    if (
-        reps * n < PARALLEL_MIN_DRAWS
-        or not hasattr(os, "sched_getaffinity")
-        or threading.active_count() != 1
-    ):
-        return 1
-    procs = min(_usable_cpus(), reps)
-    if procs < 2:
-        return 1
-    import multiprocessing
-
-    return 1 if multiprocessing.current_process().daemon else procs
-
-
-def _run_forked(replicate: Callable, reps: int, procs: int) -> dict:
-    """{rep: replicate(rep)} from the caller and procs - 1 forked children,
-    each pulling the next rep index from one shared counter.
-
-    A process whose replicate raises stops the counter for all and keeps
-    no outcome for that rep; every rep left out is for the caller to run.
-    Every child is joined before this returns or raises.
-    """
-    # fork, not spawn: a spawned worker re-imports numpy and rdhte, which
-    # costs more than the replications it would take over
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    lock = ctx.Lock()
-    counter = ctx.RawValue("l", 0)
-
-    def stop() -> None:
-        with lock:
-            counter.value = reps
-
-    def pull() -> dict:
-        done = {}
-        while True:
-            with lock:
-                rep = counter.value
-                counter.value = rep + 1
-            if rep >= reps:
-                return done
-            try:
-                done[rep] = replicate(rep)
-            except Exception:
-                # the caller re-runs this rep and raises the real exception
-                stop()
-                return done
-
-    def child(conn) -> None:
-        conn.send(pull())
-        conn.close()
-
-    outcomes = {}
-    children = []
-    try:
-        for _ in range(procs - 1):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=child, args=(send_end,),
-                               name="rdhte-mc-worker")
-            proc.start()
-            send_end.close()
-            children.append((proc, recv_end))
-        outcomes.update(pull())
-    finally:
-        stop()  # if the caller raised, the children end after their rep
-        for proc, recv_end in children:
-            try:
-                outcomes.update(recv_end.recv())
-            except EOFError:  # the child died; its reps are left out
-                pass
-            recv_end.close()
-            proc.join()
-    return outcomes
-
-
 def monte_carlo(
     config: DgpConfig,
     spec: FitSpec,
@@ -425,7 +341,9 @@ def monte_carlo(
     own (seed, rep) stream and the records are aggregated in replication
     order, so the report is bit-identical to the serial one. Any other
     error is raised at the replication the serial loop would raise at,
-    and no worker outlives the call.
+    and no worker outlives the call. The gate and the scheduler are the
+    ones the CLI's CSV reader forks with (estimands._process_count and
+    _run_forked); only the size test differs.
 
     Raises
     ------
@@ -459,7 +377,7 @@ def monte_carlo(
         except EstimationError:
             return None
 
-    procs = _process_count(reps, n)
+    procs = _process_count(reps, reps * n, PARALLEL_MIN_DRAWS)
     outcomes = _run_forked(replicate, reps, procs) if procs > 1 else {}
     kept = []  # the target records of each successful replication, in order
     for rep in range(reps):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -526,16 +527,17 @@ def test_expansion_wider_than_any_fit_exits_3(tmp_path, capsys):
     # a continuous column declared :cat has a level a row; its W of
     # 2000 x 1999 (32 MB) is refused before it is allocated
     path = tmp_path / "d.csv"
-    write_sample_csv(path, n=2000)
+    write_sample_csv(path, n=2000, income=True)
     tracemalloc.start()
     try:
-        code = main(cli_args(path, "--hetero", "y:cat"))
+        code = main(cli_args(path, "--hetero", "income:cat"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 3 and peak < 4 << 20, peak
     assert capsys.readouterr().err == (
-        "error: column 'y' expands to 1999 of 1999 covariate columns, more "
+        "error: column 'income' expands to 1999 of 1999 covariate columns, "
+        "more "
         "than a fit on 2000 rows can use (at most 499)\n"
     )
 
@@ -582,13 +584,18 @@ def test_bare_hetero_on_a_numeric_role_is_parsed_once(
         names.append(name)
         return parse_numeric(name, values, start)
 
+    def config(token):
+        # parse_config refuses --hetero on the outcome, a RunConfig does not
+        base = parse_config(cli_args(path, "--bw", "0.5", "--format", "json",
+                                     *roles))
+        hetero = base.hetero + (rdhte.cli._hetero_token(token),)
+        return dataclasses.replace(base, hetero=hetero)
+
     parse_numeric = rdhte.cli._parse_numeric
     monkeypatch.setattr(rdhte.cli, "_parse_numeric", parse)
-    flags = ("--bw", "0.5", "--format", "json", *roles)
-    got = run(parse_config(cli_args(path, *flags, "--hetero", bare)))
+    got = run(config(bare))
     assert names == parsed
-    assert got == run(parse_config(cli_args(path, *flags, "--hetero",
-                                            f"{bare}:cont")))
+    assert got == run(config(f"{bare}:cont"))
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
@@ -619,6 +626,17 @@ def test_non_utf8_byte_late_in_a_large_file_cites_its_line(tmp_path, capsys):
         "error: 'utf-8' codec can't decode byte 0xff: invalid start byte "
         f"({path}, line {line}, byte {byte})\n"
     )
+
+
+@pytest.mark.parametrize("token", ["y", "y:cont", "y:bin", "y:cat", "y:q4"])
+def test_hetero_naming_the_outcome_column_is_a_usage_error(capsys, token):
+    # y would fit itself exactly in every window: the effects printed were
+    # rounding noise with exit 0; the file is never opened
+    argv = cli_args("missing.csv", "--hetero", token)
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv)
+    assert exc.value.code == 2
+    assert "--hetero 'y' is the --outcome column" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("token", ["x", "x:cont", "x:cont^2", "x:bin",

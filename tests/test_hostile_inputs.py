@@ -91,8 +91,9 @@ def test_side_share_out_of_float_range_raises_forms_degenerate(scale):
     draw = gen_sample(canonical_preset(), 4000, 0)
     sample = validate_sample(draw.y, scale * draw.x, 0.0, draw.w)
     spec = FitSpec(bandwidth=Common(0.3 * scale), vce="hc3")
-    # at 1e+-100 numpy warns of its overflow in the RBC form first
-    with np.errstate(all="ignore"), pytest.raises(
+    # under the suite's warnings-as-errors filter: numpy's overflow in the
+    # RBC form at 1e+-100 must not escape ahead of the typed error
+    with pytest.raises(
         FormsDegenerate, match=f"^left side: {SHARE_FAILURES[scale]}$"
     ):
         fit_hte(sample, spec)

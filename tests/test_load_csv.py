@@ -1,13 +1,17 @@
 """cli.load_csv against a reader that takes every row through csv.reader.
 
-load_csv splits quote-free blocks of lines itself and hands the rest of
-the file to csv.reader from the first quote on; on every input it must
-return the lists the reference reader returns, and float() of those lists
-for the columns it parses as numbers.
+load_csv splits quote-free ranges of lines itself and hands the rest of
+the file to csv.reader from the first range with a quote on (and all of a
+pipe's data); on every input it must return the lists the reference
+reader returns, and float() of those lists for the columns it parses as
+numbers.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -146,6 +150,40 @@ def test_load_csv_dialect(tmp_path, text, expected):
     assert reference_load_csv(path, ["a", "b"]) == expected
 
 
+def test_load_csv_reads_a_pipe(tmp_path, monkeypatch):
+    # a pipe cannot be cut into byte ranges: csv.reader reads on from the
+    # header (as for `--data <(command)`), to the same columns
+    monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", 1 << 10)
+    text = "a,b\n" + "".join(f"{i},x{i % 3}\n" for i in range(2000))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = load_csv(str(fifo), ["b"], ["a"])
+    finally:
+        writer.join(timeout=10)
+    path = _write(tmp_path, text)
+    assert got[0] == reference_load_csv(path, ["b"])
+    np.testing.assert_array_equal(got[1]["a"], np.arange(2000.0))
+
+
+def test_a_crlf_across_the_cut_scan_is_one_line_end(tmp_path, monkeypatch):
+    # the first cut is sought from byte 5 + 1 KiB - 1 in 4 KiB reads; a
+    # line long enough puts its CR last in the first read and its LF first
+    # in the next, and a cut between them would add a blank row
+    monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", 1 << 10)
+    path = _write(tmp_path, "a,b\r\n1," + "2" * 5116 + "\r\n3,4\r\n" * 300)
+    assert rdhte.cli._range_cuts(path, 5)[:2] == [5, 5125]
+    assert load_csv(path, ["a", "b"]) == (
+        reference_load_csv(path, ["a", "b"]), {})
+
+
 def test_load_csv_across_blocks_and_the_quote_handoff(tmp_path):
     # about 2.5 MB in 1 MiB blocks: blank, short and long rows and a bad
     # number in the first two blocks, the first quote in the third
@@ -188,13 +226,15 @@ def test_load_csv_across_blocks_and_the_quote_handoff(tmp_path):
         )
 
 
-#: flags that give a column a second, text role, by test id
+#: flags, and --hetero tokens added past parse_config (which refuses a
+#: --hetero column that is the --outcome one), that give a column a second,
+#: text role, by test id
 DUAL_ROLES = {
-    "": (),
-    "outcome_cluster": ("--cluster", "y"),
-    "outcome_cat": ("--hetero", "y:cat"),
-    "outcome_bare": ("--hetero", "y"),
-    "bin_cluster": ("--hetero", "b:bin", "--cluster", "b"),
+    "": ((), ()),
+    "outcome_cluster": (("--cluster", "y"), ()),
+    "outcome_cat": ((), ("y:cat",)),
+    "outcome_bare": ((), ("y",)),
+    "bin_cluster": (("--hetero", "b:bin", "--cluster", "b"), ()),
 }
 
 
@@ -222,8 +262,11 @@ def test_cli_cites_the_outcome_before_an_earlier_running_cell(
     assert len(lines[0]) + len(lines[1]) + len(lines[2]) < 1 << 10
     assert sum(map(len, lines[:-1])) > 10 << 10
 
+    flags, tokens = roles
     config = parse_config(["--data", path, "--outcome", "y",
-                           "--running", "x", "--cutoff", "0", *roles])
+                           "--running", "x", "--cutoff", "0", *flags])
+    config = dataclasses.replace(config, hetero=config.hetero + tuple(
+        map(rdhte.cli._hetero_token, tokens)))
     with pytest.raises(ParseError) as exc:
         build_result(config)
     assert (exc.value.row, exc.value.column, exc.value.value) == (

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import rdhte
-from rdhte import simulate
+from rdhte import estimands, simulate
 from rdhte.errors import AllReplicationsFailed, TooFewObservations
 from rdhte.estimands import Selector, _usable_cpus
 from rdhte.model import Common, FitSpec, Select, validate_sample
@@ -185,7 +185,7 @@ def test_every_rep_is_pulled_once_with_more_workers_than_cpus(
     # microseconds, so an unguarded read-modify-write would hand some
     # replication to two of them
     reps = 20_000
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 6)
+    monkeypatch.setattr(estimands, "_usable_cpus", lambda: 6)
     fd = os.open(tmp_path / "pulls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def draw(config, n, seed):
@@ -251,7 +251,8 @@ def test_gate_keeps_the_run_in_the_caller(monkeypatch, forked, forks, gate):
 def test_gate_follows_the_draw_count(reps, n, parallel):
     procs = min(_usable_cpus(), reps)
     expect = procs if parallel and procs >= 2 else 1
-    assert simulate._process_count(reps, n) == expect
+    assert estimands._process_count(
+        reps, reps * n, simulate.PARALLEL_MIN_DRAWS) == expect
 
 
 def test_serial_runs_never_import_multiprocessing():
