@@ -22,6 +22,7 @@ stays importable from its submodule.
 from .errors import EstimationError, InputError, RdhteError
 from .estimands import Selector, cate_at, contrast, fit_hte
 from .model import (
+    CodedLabels,
     ColumnSpec,
     Common,
     CovariateSpec,
@@ -37,6 +38,7 @@ from .simulate import DgpConfig, canonical_preset, gen_sample, monte_carlo
 __version__ = "0.1.0"
 
 __all__ = [
+    "CodedLabels",
     "ColumnSpec",
     "Common",
     "CovariateSpec",

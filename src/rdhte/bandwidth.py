@@ -23,6 +23,7 @@ main order, and a fixed-bandwidth fit never builds the main-order fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,12 +101,20 @@ def pilot_bandwidth(sample: RdSample, side: str, p: int, s: int) -> float:
     ------
     TooFewObservations
         If the side holds fewer than 10 observations.
+    BiasDegenerate
+        If the sd or the IQR of the side's x is not finite, as when the
+        squares of x overflow.
     """
     view = sample.side_view(side)
     n_side = view.n
     if n_side < MIN_SIDE_OBS:
         raise TooFewObservations(
             f"{side} side has {n_side} observations; need >= {MIN_SIDE_OBS}"
+        )
+    if not (math.isfinite(view.sd) and math.isfinite(view.iqr)):
+        raise BiasDegenerate(
+            f"{side} side spread of x non-finite (sd {view.sd:g}, IQR "
+            f"{view.iqr:g})"
         )
     spread = min(view.sd, view.iqr / 1.349)
     b = 2.576 * spread * n_side ** (-1.0 / (2 * max(p, s) + 5))
@@ -284,8 +293,10 @@ def mse_bandwidth(
     v, b, h_pilot, lo, hi = {}, {}, {}, {}, {}
     for side, bias in (("left", bias_left), ("right", bias_right)):
         vmat = variance_constants(sample, bias, vce)
-        v[side] = float(extractor @ vmat @ extractor)
-        b[side] = float(extractor @ bias.bias)
+        # theta may hold inf at extreme scales: the check below decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            v[side] = float(extractor @ vmat @ extractor)
+            b[side] = float(extractor @ bias.bias)
         for constant, value in (("variance", v[side]), ("bias", b[side])):
             if not np.isfinite(value):
                 raise BiasDegenerate(

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .estimands import _process_count, _run_forked, fit_hte
 from .model import (
+    CodedLabels,
     ColumnSpec,
     Common,
     CovariateSpec,
@@ -226,34 +227,40 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 def load_csv(
     path: str, columns: Sequence[str], numeric: Sequence[str] = ()
-) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
+) -> tuple[dict[str, CodedLabels], dict[str, np.ndarray]]:
     """Read the named columns from a headered CSV (UTF-8, BOM tolerated).
 
     Returns (text, numbers): text maps each name in columns to its cells
-    as strings, numbers each name in numeric to its cells parsed by
-    float() as a float64 array. A name in both lists is read once and
-    comes back in both forms. Every line after the header is one row: a
-    blank line is a row of empty cells, missing trailing cells are empty
-    and extra cells are ignored. Lines end in LF, CRLF or CR.
+    as CodedLabels (levels of text, int32 codes), numbers each name in
+    numeric to its cells parsed by float() as a float64 array. A name in
+    both lists is read once and comes back in both forms. Every line after
+    the header is one row: a blank line is a row of empty cells, missing
+    trailing cells are empty and extra cells are ignored. Lines end in LF,
+    CRLF or CR.
 
     The data after the header is cut into ranges of whole lines of about
     _BLOCK_CHARS bytes each, so no file-sized text is held. Each range is
-    read and split column-wise in one pass, and its numeric columns are
-    parsed there, so none of their cells outlives its range as text unless
-    the column is in columns too. Equal cells of a text column in one
-    range are one string object, so a column of few distinct labels holds
-    about one pointer a row. From the first range with a quote on,
-    csv.reader parses RFC 4180 quoting, as it does all rows of a file that
-    cannot seek, such as a pipe.
+    read and split column-wise in one pass; its numeric columns are parsed
+    there, and its text columns coded there: the range's distinct cells
+    in first-appearance order and each cell's position among them. So no
+    cell outlives its range as text unless it is the first of its label in
+    the range, and a column of few labels holds a few bytes a row. The
+    ranges are joined in file order: a column's levels are its ranges'
+    levels one after another, so a label that recurs in a later range is
+    a level once for each range it appears in, and each range's codes are
+    shifted past the levels before it. From the first range with a quote
+    on, csv.reader parses RFC 4180 quoting, as it does all rows of a file
+    that cannot seek, such as a pipe.
 
     A file of at least PARALLEL_MIN_BYTES after its header, with no quote
     there, is parsed by the caller and forked worker processes together,
     one per further usable CPU, under the gate monte_carlo forks under
     (two or more CPUs on Linux, no other live thread, a caller that is
     not daemonic); each process takes the next range from one shared
-    counter. The ranges are joined in file order, so the columns equal
-    the serial ones bit for bit, errors are those of the serial read, and
-    no worker outlives the call.
+    counter, and a worker sends back arrays and each range's distinct
+    labels only. The ranges are joined in file order, so the columns
+    equal the serial ones bit for bit, errors are those of the serial
+    read, and no worker outlives the call.
 
     Raises
     ------
@@ -269,7 +276,10 @@ def load_csv(
         column in numeric order that has one, citing its 1-based data row.
     """
     names = list(dict.fromkeys([*numeric, *columns]))
-    text = {name: [] for name in columns}
+    # per text column, its levels so far and each range's codes with the
+    # count of levels before the range
+    levels = {name: [] for name in columns}
+    codes = {name: [] for name in columns}
     parts = {name: [] for name in numeric}
     bad: dict[str, ParseError] = {}
     try:
@@ -290,16 +300,14 @@ def load_csv(
             wanted = [(name, index[name]) for name in names]
 
             def take(cells: list[str]) -> tuple[dict, dict]:
-                """A block's text columns, with equal cells one string, and
+                """A block's text columns, each coded by _code_cells, and
                 its numeric columns, each an array or the ParseError of its
                 first bad cell, the row counted from the block's start."""
                 texts, numbers = {}, {}
                 for name, j in wanted:
                     column = cells[j::ncol]
-                    if name in text:
-                        # a pool of this block's labels: equal cells share
-                        # its first copy and the rest die with cells
-                        texts[name] = list(map({}.setdefault, column, column))
+                    if name in levels:
+                        texts[name] = _code_cells(column)
                     if name in parts:
                         try:
                             numbers[name] = _parse_numeric(name, column)
@@ -316,8 +324,9 @@ def load_csv(
                           for nrows, cells in _cell_blocks(fh, ncol, line))
             nrows = 0
             for block_rows, (texts, numbers) in blocks:
-                for name, cells in texts.items():
-                    text[name] += cells
+                for name, (block_levels, block_codes) in texts.items():
+                    codes[name].append((len(levels[name]), block_codes))
+                    levels[name] += block_levels
                 for name, got in numbers.items():
                     if isinstance(got, ParseError):
                         bad.setdefault(name, ParseError(
@@ -334,7 +343,37 @@ def load_csv(
             raise bad[name]
     numbers = {name: np.concatenate(arrays) if arrays else np.empty(0)
                for name, arrays in parts.items()}
+    text = {name: CodedLabels(held, _join_codes(codes[name], len(held)))
+            for name, held in levels.items()}
     return text, numbers
+
+
+def _code_cells(cells: list[str]) -> tuple[list[str], np.ndarray]:
+    """(levels, codes): the distinct cells in first-appearance order, and
+    each cell's position among them as int32 (a block holds fewer than
+    2^31 cells)."""
+    # the first row of each cell's label, in one dict lookup or insert a
+    # cell; first keeps the labels in first-appearance order
+    first = {}
+    rows = np.fromiter(map(first.setdefault, cells, itertools.count()),
+                       np.intp, len(cells))
+    rank = np.empty(len(cells), np.int32)
+    rank[np.fromiter(first.values(), np.intp, len(first))] = np.arange(
+        len(first), dtype=np.int32)
+    return list(first), rank[rows]
+
+
+def _join_codes(parts: list[tuple[int, np.ndarray]], levels: int):
+    """One array of the codes of parts, each (offset, codes) of a block
+    in file order, shifted by its offset; int32 unless levels, the count
+    of levels they index, needs more."""
+    total = sum(part.size for _, part in parts)
+    joined = np.empty(total, np.int32 if levels <= 1 << 31 else np.int64)
+    end = 0
+    for offset, part in parts:
+        start, end = end, end + part.size
+        np.add(part, offset, out=joined[start:end], dtype=joined.dtype)
+    return joined
 
 
 def _read_header(fh, path: str) -> tuple[list[str], int, int]:
@@ -560,9 +599,9 @@ def _load_sample(config: RunConfig):
     The CSV is read once: the numeric roles (outcome, running variable,
     --hetero declared :cont, :cont^k, :bin or :q<k>) as numbers, in the
     order their parse errors are raised, and the text roles (--cluster,
-    :cat and bare --hetero names of no numeric role) as text. The text
-    columns die when this returns, so they are not held while the sample
-    is fitted."""
+    :cat and bare --hetero names of no numeric role) as coded text. The
+    text columns die when this returns, so they are not held while the
+    sample is fitted."""
     numeric = [config.outcome, config.running]
     numeric += [name for name, col in config.hetero
                 if col is not None and col.kind != "categorical"]
@@ -574,8 +613,9 @@ def _load_sample(config: RunConfig):
     text, numbers = load_csv(config.data, text_roles, numeric)
 
     # a bare name takes the numbers of its numeric role, if it has one;
-    # else its text is parsed once and kept as categorical text if a cell
-    # does not parse. Numbers make 0/1 columns binary, others continuous
+    # else each of its levels is parsed once, and the column is kept as
+    # categorical text if a level does not parse. Numbers make 0/1 columns
+    # binary, others continuous
     col_specs, expand_raw = [], {}
     for name, col in config.hetero:
         if col is not None and col.kind == "categorical":
@@ -583,10 +623,11 @@ def _load_sample(config: RunConfig):
         elif name in numbers:
             values = numbers[name]
         else:
+            coded = text[name]
             try:
-                values = _parse_numeric(name, text[name])
+                values = _parse_numeric(name, coded.levels)[coded.codes]
             except ParseError:
-                values, col = text[name], ColumnSpec(name, "categorical")
+                values, col = coded, ColumnSpec(name, "categorical")
         if col is None:
             kind = "binary" if is_binary(values) else "continuous"
             col = ColumnSpec(name, kind)

@@ -131,8 +131,14 @@ class SideFit:
     @cached_property
     def theta(self) -> np.ndarray:
         """Coefficients on raw powers of (x - c) and their covariate
-        interactions: theta_norm / scaling_diag(h)."""
-        return self.theta_norm / scaling_diag(self.h, self.p, self.s, self.d)
+        interactions: theta_norm / scaling_diag(h). A power of a tiny or
+        huge h may leave the float range, so an entry may be inf or nan;
+        the selector's and the forms' finiteness checks raise the typed
+        error."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self.theta_norm / scaling_diag(
+                self.h, self.p, self.s, self.d
+            )
 
     @property
     def eff_n(self) -> int:

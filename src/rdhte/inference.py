@@ -156,13 +156,16 @@ def _cluster_sums(
     values: np.ndarray,
 ) -> np.ndarray:
     """Sums of values (m or m x k) over the clusters of the window rows
-    idx, one row per cluster.
+    idx, one row per cluster; cluster holds non-negative integer codes,
+    as RdSample.cluster does.
 
     Clusters are ordered by first appearance in the window, which depends
     only on the row order and not on how the labels were coded, so integer
-    and text cluster ids give bit-identical sums. Each column is summed by
-    np.bincount, which adds in row order as np.add.at does, so the sums
-    are bit-identical to np.add.at's too.
+    and text cluster ids give bit-identical sums. The ranking takes
+    O(m + G) for the largest code G in the window and sorts nothing. All
+    columns are summed by one np.bincount over (cluster, column) bins; it
+    adds each bin's values in row order, as np.add.at does, so the sums
+    are bit-identical to np.add.at's.
 
     Raises
     ------
@@ -171,21 +174,29 @@ def _cluster_sums(
     """
     if cluster is None:
         raise TooFewClusters("cluster variance requested without labels")
-    uniq, first, codes = np.unique(
-        cluster[idx], return_index=True, return_inverse=True
-    )
-    if uniq.size < 2:
+    codes = cluster[idx]
+    m = codes.size
+    size = int(codes.max()) + 1 if m else 0
+    # each code's first row: np.put writes in index order, so of a code's
+    # rows, written last to first, the first one stays
+    first = np.full(size, m, dtype=np.intp)
+    np.put(first, codes[::-1], np.arange(m - 1, -1, -1))
+    is_first = np.zeros(m, dtype=bool)
+    is_first[first[first < m]] = True
+    firsts = np.flatnonzero(is_first)
+    groups = firsts.size
+    if groups < 2:
         raise TooFewClusters(
-            f"{side} side window has {uniq.size} cluster(s); need >= 2"
+            f"{side} side window has {groups} cluster(s); need >= 2"
         )
-    rank = np.empty(uniq.size, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(uniq.size)
-    slots = rank[codes]
-    sums = np.column_stack([
-        np.bincount(slots, weights=col, minlength=uniq.size)
-        for col in values.reshape(slots.size, -1).T
-    ])
-    return sums.reshape((uniq.size,) + values.shape[1:])
+    rank = np.empty(size, dtype=np.intp)
+    rank[codes[firsts]] = np.arange(groups)
+    flat = values.reshape(m, -1)
+    k = flat.shape[1]
+    bins = (rank[codes] * k)[:, None] + np.arange(k)
+    sums = np.bincount(bins.ravel(), weights=flat.ravel(),
+                       minlength=groups * k)
+    return sums.reshape((groups,) + values.shape[1:])
 
 
 def _df_factor(fit: SideFit) -> float:

@@ -19,7 +19,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "Fixed",
     "Common",
     "Select",
+    "CodedLabels",
     "validate_sample",
     "expand_covariates",
     "label_codes",
@@ -89,7 +90,9 @@ class SideView:
         Those distances, sorted.
     sd, iqr : float
         Standard deviation (ddof 1) and interquartile range of the side's
-        x values; nan when the side holds fewer than two observations.
+        x values; nan when the side holds fewer than two observations, and
+        inf or nan when the spread of x leaves the float range (the pilot
+        bandwidth, which reads them, then raises BiasDegenerate).
     """
 
     order: np.ndarray
@@ -182,10 +185,12 @@ class RdSample:
             sorter = np.argsort(x_side)
             sd = iqr = float("nan")
             if pos.size >= 2:
-                sd = float(np.std(x_side, ddof=1))
-                iqr = _quantile(x_side, sorter, 0.75) - _quantile(
-                    x_side, sorter, 0.25
-                )
+                # the squares of huge x overflow: left to the pilot's check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sd = float(np.std(x_side, ddof=1))
+                    iqr = _quantile(x_side, sorter, 0.75) - _quantile(
+                        x_side, sorter, 0.25
+                    )
             if side == "left":
                 sorter = sorter[::-1]
             dist = np.subtract(x_side, self.cutoff, out=x_side)
@@ -240,13 +245,63 @@ def _is_missing(label) -> bool:
     return label is None or label != label or label == ""
 
 
+@dataclass(frozen=True, eq=False)
+class CodedLabels:
+    """A column of labels as levels and one integer code a row: row i
+    holds levels[codes[i]].
+
+    validate_sample (cluster) and expand_covariates (any column kind) read
+    it as the labels it stands for, with the same results and errors, but
+    look at each level once; cli.load_csv returns text columns in this
+    form. A level may repeat, and a level no code uses is not a label of
+    the column.
+
+    Raises
+    ------
+    InputError
+        Unless codes is one-dimensional and of integers that index levels.
+    """
+
+    levels: Sequence
+    codes: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.levels, list):
+            object.__setattr__(self, "levels", list(self.levels))
+        codes = np.asarray(self.codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise InputError("codes must be a one-dimensional integer array")
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(
+            self.levels
+        ):
+            raise InputError(
+                f"codes must lie in [0, {len(self.levels)}), the positions "
+                "of the levels"
+            )
+        object.__setattr__(self, "codes", codes)
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def tolist(self) -> list:
+        """The labels, one a row."""
+        return list(map(self.levels.__getitem__, self.codes.tolist()))
+
+
 def _check_labels(column: str, levels, labels) -> None:
     """MissingLabel at the first missing label when levels, the distinct
     labels (None if they could not be sorted), hold one."""
-    if levels is None or any(map(_is_missing, levels)):
-        for row, label in enumerate(labels):
-            if _is_missing(label):
-                raise MissingLabel(row, column)
+    if levels is not None and not any(map(_is_missing, levels)):
+        return
+    if isinstance(labels, CodedLabels):
+        missing = np.fromiter(map(_is_missing, labels.levels), bool,
+                              len(labels.levels))[labels.codes]
+        if missing.any():
+            raise MissingLabel(int(missing.argmax()), column)
+        return
+    for row, label in enumerate(labels):
+        if _is_missing(label):
+            raise MissingLabel(row, column)
 
 
 def label_codes(labels) -> tuple[list, np.ndarray]:
@@ -254,13 +309,26 @@ def label_codes(labels) -> tuple[list, np.ndarray]:
 
     Numeric arrays are coded by np.unique; anything else by a set and a
     dict lookup per label, which beats np.unique's sort of every label on
-    text and objects; an object array is read as it is.
+    text and objects; an object array is read as it is. CodedLabels are
+    coded by their levels that some code uses, as a list is, and each
+    code is then mapped through that coding: O(n + L + G log G) for n
+    rows, L levels and G distinct labels, with no work per row in Python.
 
     Raises
     ------
     TypeError
         If the labels cannot be ordered, e.g. numbers mixed with text.
     """
+    if isinstance(labels, CodedLabels):
+        used = np.zeros(len(labels.levels), dtype=bool)
+        used[labels.codes] = True
+        levels, ranks = label_codes(
+            labels.levels if used.all()
+            else list(itertools.compress(labels.levels, used.tolist()))
+        )
+        remap = np.empty(len(labels.levels), dtype=np.intp)
+        remap[used] = ranks
+        return levels, remap[labels.codes]
     if isinstance(labels, np.ndarray):
         if labels.dtype.kind in "biufc":
             levels, codes = np.unique(labels, return_inverse=True)
@@ -300,7 +368,7 @@ def validate_sample(
         Threshold; must be a finite real number.
     w : array-like, shape (n, d), optional
         Heterogeneity covariates; omitted or empty means d = 0.
-    cluster : array-like, shape (n,), optional
+    cluster : array-like or CodedLabels, shape (n,), optional
         Cluster labels, numbers or text; a None, NaN or empty-text label
         is missing and rejected, as are labels that mix numbers and text.
 
@@ -338,15 +406,17 @@ def validate_sample(
             )
     cl = None
     if cluster is not None:
-        # a sequence is read as objects, or None and NaN among text would
-        # become the labels 'None' and 'nan'
-        obj = None if isinstance(cluster, np.ndarray) else object
-        cl_raw = np.asarray(cluster, dtype=obj)
-        if cl_raw.ndim != 1:
-            raise LengthMismatch("cluster must be one-dimensional")
-        if cl_raw.shape[0] != n:
+        cl_raw = cluster
+        if not isinstance(cluster, CodedLabels):
+            # a sequence is read as objects, or None and NaN among text
+            # would become the labels 'None' and 'nan'
+            obj = None if isinstance(cluster, np.ndarray) else object
+            cl_raw = np.asarray(cluster, dtype=obj)
+            if cl_raw.ndim != 1:
+                raise LengthMismatch("cluster must be one-dimensional")
+        if len(cl_raw) != n:
             raise LengthMismatch(
-                f"y has length {n}, cluster has length {cl_raw.shape[0]}"
+                f"y has length {n}, cluster has length {len(cl_raw)}"
             )
         # relabel to dense integer codes; preserves grouping only. None
         # cannot be ordered, so a failed sort may still be a missing label
@@ -424,7 +494,11 @@ def _expand_categorical(name: str, values, baseline: Optional[str]):
         levels = None
     _check_labels(name, levels, values)
     if levels is None or not all(isinstance(lev, str) for lev in levels):
-        levels, codes = label_codes([str(v) for v in values])
+        if isinstance(values, CodedLabels):
+            text = CodedLabels([str(v) for v in values.levels], values.codes)
+        else:
+            text = [str(v) for v in values]
+        levels, codes = label_codes(text)
     base = levels[0] if baseline is None else str(baseline)
     if base not in levels:
         raise UnknownLevel(
@@ -462,7 +536,8 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
     raw : dict
         Maps column name to a sequence of raw values (numeric for
         continuous/binary/quantile_bins, anything string-codeable for
-        categorical, where a None, NaN or empty-text label is missing).
+        categorical, where a None, NaN or empty-text label is missing), or
+        to CodedLabels, read as the values they stand for.
     spec : CovariateSpec
         Per-column expansion rules; output columns follow spec order.
 
@@ -493,6 +568,8 @@ def expand_covariates(raw: dict, spec: CovariateSpec):
         if cs.name not in raw:
             raise LengthMismatch(f"column {cs.name!r} missing from raw table")
         values = raw[cs.name]
+        if isinstance(values, CodedLabels) and cs.kind != "categorical":
+            values = values.tolist()
         n_here = len(values)
         if n_ref is None:
             n_ref = n_here

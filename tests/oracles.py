@@ -165,6 +165,11 @@ def reference_load_csv(path, columns) -> dict[str, list[str]]:
     return out
 
 
+def decoded(text) -> dict[str, list[str]]:
+    """The text columns load_csv returns, each as the list of its cells."""
+    return {name: column.tolist() for name, column in text.items()}
+
+
 def add_at_cluster_sums(cluster, idx, values) -> np.ndarray:
     """Sums of values over the clusters of rows idx by np.add.at, one row
     per cluster in order of first appearance in idx."""

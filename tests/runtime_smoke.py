@@ -6,8 +6,10 @@ The script blocks scipy before it imports rdhte, so a lazy scipy import
 anywhere on the paths below fails the run. It fits seeded samples through
 the library API and runs the command line in process, through
 rdhte.cli.main, on CSV files that it writes to TMPDIR: small ones, one
-of more than 2 MiB that the CLI reads block by block, and one that is
-not UTF-8. It prints "ok" and exits 0 when every check passes. It
+of at least rdhte.cli.PARALLEL_MIN_BYTES with a :cat and a text --cluster
+column, which the CLI reads on forked range readers where two CPUs are
+usable (block by block in one process otherwise), and one that is not
+UTF-8. It prints "ok" and exits 0 when every check passes. It
 imports no test framework, so it runs in an environment that holds only
 the package and numpy; the tier-1 suite runs it too
 (test_pipeline_runs_with_scipy_blocked).
@@ -133,22 +135,31 @@ def check_cli(tmp):
 
 
 def check_blocks(tmp):
-    # more than 2 MiB, so the CLI reads it in three blocks of about 1 MiB:
-    # the first two are split without csv.reader, which takes over at the
-    # only quoted cell, in the last row
-    sample = gen_sample(canonical_preset(), 55_000, 4)
-    # g: a text column of few labels, each shared by many rows of a block
+    # at least PARALLEL_MIN_BYTES of quote-free data, so where two CPUs
+    # are usable the CLI reads its ranges of about 1 MiB on forked range
+    # readers, which code the text columns; the quoted copy is read in one
+    # process and goes to csv.reader at its only quoted cell, in the last
+    # row
+    sample = gen_sample(canonical_preset(), 80_000, 4)
+    # g: a text column of few labels, each shared by many rows of a block;
+    # c: a text cluster id of 300 schools
     groups = [f"site{k}" for k in np.arange(sample.n) * 7 % 12]
-    rows = [f"{float(y)!r},{float(x)!r},{float(w)!r},{g}\n"
-            for y, x, w, g in zip(sample.y, sample.x, sample.w[:, 0], groups)]
+    schools = [f"school{k}" for k in
+               np.random.default_rng(4).integers(0, 300, sample.n)]
+    rows = [f"{float(y)!r},{float(x)!r},{float(w)!r},{g},{c}\n"
+            for y, x, w, g, c in zip(sample.y, sample.x, sample.w[:, 0],
+                                     groups, schools)]
+    header = "y,x,w,g,c\n"
     plain = tmp / "blocks.csv"
-    plain.write_text("y,x,w,g\n" + "".join(rows))
+    plain.write_text(header + "".join(rows))
+    data = plain.stat().st_size - len(header)
+    assert data >= rdhte.cli.PARALLEL_MIN_BYTES, data
     y, rest = rows[-1].split(",", 1)
     rows[-1] = f'"{y}",{rest}'
     quoted = tmp / "blocks_quoted.csv"
-    quoted.write_text("y,x,w,g\n" + "".join(rows))
+    quoted.write_text(header + "".join(rows))
     text = quoted.read_text()
-    assert text.index('"') > 2 << 20 and text.count('"') == 2
+    assert text.index('"') > 4 << 20 and text.count('"') == 2
 
     flags = ("--outcome", "y", "--running", "x", "--cutoff", "0",
              "--hetero", "w:bin", "--bw", "0.4", "--format", "json")
@@ -166,20 +177,22 @@ def check_blocks(tmp):
     assert run_cli("--data", plain, *flags, "--cluster", "y", "--vce",
                    "cluster") == (0, render_json(lib), "")
 
-    # the label column is both the cluster and a categorical covariate
+    # a categorical covariate and a text cluster, as the library codes
+    # them from the labels; then the label column as both roles
     w, names, kinds = expand_covariates(
         {"w": sample.w[:, 0], "g": groups},
         CovariateSpec((ColumnSpec("w", "binary"),
                        ColumnSpec("g", "categorical"))),
     )
-    lib = fit_hte(validate_sample(sample.y, sample.x, 0.0, w, groups),
-                  FitSpec(bandwidth=Common(0.4), vce="cluster"),
-                  labels=names, kinds=kinds)
-    for path in (plain, quoted):
-        assert run_cli("--data", path, *flags, "--hetero", "g:cat",
-                       "--cluster", "g", "--vce", "cluster") == (
-            0, render_json(lib), ""
-        )
+    spec = FitSpec(bandwidth=Common(0.4), vce="cluster")
+    for cluster, column in ((schools, "c"), (groups, "g")):
+        lib = fit_hte(validate_sample(sample.y, sample.x, 0.0, w, cluster),
+                      spec, labels=names, kinds=kinds)
+        for path in (plain, quoted):
+            assert run_cli("--data", path, *flags, "--hetero", "g:cat",
+                           "--cluster", column, "--vce", "cluster") == (
+                0, render_json(lib), ""
+            )
 
 
 def check_encoding(tmp):

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import decoded
 
 import rdhte.cli
 from rdhte.cli import RunConfig, build_result, load_csv, main, parse_config, run
@@ -155,7 +156,7 @@ def test_load_csv_three_rows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y,x\n1,0.1\n2,0.2\n3,0.3\n")
     text, numbers = load_csv(str(path), ["y", "x"])
-    assert text == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
+    assert decoded(text) == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
     assert numbers == {}
 
 
@@ -163,7 +164,7 @@ def test_load_csv_strips_bom(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("y,x\n1,0.1\n", encoding="utf-8-sig")
     text, _ = load_csv(str(path), ["y", "x"])
-    assert text["y"] == ["1"]
+    assert text["y"].tolist() == ["1"]
 
 
 def test_load_csv_missing_column(tmp_path):
@@ -184,7 +185,7 @@ def test_load_csv_pads_short_rows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y,x\n1\n2,0.2\n")
     text, _ = load_csv(str(path), ["y", "x"])
-    assert text["x"] == ["", "0.2"]
+    assert text["x"].tolist() == ["", "0.2"]
 
 
 def test_parse_error_cites_cell(tmp_path):
@@ -333,8 +334,8 @@ def test_cli_numbers_equal_library_api(tmp_path):
     payload = json.loads(run(config)[0])
 
     text, _ = load_csv(str(path), ["y", "x"])
-    y = np.array([float(v) for v in text["y"]])
-    x = np.array([float(v) for v in text["x"]])
+    y = np.array([float(v) for v in text["y"].tolist()])
+    x = np.array([float(v) for v in text["x"].tolist()])
     sample = validate_sample(y, x, 0.0)
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.3)))
     rec = result.records[0]
@@ -755,7 +756,8 @@ def test_load_csv_duplicate_requested_column(tmp_path):
     path.write_text("y,x,y\n1,0.1,2\n")
     with pytest.raises(InputError, match="'y'"):
         load_csv(str(path), ["x", "y"])
-    assert load_csv(str(path), ["x"]) == ({"x": ["0.1"]}, {})
+    text, numbers = load_csv(str(path), ["x"])
+    assert (decoded(text), numbers) == ({"x": ["0.1"]}, {})
     with pytest.raises(InputError, match="'y'"):
         load_csv(str(path), ["x"], ["y"])
     text, code = run(parse_config(cli_args(path)))
@@ -793,7 +795,7 @@ def test_load_csv_reads_a_repeated_column_once(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("y,x\n1,0.1\n2,0.2\n3,0.3\n")
     text, numbers = load_csv(str(path), ["y", "x", "y"], ["x", "y", "x"])
-    assert text == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
+    assert decoded(text) == {"y": ["1", "2", "3"], "x": ["0.1", "0.2", "0.3"]}
     assert numbers.keys() == {"x", "y"}
     np.testing.assert_array_equal(numbers["y"], [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(numbers["x"], [0.1, 0.2, 0.3])

@@ -10,6 +10,7 @@ import pytest
 from conftest import random_instance
 from oracles import long_regression, oracle_wls
 
+import rdhte.inference
 from rdhte.basis import extractor_vector, scaling_diag
 from rdhte.errors import (
     DimensionMismatch,
@@ -535,17 +536,23 @@ def test_select_cluster_fit_runs_no_full_sample_unique(monkeypatch):
     base = random_instance(45, n=400)
     labels = np.random.default_rng(45).integers(0, 30, base.n)
     sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
-    full_sample_uniques = []
+    full_sample_uniques, windows = [], []
     unique = np.unique
+    cluster_sums = rdhte.inference._cluster_sums
 
     def counting_unique(ar, *args, **kwargs):
         full_sample_uniques.append(ar is sample.cluster)
         return unique(ar, *args, **kwargs)
 
+    def recording_sums(side, cluster, idx, values):
+        windows.append(idx.size)
+        return cluster_sums(side, cluster, idx, values)
+
     monkeypatch.setattr(np, "unique", counting_unique)
+    monkeypatch.setattr(rdhte.inference, "_cluster_sums", recording_sums)
     fit_hte(sample, FitSpec(bandwidth=Select(), vce="cluster"))
     # the cluster sums group each window's labels only
-    assert full_sample_uniques
+    assert windows and max(windows) < sample.n
     assert sum(full_sample_uniques) == 0
 
 

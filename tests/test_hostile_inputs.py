@@ -4,6 +4,7 @@ same numbers as its well-placed twin."""
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -49,12 +50,32 @@ def test_selector_on_tiny_x_raises_bias_degenerate(mode, scale):
     # a ZeroDivisionError from a reference bandwidth of 0 or a later stage
     # of the solve. ROADMAP item 1a (a scale-aware regularizer) may turn
     # these inputs into fits and replace this pin.
+    # Under the suite's warnings-as-errors filter: the divide by a power of
+    # h that underflows to 0 in SideFit.theta must not escape ahead of it
     draw = gen_sample(canonical_preset(), 4000, 0)
-    with np.errstate(all="ignore"), pytest.raises(
+    with pytest.raises(
         BiasDegenerate, match=r"^left bias constant non-finite \(nan\)$"
     ):
         fit_hte(validate_sample(draw.y, scale * draw.x, 0.0, draw.w),
                 FitSpec(bandwidth=Select(mode)))
+
+
+@pytest.mark.parametrize("scale, iqr", [(1e155, "5.08775e+154"),
+                                        (1e200, "5.08775e+199")])
+@pytest.mark.parametrize("rule", ["two_sided", "one_sided", "common"])
+def test_spread_of_huge_x_raises_bias_degenerate(rule, scale, iqr):
+    # the squares of x overflow, so the sd of the left side's x is inf:
+    # the pilot bandwidth, which every fit reads, names the side and the
+    # spread, not numpy's overflow warning or a later stage
+    draw = gen_sample(canonical_preset(), 4000, 0)
+    bandwidth = Common(0.3 * scale) if rule == "common" else Select(rule)
+    with pytest.raises(
+        BiasDegenerate,
+        match=rf"^left side spread of x non-finite \(sd inf, IQR "
+        rf"{re.escape(iqr)}\)$",
+    ):
+        fit_hte(validate_sample(draw.y, scale * draw.x, 0.0, draw.w),
+                FitSpec(bandwidth=bandwidth))
 
 
 @pytest.mark.parametrize(

@@ -228,8 +228,17 @@ def test_cluster_sums_are_bitwise_add_at(case):
     values = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-8, 9, k)
     if np.unique(cluster[idx]).size < 2:
         cluster[idx[0]] = g
+    if case % 2:
+        # a window that misses about half the clusters, its first two kept
+        keep = rng.random(g + 1) < 0.5
+        keep[list(dict.fromkeys(cluster[idx].tolist()))[:2]] = True
+        inside = keep[cluster[idx]]
+        idx, values = idx[inside], values[inside]
+    for vals in (values, values[:, 0]):  # m x k and 1-D
+        sums = _cluster_sums("right", cluster, idx, vals)
+        want = add_at_cluster_sums(cluster, idx, vals)
+        assert sums.shape == want.shape and sums.tobytes() == want.tobytes()
     sums = _cluster_sums("right", cluster, idx, values)
-    assert sums.tobytes() == add_at_cluster_sums(cluster, idx, values).tobytes()
     # one row per cluster, in order of first appearance in the window
     firsts = list(dict.fromkeys(cluster[idx].tolist()))
     assert sums.shape == (len(firsts), k)
@@ -238,6 +247,17 @@ def test_cluster_sums_are_bitwise_add_at(case):
             row, values[cluster[idx] == label].sum(axis=0),
             rtol=1e-12, atol=1e-12 * np.abs(values).sum(axis=0).max(),
         )
+
+
+@pytest.mark.parametrize("rows, count", [([3, 5, 9], 1), ([], 0)])
+def test_cluster_sums_need_two_clusters_in_the_window(rows, count):
+    cluster = np.array([0, 1, 2, 4, 1, 4, 0, 3, 2, 4])
+    idx = np.array(rows, dtype=np.intp)
+    with pytest.raises(
+        TooFewClusters,
+        match=rf"^left side window has {count} cluster\(s\); need >= 2$",
+    ):
+        _cluster_sums("left", cluster, idx, np.ones((idx.size, 3)))
 
 
 def test_single_cluster_in_window_rejected():

@@ -23,7 +23,7 @@ from rdhte.cli import load_csv, parse_config, run
 from rdhte.errors import InputError, ParseError
 from rdhte.estimands import _usable_cpus
 
-from oracles import reference_load_csv
+from oracles import decoded, reference_load_csv
 
 HEADER = "y,x,w,g"
 
@@ -95,7 +95,7 @@ def _write(tmp_path, lines, name="d.csv"):
 def _assert_equals_reference(path, got, columns, numeric):
     text, numbers = got
     expected = reference_load_csv(path, [*columns, *numeric])
-    assert text == {name: expected[name] for name in columns}
+    assert decoded(text) == {name: expected[name] for name in columns}
     for name in numeric:
         ref = np.array([float(v) for v in expected[name]], dtype=np.float64)
         assert numbers[name].tobytes() == ref.tobytes()

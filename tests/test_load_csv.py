@@ -2,9 +2,9 @@
 
 load_csv splits quote-free ranges of lines itself and hands the rest of
 the file to csv.reader from the first range with a quote on (and all of a
-pipe's data); on every input it must return the lists the reference
-reader returns, and float() of those lists for the columns it parses as
-numbers.
+pipe's data); on every input its text columns, decoded, must be the lists
+the reference reader returns, and its numeric columns float() of those
+lists.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from rdhte.model import (
     validate_sample,
 )
 
-from oracles import reference_load_csv
+from oracles import decoded, reference_load_csv
 
 NAMES = ("a", "b", "c", "d")
 LINE_ENDS = ("\n", "\r\n", "\r")
@@ -73,6 +73,30 @@ def _write(tmp_path, text, name="t.csv"):
     return str(path)
 
 
+def _through_pipe(path, *args):
+    """load_csv(*args) of the file at path fed through a named pipe, which
+    cannot seek, so csv.reader reads every row."""
+    fifo = path + ".pipe"
+    os.mkfifo(fifo)
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # load_csv raised before reading it all
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_csv(fifo, *args)
+    finally:
+        writer.join(timeout=10)
+        os.unlink(fifo)
+
+
 def _assert_same_parse_errors(got, expected):
     for name in expected:
         outcomes = []
@@ -108,21 +132,32 @@ def test_load_csv_equals_the_reference_reader(
     expected = reference_load_csv(path, NAMES)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rdhte.cli, "_BLOCK_CHARS", block)
-        got, untyped = load_csv(path, columns)
-        try:
-            (same, typed), error = load_csv(path, columns, numeric), None
-        except ParseError as exc:
-            error = (exc.row, exc.column, exc.value)
+        coded, untyped = load_csv(path, columns)
+        piped, _ = _through_pipe(path, columns)
+        outcomes = []
+        for load in (load_csv, _through_pipe):
+            try:
+                outcomes.append((load(path, columns, numeric), None))
+            except ParseError as exc:
+                outcomes.append((None, (exc.row, exc.column, exc.value)))
     reference = reference_load_csv(path, columns)
+    got = decoded(coded)
     assert got == reference and untyped == {}
+    assert decoded(piped) == reference
+    for column in (*coded.values(), *piped.values()):
+        assert column.codes.dtype == np.int32
     _assert_same_parse_errors(got, reference)
 
     # the first numeric column, in numeric order, with a bad cell raises
     bad = (_first_bad_cell(name, expected[name]) for name in numeric)
-    assert error == next(filter(None, bad), None)
+    (loaded, error), (piped_loaded, piped_error) = outcomes
+    assert error == piped_error == next(filter(None, bad), None)
     if error is not None:
         return
-    assert same == got
+    (same, typed), (piped_same, piped_typed) = loaded, piped_loaded
+    assert decoded(same) == decoded(piped_same) == got
+    for name in numeric:
+        assert typed[name].tobytes() == piped_typed[name].tobytes()
     assert typed.keys() == set(numeric)
     for name in numeric:
         # bit for bit, NaN payloads and signed zeros included
@@ -146,7 +181,8 @@ def test_load_csv_equals_the_reference_reader(
 )
 def test_load_csv_dialect(tmp_path, text, expected):
     path = _write(tmp_path, text)
-    assert load_csv(path, ["a", "b"]) == (expected, {})
+    got, numbers = load_csv(path, ["a", "b"])
+    assert (decoded(got), numbers) == (expected, {})
     assert reference_load_csv(path, ["a", "b"]) == expected
 
 
@@ -154,22 +190,10 @@ def test_load_csv_reads_a_pipe(tmp_path, monkeypatch):
     # a pipe cannot be cut into byte ranges: csv.reader reads on from the
     # header (as for `--data <(command)`), to the same columns
     monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", 1 << 10)
-    text = "a,b\n" + "".join(f"{i},x{i % 3}\n" for i in range(2000))
-    fifo = tmp_path / "pipe"
-    os.mkfifo(fifo)
-
-    def feed():
-        with open(fifo, "w") as fh:
-            fh.write(text)
-
-    writer = threading.Thread(target=feed)
-    writer.start()
-    try:
-        got = load_csv(str(fifo), ["b"], ["a"])
-    finally:
-        writer.join(timeout=10)
-    path = _write(tmp_path, text)
-    assert got[0] == reference_load_csv(path, ["b"])
+    path = _write(tmp_path, "a,b\n" + "".join(f"{i},x{i % 3}\n"
+                                              for i in range(2000)))
+    got = _through_pipe(path, ["b"], ["a"])
+    assert decoded(got[0]) == reference_load_csv(path, ["b"])
     np.testing.assert_array_equal(got[1]["a"], np.arange(2000.0))
 
 
@@ -180,8 +204,8 @@ def test_a_crlf_across_the_cut_scan_is_one_line_end(tmp_path, monkeypatch):
     monkeypatch.setattr(rdhte.cli, "_BLOCK_CHARS", 1 << 10)
     path = _write(tmp_path, "a,b\r\n1," + "2" * 5116 + "\r\n3,4\r\n" * 300)
     assert rdhte.cli._range_cuts(path, 5)[:2] == [5, 5125]
-    assert load_csv(path, ["a", "b"]) == (
-        reference_load_csv(path, ["a", "b"]), {})
+    got, numbers = load_csv(path, ["a", "b"])
+    assert (decoded(got), numbers) == (reference_load_csv(path, ["a", "b"]), {})
 
 
 def test_load_csv_across_blocks_and_the_quote_handoff(tmp_path):
@@ -208,7 +232,7 @@ def test_load_csv_across_blocks_and_the_quote_handoff(tmp_path):
     path = _write(tmp_path, text)
 
     expected = reference_load_csv(path, ["y", "x", "g"])
-    got, _ = load_csv(path, ["y", "x", "g"])
+    got = decoded(load_csv(path, ["y", "x", "g"])[0])
     assert got == expected
     assert [got[name][20_000] for name in "yxg"] == ["", "", ""]
     assert got["g"][20_001] == "" and got["x"][20_003] == "nope"
@@ -348,7 +372,9 @@ def _traced_peak(call, *args, **kwargs):
 def test_text_columns_hold_one_string_per_label(tmp_path):
     # a probe at the default block size: region + school read 126 B/row
     # with one str a cell and 20 with a pool per block; an all-distinct
-    # column 79 and 80, and 112 with one pool for the whole file
+    # column 79 and 80, and 112 with one pool for the whole file. Coded
+    # per block, later probes read 10.3-10.7 for region + school (12.7-17.6
+    # for the pool on the same machine) and 20-40 all-distinct with either
     labels = _traced_slope(
         tmp_path, lambda path: _traced_peak(load_csv, path,
                                             ["region", "school"]))
@@ -360,8 +386,9 @@ def test_text_columns_hold_one_string_per_label(tmp_path):
     path = tmp_path / "study_20000.csv"
     assert 1 << 20 < path.stat().st_size < 2 << 20  # two blocks
     text, _ = load_csv(str(path), ["region", "school"])
-    assert len(set(map(id, text["region"]))) <= 3 * 2
-    assert text == reference_load_csv(str(path), ["region", "school"])
+    assert len(text["region"].levels) <= 3 * 2
+    assert decoded(text) == reference_load_csv(str(path),
+                                               ["region", "school"])
 
 
 def test_expand_covariates_writes_w_once(tmp_path):
@@ -381,7 +408,8 @@ def test_expand_covariates_writes_w_once(tmp_path):
 
 def test_validate_sample_codes_a_text_cluster_without_a_list_copy(tmp_path):
     # a probe read 24 B/row above the inputs while label_codes listed the
-    # object array of labels, and 18 with the array coded as it is
+    # object array of labels, and 18 with the array coded as it is; load_csv
+    # now hands over CodedLabels, which read 9.3
     def measure(path):
         text, numbers = load_csv(path, ["school"], ["earnings", "score"])
         return _traced_peak(validate_sample, numbers["earnings"],

@@ -6,6 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdhte.errors import (
     DegenerateQuantiles,
@@ -25,6 +27,7 @@ from conftest import random_instance
 from rdhte.estimands import Selector, contrast, fit_hte
 from rdhte.kernels import resolve_kernel
 from rdhte.model import (
+    CodedLabels,
     ColumnSpec,
     Common,
     CovariateSpec,
@@ -211,6 +214,94 @@ def test_label_codes_match_np_unique(labels):
 def test_label_codes_reject_numbers_mixed_with_text():
     with pytest.raises(TypeError):
         label_codes([1, "a", 2])
+
+
+def _coded_forms(labels, cut):
+    """CodedLabels of labels as load_csv makes them, the levels of each
+    block in first-appearance order: one block, two blocks cut at row cut
+    (a label in both is a level twice), and one block with two levels no
+    code uses, one of them missing."""
+    def block(rows):
+        levels = list(dict.fromkeys(rows))
+        index = {label: j for j, label in enumerate(levels)}
+        return levels, np.array([index[v] for v in rows], dtype=np.int32)
+
+    levels, codes = block(labels)
+    head, head_codes = block(labels[:cut])
+    tail, tail_codes = block(labels[cut:])
+    return [
+        CodedLabels(levels, codes),
+        CodedLabels(head + tail,
+                    np.concatenate([head_codes, tail_codes + len(head)])),
+        CodedLabels(["unused", *levels, ""], codes + 1),
+    ]
+
+
+def _outcome(call, *args):
+    """("ok", value) of call(*args), or the type and message it raises."""
+    try:
+        return "ok", call(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+LABEL_CELLS = st.sampled_from(["a", "b", "10", "2", "", "b c", None, 3, 1.5,
+                               float("nan")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(LABEL_CELLS, min_size=1, max_size=14),
+       cut=st.integers(0, 14), baseline=st.sampled_from([None, "b", "3"]))
+def test_coded_labels_read_as_the_labels(labels, cut, baseline):
+    # same cluster codes, W, labels and kinds, or the same error and
+    # message (a MissingLabel at the same row), from coded and plain labels
+    n = len(labels)
+    y, x = np.arange(n, dtype=float), np.linspace(-1.0, 1.0, n)
+    spec = CovariateSpec((ColumnSpec("g", "categorical", baseline=baseline),))
+
+    def cluster(values):
+        return validate_sample(y, x, 0.0, None, values).cluster.tolist()
+
+    def expanded(values):
+        w, names, kinds = expand_covariates({"g": values}, spec)
+        return w.tobytes(), w.shape, names, kinds
+
+    want = [_outcome(cluster, labels), _outcome(expanded, labels)]
+    for coded in _coded_forms(labels, min(cut, n)):
+        assert coded.tolist()[:n] == labels or coded.levels[0] == "unused"
+        assert [_outcome(cluster, coded), _outcome(expanded, coded)] == want
+        if want[0][0] == "ok":
+            assert label_codes(coded)[0] == label_codes(labels)[0]
+
+
+def test_coded_labels_of_numeric_kinds_read_as_their_text():
+    coded = CodedLabels(["0.5", "1", "0"], np.tile([0, 1, 2, 1, 0, 2], 3))
+    spec = CovariateSpec((ColumnSpec("q", "continuous", power_max=2),
+                          ColumnSpec("b", "quantile_bins", bins=2)))
+    got = expand_covariates({"q": coded, "b": coded}, spec)
+    text = coded.tolist()
+    want = expand_covariates({"q": text, "b": text}, spec)
+    assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+    with pytest.raises(UnknownLevel, match="binary column 'q'"):
+        expand_covariates({"q": coded},
+                          CovariateSpec((ColumnSpec("q", "binary"),)))
+
+
+@pytest.mark.parametrize("levels, codes, match", [
+    (["a"], np.array([0, 1]), r"codes must lie in \[0, 1\)"),
+    (["a"], np.array([-1, 0]), r"codes must lie in \[0, 1\)"),
+    (["a"], np.array([0.0, 0.0]), "one-dimensional integer array"),
+    (["a"], np.zeros((2, 1), dtype=int), "one-dimensional integer array"),
+])
+def test_coded_labels_reject_codes_that_index_no_level(levels, codes, match):
+    with pytest.raises(InputError, match=match):
+        CodedLabels(levels, codes)
+
+
+def test_coded_labels_length_is_checked_against_the_sample():
+    with pytest.raises(LengthMismatch, match="cluster has length 2"):
+        validate_sample([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], 0.0, None,
+                        CodedLabels(("a", "b"), np.array([0, 1])))
 
 
 def test_categorical_levels_are_the_values_text():

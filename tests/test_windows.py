@@ -179,24 +179,37 @@ def test_side_view_quartiles_equal_np_quantile_bitwise(cutoff, left, right):
         assert np.all(np.diff(view.dist) >= 0)
 
 
+def _clustered(d, curvature=0.0):
+    """A 20k-row sample with d covariates and 400 cluster labels, its
+    outcome bent by curvature * x^3."""
+    base = random_instance(9, n=20_000, d=d)
+    labels = np.random.default_rng(9).integers(0, 400, base.n)
+    y = base.y + curvature * base.x**3
+    return validate_sample(y, base.x, 0.0, base.w, labels)
+
+
 @pytest.fixture(scope="module")
 def clustered_sample():
-    base = random_instance(9, n=20_000, d=1)
-    labels = np.random.default_rng(9).integers(0, 400, base.n)
-    return validate_sample(base.y, base.x, 0.0, base.w, labels)
+    return _clustered(1)
 
 
-@pytest.mark.parametrize(
+@pytest.fixture(scope="module")
+def clustered_samples():
+    """Clustered samples by covariate count d, for d = 0 and 3; the cubic
+    term keeps the bandwidths selected at p = 2 inside each side."""
+    return {d: _clustered(d, curvature=3.0) for d in (0, 3)}
+
+
+BANDWIDTHS = pytest.mark.parametrize(
     "bandwidth", [Common(0.1), Fixed(0.08, 0.12), Select()],
     ids=["common", "fixed", "select"],
 )
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("vce", ["hc0", "hc1", "hc2", "hc3", "cluster"])
-def test_fit_evaluates_kernel_and_basis_on_window_rows(
-    monkeypatch, clustered_sample, vce, kernel, bandwidth
-):
-    sample = clustered_sample
-    spec = FitSpec(kernel=kernel, bandwidth=bandwidth, vce=vce)
+VCES = pytest.mark.parametrize("vce", ["hc0", "hc1", "hc2", "hc3", "cluster"])
+
+
+def _assert_fit_reads_window_rows(monkeypatch, sample, spec):
+    """A warm fit evaluates the kernel and builds basis rows once per
+    window, on that window's rows only; returns the window sizes."""
     fit_hte(sample, spec)
 
     seen, built = [], []
@@ -218,11 +231,9 @@ def test_fit_evaluates_kernel_and_basis_on_window_rows(
     for module in (rdhte.fitting, rdhte.inference):
         monkeypatch.setattr(module, "design_rows", counting_rows(module))
     result = fit_hte(sample, spec)
-    windows = sorted(
-        f.eff_n for f in (result.left, result.right,
-                          result.left.bias.pilot_fit,
-                          result.right.bias.pilot_fit)
-    )
+    fits = (result.left, result.right, result.left.bias.pilot_fit,
+            result.right.bias.pilot_fit)
+    windows = sorted(f.eff_n for f in fits)
     # one kernel evaluation and one set of basis rows per window, on its
     # rows only; the RBC form builds the pilot's rows on the larger main
     # window, once per side at most
@@ -230,7 +241,36 @@ def test_fit_evaluates_kernel_and_basis_on_window_rows(
     assert sorted(m for mod, m in built if mod is rdhte.fitting) == windows
     assert all(m in windows for _, m in built)
     assert len(built) <= len(windows) + 2
-    assert sum(windows) < sample.n
+    # a scan of the whole side is seen on a window inside its side; at
+    # (p, s) = (2, 1) with d = 0 the bias vector is 0, and Select clips
+    # the main windows to the whole sides, but the pilots' stay inside
+    assert any(f.eff_n < sample.side_view(f.side).n for f in fits)
+    return windows
+
+
+@BANDWIDTHS
+@pytest.mark.parametrize("kernel", KERNELS)
+@VCES
+def test_fit_evaluates_kernel_and_basis_on_window_rows(
+    monkeypatch, clustered_sample, vce, kernel, bandwidth
+):
+    spec = FitSpec(kernel=kernel, bandwidth=bandwidth, vce=vce)
+    windows = _assert_fit_reads_window_rows(monkeypatch, clustered_sample,
+                                            spec)
+    assert sum(windows) < clustered_sample.n
+
+
+@BANDWIDTHS
+@pytest.mark.parametrize("kernel", KERNELS)
+@VCES
+@pytest.mark.parametrize("d", [0, 3])
+@pytest.mark.parametrize("p, s, nu", [(2, 2, 1), (2, 1, 0)])
+def test_fit_evaluates_kernel_and_basis_on_window_rows_at_other_orders(
+    monkeypatch, clustered_samples, p, s, nu, d, vce, kernel, bandwidth
+):
+    spec = FitSpec(p=p, s=s, nu=nu, kernel=kernel, bandwidth=bandwidth,
+                   vce=vce)
+    _assert_fit_reads_window_rows(monkeypatch, clustered_samples[d], spec)
 
 
 def test_refit_does_not_scan_the_sample(monkeypatch):
