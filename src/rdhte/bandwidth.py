@@ -1,7 +1,9 @@
 """Bias and variance constants and MSE-optimal bandwidth selection.
 
-fit_hte runs the first four steps per side for every bandwidth rule;
-MSE-optimal selection takes their bias constants and adds the last:
+fit_hte runs the first four steps per side for every bandwidth rule, once
+per sample, (p, s) and kernel: the sample keeps each side's bias
+constants, so a refit reads them. MSE-optimal selection takes them and
+adds the last:
 
     pilot bandwidth b (rule of thumb, clamped)
       -> pilot fit of order (p+1, s+1) at b, its QR factoring the

@@ -6,8 +6,10 @@ vector of baseline and covariate-coefficient jumps reads it through those
 of the unit selectors) and carries a plug-in standard error and a robust
 bias-corrected point estimate, interval, and p-value.
 
-The two sides meet only in bandwidth selection and in the final contrast,
-so on large samples fit_hte runs each side's stages on its own thread
+Each side's pilot stage is fitted once per sample, order pair and kernel:
+the sample keeps it, so a refit runs only the main-order fits. The two
+sides meet only in bandwidth selection and in the final contrast, so on
+large samples fit_hte runs each side's stages on its own thread
 (numpy releases the GIL in the heavy calls); both paths run the same
 per-side code, so results are bit-identical. The fork scheduler that
 monte_carlo and the CLI's CSV reader share lives here too
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -244,7 +246,7 @@ def _point_term(d: int, nu: int, w) -> Term:
     w_arr = np.atleast_1d(np.array(w, dtype=float))
     if w_arr.shape != (d,):
         raise DimensionMismatch(
-            f"evaluation point has {w_arr.size} entries, expected {d}"
+            f"evaluation point has shape {w_arr.shape}, expected {(d,)}"
         )
     vals = w_arr.tolist()
     pretty = ", ".join(f"{v:g}" for v in vals)
@@ -259,7 +261,7 @@ def _selector_term(d: int, nu: int, selector: Selector) -> Term:
     vec = selector.vector
     if vec.shape != (1 + d,):
         raise DimensionMismatch(
-            f"selector has {vec.size} entries, expected {1 + d}"
+            f"selector has shape {vec.shape}, expected {(1 + d,)}"
         )
     if not np.isfinite(vec).all():
         pretty = ", ".join(f"{v:g}" for v in vec)
@@ -386,6 +388,22 @@ def _both_sides(fn, threaded: bool) -> tuple:
     return left, right.result()
 
 
+def _read_only_stage(bias: BiasConstants) -> BiasConstants:
+    """bias, with its arrays and its pilot fit's made read-only and its
+    derived vectors computed: the sample keeps it, and every result of
+    the sample at its (p, s, kernel) shares it."""
+    pilot = bias.pilot_fit
+    # theta may hold inf at extreme scales, as mse_bandwidth and
+    # side_forms, which read bias.bias under the same guard, allow
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived = (pilot.theta, bias.bias)
+    for arr in (*derived, bias.routes,
+                *(getattr(pilot, f.name) for f in fields(pilot))):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return bias
+
+
 def fit_hte(
     sample: RdSample,
     spec: FitSpec,
@@ -401,10 +419,19 @@ def fit_hte(
     builds the default estimand report plus any requested covariate
     evaluation points.
 
+    The pilot stage depends only on the sample, the side, p, s and the
+    kernel, so the sample keeps it, read-only, per (side, p, s, kernel):
+    a refit of the sample under another bandwidth rule, variance kind,
+    nu, level or set of points runs only the two main-order fits, and its
+    left.bias and right.bias are the first fit's. A failed pilot is not
+    kept, so a refit raises the same error. dataclasses.replace(sample)
+    gives a sample with no stored stages.
+
     When the smaller side holds at least PARALLEL_MIN_SIDE_ROWS rows and
     the process may use two or more CPUs, each stage runs the right side on
-    a worker thread, joined before the stage ends. The result is
-    bit-identical to the serial one, and the left side's error wins.
+    a worker thread, joined before the stage ends; a pilot stage with both
+    sides stored starts no thread. The result is bit-identical to the
+    serial one, and the left side's error wins.
 
     Parameters
     ----------
@@ -412,8 +439,9 @@ def fit_hte(
     spec : FitSpec
         Orders, kernel, bandwidth rule, variance kind, and level.
     at : sequence of covariate vectors, optional
-        Extra CATE evaluation points; each must have length d. Points
-        outside the observed covariate range are flagged, not rejected.
+        Extra CATE evaluation points, such as a list of tuples or an array
+        of shape (points, d); each must have length d. Points outside the
+        observed covariate range are flagged, not rejected.
     labels : sequence of str, optional
         Display names of the covariate columns; defaults to w1..wd.
     kinds : sequence of str, optional
@@ -454,19 +482,31 @@ def fit_hte(
         if not isinstance(label, str):
             raise InvalidSetting(f"covariate label {label!r} is not text")
 
-    # reading SideView.n builds both side views on this thread before any
-    # worker starts: cached_property takes no lock from Python 3.12 on
+    # reading SideView.n builds both side views, and reading _pilot_stages
+    # makes the sample's pilot cache, on this thread before any worker
+    # starts: cached_property takes no lock from Python 3.12 on
     threaded = (
         min(sample.side_view(side).n for side in ("left", "right"))
         >= PARALLEL_MIN_SIDE_ROWS
         and _usable_cpus() >= 2
     )
+    stages = sample._pilot_stages
+    keys = {side: (side, p, s, kernel) for side in ("left", "right")}
 
     def pilot_stage(side: str) -> BiasConstants:
-        b = pilot_bandwidth(sample, side, p, s)
-        return bias_constants(sample, side, p, s, kernel, b)
+        # a pure function of its key, so a refit reads the stored stage; a
+        # failed pilot stores nothing and raises again on the next fit
+        key = keys[side]
+        if key not in stages:
+            b = pilot_bandwidth(sample, side, p, s)
+            stages[key] = _read_only_stage(
+                bias_constants(sample, side, p, s, kernel, b)
+            )
+        return stages[key]
 
-    bias_left, bias_right = _both_sides(pilot_stage, threaded)
+    # a worker thread only when both sides have a pilot to fit
+    cold = not any(key in stages for key in keys.values())
+    bias_left, bias_right = _both_sides(pilot_stage, threaded and cold)
     selection: Optional[BandwidthSelection] = None
     # a fixed rule and a selection both answer h_left and h_right
     rule = spec.bandwidth
@@ -489,7 +529,9 @@ def fit_hte(
         selection=selection,
         labels=labels,
         kinds=kinds,
-        points=tuple(_point_term(d, spec.nu, w) for w in at or ()),
+        points=tuple(
+            _point_term(d, spec.nu, w) for w in (() if at is None else at)
+        ),
     )
 
 

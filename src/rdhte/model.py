@@ -129,9 +129,10 @@ class RdSample:
         Cluster codes 0..G-1 for cluster-robust variance (validate_sample
         relabels any labels to these dense codes).
 
-    The per-side views and the covariate kinds and ranges are cached on
-    the instance, so its arrays must not change after construction;
-    dataclasses.replace gives a new sample with fresh caches.
+    The per-side views, the covariate kinds and ranges and each side's
+    pilot stage (one per (side, p, s, kernel), filled by fit_hte) are
+    cached on the instance, so its arrays must not change after
+    construction; dataclasses.replace gives a new sample with fresh caches.
     """
 
     y: np.ndarray
@@ -170,6 +171,10 @@ class RdSample:
 
     @cached_property
     def _side_views(self) -> dict:
+        return {}
+
+    @cached_property
+    def _pilot_stages(self) -> dict:
         return {}
 
     def side_view(self, side: str) -> SideView:

@@ -1,6 +1,6 @@
 """SHA-256 fingerprint of rdhte's numbers over a grid of 360 fits.
 
-Usage: python tests/fingerprint.py SRC
+Usage: python tests/fingerprint.py SRC [--cold]
 
 SRC is the ``src`` directory whose ``rdhte`` is imported. The script fits
 two seeded canonical-preset samples (n = 1500, 60 cluster labels) under
@@ -12,6 +12,11 @@ arrays of its combined forms (jump, bias, plugin, rbc); an estimation
 error contributes its type and message instead. The script prints one
 digest per (seed, vce, bandwidth) group, then the digest of the whole
 grid.
+
+Each sample serves every spec of the grid, so most fits read the pilot
+stages that the sample keeps from an earlier fit. With ``--cold`` every
+fit runs on a fresh copy of its sample (``dataclasses.replace``), which
+holds no stored stage; the two outputs must be identical.
 
 To check that a change keeps every number bit for bit, run the script
 on the ``src`` of both trees and diff the two outputs. pytest does not
@@ -79,6 +84,7 @@ def fit_bytes(sample, spec) -> bytes:
 
 
 def main() -> None:
+    cold = "--cold" in sys.argv[2:]
     total = hashlib.sha256()
     for seed in SEEDS:
         base = gen_sample(canonical_preset(), 1500, seed)
@@ -91,7 +97,10 @@ def main() -> None:
                     for kernel in KERNELS:
                         spec = FitSpec(p=p, s=s, nu=nu, kernel=kernel,
                                        vce=vce, bandwidth=bandwidth)
-                        data = fit_bytes(sample, spec)
+                        data = fit_bytes(
+                            dataclasses.replace(sample) if cold else sample,
+                            spec,
+                        )
                         group.update(data)
                         total.update(data)
                 print(f"seed={seed} vce={vce} bandwidth={bw_name} "

@@ -18,7 +18,9 @@ from rdhte.errors import (
     LeverageOne,
     NonFinite,
     NuOutOfRange,
+    SingularGram,
     TooFewClusters,
+    TooFewObservations,
 )
 from rdhte.estimands import Selector, cate_at, contrast, fit_hte
 from rdhte.fitting import fit_side
@@ -286,6 +288,21 @@ def test_cate_at_wrong_dimension():
         cate_at(result, [0.5, 0.5])
 
 
+def test_wrong_dimension_names_the_shape():
+    # a 2-D point or selector has as many entries as d asks for, so the
+    # message gives shapes, not entry counts
+    sample = random_instance(41)
+    result = fit_hte(sample, FitSpec(bandwidth=Common(0.6)))
+    with pytest.raises(DimensionMismatch) as info:
+        cate_at(result, [[0.5]])
+    assert str(info.value) == (
+        "evaluation point has shape (1, 1), expected (1,)"
+    )
+    with pytest.raises(DimensionMismatch) as info:
+        contrast(result, Selector(np.array([[1.0, 0.5]])))
+    assert str(info.value) == "selector has shape (1, 2), expected (2,)"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_and_selectors_are_rejected(bad):
     sample = random_instance(41)
@@ -303,6 +320,17 @@ def test_requested_points_become_records():
     result = fit_hte(sample, FitSpec(bandwidth=Common(0.6)), at=[(0.5,)])
     rec = result.record("CATE at w=(0.5)")
     assert rec.point == pytest.approx(cate_at(result, [0.5]).point, rel=1e-14)
+
+
+@pytest.mark.parametrize("points", [[[0.0]], [[0.3], [0.6]]],
+                         ids=["one", "two"])
+def test_at_takes_an_array_of_points(points):
+    sample = random_instance(42)
+    spec = FitSpec(bandwidth=Common(0.6))
+    listed = fit_hte(sample, spec, at=points)
+    arrayed = fit_hte(sample, spec, at=np.array(points))
+    assert len(listed.records) == 3 + len(points)
+    assert arrayed.records == listed.records
 
 
 @pytest.mark.parametrize("w", [(0.25, -0.5), (0.25, 1.5)],
@@ -454,6 +482,110 @@ def test_each_fit_computed_once(monkeypatch, bandwidth, fits):
     # one pilot stage per side, whatever the bandwidth rule
     assert len(pilots) == 2
     assert len(biases) == 2
+
+
+# ---------------------------------------------------------------------------
+# the sample keeps each side's pilot stage per (side, p, s, kernel)
+
+REFITS = {
+    "select": FitSpec(bandwidth=Select()),
+    "one_sided": FitSpec(bandwidth=Select("one_sided")),
+    "fixed": FitSpec(bandwidth=Fixed(0.4, 0.6)),
+    "hc1": FitSpec(bandwidth=Common(0.5), vce="hc1"),
+    "cluster": FitSpec(bandwidth=Common(0.5), vce="cluster"),
+    "nu": FitSpec(bandwidth=Common(0.5), nu=1),
+    "level": FitSpec(bandwidth=Common(0.5), level=0.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFITS))
+def test_refit_reads_the_stored_pilot_stage(monkeypatch, name):
+    base = random_instance(47, n=500)
+    labels = np.random.default_rng(47).integers(0, 30, base.n)
+    sample = validate_sample(base.y, base.x, 0.0, base.w, labels)
+    first = fit_hte(sample, FitSpec(bandwidth=Common(0.5)))
+    side_fits = _count_calls(monkeypatch, "fitting", "fit_side")
+    pilots = _count_calls(monkeypatch, "bandwidth", "pilot_bandwidth")
+    biases = _count_calls(monkeypatch, "bandwidth", "bias_constants")
+    spec = REFITS[name]
+    again = fit_hte(sample, spec, at=[(0.5,)])
+    # the two main-order fits only
+    assert (len(pilots), len(biases), len(side_fits)) == (0, 0, 2)
+    assert again.left.bias is first.left.bias
+    assert again.right.bias is first.right.bias
+    cold = fit_hte(dataclasses.replace(sample), spec, at=[(0.5,)])
+    assert len(pilots) == 2
+    assert again.records == cold.records
+
+
+@pytest.mark.parametrize("change", [{"kernel": "uniform"}, {"p": 2},
+                                    {"s": 2}, {"p": 2, "s": 2}])
+def test_another_kernel_or_order_fits_its_own_pilot(monkeypatch, change):
+    sample = random_instance(48, n=500)
+    spec = FitSpec(bandwidth=Common(0.5))
+    first = fit_hte(sample, spec)
+    pilots = _count_calls(monkeypatch, "bandwidth", "pilot_bandwidth")
+    biases = _count_calls(monkeypatch, "bandwidth", "bias_constants")
+    other = fit_hte(sample, dataclasses.replace(spec, **change))
+    assert (len(pilots), len(biases)) == (2, 2)
+    assert other.left.bias is not first.left.bias
+    assert other.right.bias is not first.right.bias
+    # the first key's stages are still there
+    again = fit_hte(sample, spec)
+    assert (len(pilots), len(biases)) == (2, 2)
+    assert again.left.bias is first.left.bias
+    assert again.right.bias is first.right.bias
+
+
+def _failing_pilot(case):
+    rng = np.random.default_rng(5)
+    if case == "singular":
+        # w is 1 on every left row: collinear with the intercept there
+        x = rng.uniform(-1.0, 1.0, 400)
+        w = np.where(x < 0.0, 1.0, rng.binomial(1, 0.5, x.size))
+    else:
+        few, many = (5, 400) if case == "too_few_left" else (400, 5)
+        x = np.concatenate([-rng.uniform(0.01, 1.0, few),
+                            rng.uniform(0.0, 1.0, many)])
+        w = rng.binomial(1, 0.5, x.size).astype(float)
+    return validate_sample(x + rng.normal(size=x.size), x, 0.0, w)
+
+
+@pytest.mark.parametrize("case, kind, side", [
+    ("too_few_left", TooFewObservations, "left"),
+    ("too_few_right", TooFewObservations, "right"),
+    ("singular", SingularGram, "left"),
+])
+def test_failed_pilot_is_not_stored(case, kind, side):
+    sample = _failing_pilot(case)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(kind) as info:
+            fit_hte(sample, FitSpec(bandwidth=Common(0.5)))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert f"{side} side" in errors[0]
+    # the left side's stage is kept when only the right one fails
+    stored = {key[0] for key in sample._pilot_stages}
+    assert stored == ({"left"} if side == "right" else set())
+
+
+def test_stored_pilot_arrays_are_read_only():
+    sample = random_instance(49, n=400)
+    result = fit_hte(sample, FitSpec(bandwidth=Common(0.5)))
+    for stage in (result.left, result.right):
+        bias, pilot = stage.bias, stage.bias.pilot_fit
+        arrays = [bias.routes, bias.bias, pilot.theta] + [
+            value for value in (
+                getattr(pilot, f.name) for f in dataclasses.fields(pilot)
+            ) if isinstance(value, np.ndarray)
+        ]
+        assert len(arrays) == 13
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0
+    # the main fits are the result's own
+    result.left.residuals[0] = 0.0
 
 
 @pytest.mark.parametrize("mode", ["two_sided", "one_sided"])

@@ -9,6 +9,7 @@ which branch ran.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import threading
@@ -123,7 +124,8 @@ def test_threaded_errors_match_serial(monkeypatch, thread_starts, case):
     assert thread_starts == []
     monkeypatch.setattr(estimands, "PARALLEL_MIN_SIDE_ROWS", 0)
     before = threading.active_count()
-    err = _error(data, spec)
+    # a fresh copy: the serial fit stored the pilots that did not fail
+    err = _error(dataclasses.replace(data), spec)
     assert threading.active_count() == before
     assert type(err) is type(serial) is kind
     assert str(err) == str(serial)
@@ -133,9 +135,41 @@ def test_threaded_errors_match_serial(monkeypatch, thread_starts, case):
     assert len(thread_starts) == stages * _per_stage()
 
 
+def test_stored_pilot_stage_starts_no_thread(sample, threaded, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    submits = []
+    real_submit = ThreadPoolExecutor.submit
+
+    def submit(self, fn, *args, **kwargs):
+        submits.append(fn)
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+    fresh = dataclasses.replace(sample)
+    cold = fit_hte(fresh, FitSpec(bandwidth=Common(0.2)))
+    assert len(submits) == 2 * _per_stage()
+    # both pilots stored: only the main stage runs a worker
+    submits.clear()
+    warm = fit_hte(fresh, FitSpec(bandwidth=Common(0.3), vce="hc1"))
+    assert len(submits) == _per_stage()
+    assert warm.left.bias is cold.left.bias
+    # one pilot stored: the other runs on the caller's thread, and a fit
+    # that fails there starts no thread at all
+    data = _two_sided(5, 400)
+    _error(data, FitSpec())
+    assert {key[0] for key in data._pilot_stages} == (
+        {"right"} if _per_stage() else set()
+    )
+    submits.clear()
+    assert type(_error(data, FitSpec())) is TooFewObservations
+    assert submits == []
+
+
 def test_no_thread_outlives_a_fit(sample, threaded, thread_starts):
     before = threading.active_count()
-    fit_hte(sample, FitSpec(bandwidth=Common(0.2)))
+    # a fresh copy runs both stages: the module's sample holds its pilots
+    fit_hte(dataclasses.replace(sample), FitSpec(bandwidth=Common(0.2)))
     assert threading.active_count() == before
     assert len(thread_starts) == 2 * _per_stage()
 

@@ -208,10 +208,11 @@ VCES = pytest.mark.parametrize("vce", ["hc0", "hc1", "hc2", "hc3", "cluster"])
 
 
 def _assert_fit_reads_window_rows(monkeypatch, sample, spec):
-    """A warm fit evaluates the kernel and builds basis rows once per
-    window, on that window's rows only; returns the window sizes."""
-    fit_hte(sample, spec)
-
+    """A first fit on a fresh copy of sample evaluates the kernel and
+    builds basis rows once per window, on that window's rows only, for
+    its four windows; a refit does so for its two main windows only and
+    reuses the first fit's pilot stages. Returns the four window sizes."""
+    sample = dataclasses.replace(sample)
     seen, built = [], []
     kernel_eval = rdhte.fitting.kernel_eval
 
@@ -230,17 +231,28 @@ def _assert_fit_reads_window_rows(monkeypatch, sample, spec):
     monkeypatch.setattr(rdhte.fitting, "kernel_eval", counting)
     for module in (rdhte.fitting, rdhte.inference):
         monkeypatch.setattr(module, "design_rows", counting_rows(module))
+
+    def assert_reads(fits):
+        sizes = sorted(f.eff_n for f in fits)
+        # one kernel evaluation and one set of basis rows per window, on
+        # its rows only; the RBC form builds the pilot's rows on the larger
+        # main window, once per side at most
+        assert sorted(seen) == sizes
+        assert sorted(m for mod, m in built if mod is rdhte.fitting) == sizes
+        assert all(m in windows for _, m in built)
+        assert len(built) <= len(sizes) + 2
+        seen.clear()
+        built.clear()
+
     result = fit_hte(sample, spec)
     fits = (result.left, result.right, result.left.bias.pilot_fit,
             result.right.bias.pilot_fit)
     windows = sorted(f.eff_n for f in fits)
-    # one kernel evaluation and one set of basis rows per window, on its
-    # rows only; the RBC form builds the pilot's rows on the larger main
-    # window, once per side at most
-    assert sorted(seen) == windows
-    assert sorted(m for mod, m in built if mod is rdhte.fitting) == windows
-    assert all(m in windows for _, m in built)
-    assert len(built) <= len(windows) + 2
+    assert_reads(fits)
+    again = fit_hte(sample, spec)
+    assert_reads((again.left, again.right))
+    assert again.left.bias is result.left.bias
+    assert again.right.bias is result.right.bias
     # a scan of the whole side is seen on a window inside its side; at
     # (p, s) = (2, 1) with d = 0 the bias vector is 0, and Select clips
     # the main windows to the whole sides, but the pilots' stay inside
