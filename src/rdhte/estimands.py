@@ -393,11 +393,11 @@ def _read_only_stage(bias: BiasConstants) -> BiasConstants:
     derived vectors computed: the sample keeps it, and every result of
     the sample at its (p, s, kernel) shares it."""
     pilot = bias.pilot_fit
-    # theta may hold inf at extreme scales, as mse_bandwidth and
-    # side_forms, which read bias.bias under the same guard, allow
+    # bias (which computes pilot.theta) may hold inf at extreme scales, as
+    # mse_bandwidth, which reads it under the same guard, allows
     with np.errstate(over="ignore", invalid="ignore"):
-        derived = (pilot.theta, bias.bias)
-    for arr in (*derived, bias.routes,
+        vector = bias.bias
+    for arr in (vector, pilot.theta, bias.routes,
                 *(getattr(pilot, f.name) for f in fields(pilot))):
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -491,12 +491,11 @@ def fit_hte(
         and _usable_cpus() >= 2
     )
     stages = sample._pilot_stages
-    keys = {side: (side, p, s, kernel) for side in ("left", "right")}
 
     def pilot_stage(side: str) -> BiasConstants:
         # a pure function of its key, so a refit reads the stored stage; a
         # failed pilot stores nothing and raises again on the next fit
-        key = keys[side]
+        key = (side, p, s, kernel)
         if key not in stages:
             b = pilot_bandwidth(sample, side, p, s)
             stages[key] = _read_only_stage(
@@ -505,7 +504,8 @@ def fit_hte(
         return stages[key]
 
     # a worker thread only when both sides have a pilot to fit
-    cold = not any(key in stages for key in keys.values())
+    cold = not any((side, p, s, kernel) in stages
+                   for side in ("left", "right"))
     bias_left, bias_right = _both_sides(pilot_stage, threaded and cold)
     selection: Optional[BandwidthSelection] = None
     # a fixed rule and a selection both answer h_left and h_right

@@ -133,6 +133,9 @@ class RdSample:
     pilot stage (one per (side, p, s, kernel), filled by fit_hte) are
     cached on the instance, so its arrays must not change after
     construction; dataclasses.replace gives a new sample with fresh caches.
+    The pilot stages are not bounded: each (p, s, kernel) a sample is
+    fitted at adds its pilot windows (about 8.7 MB at n = 1e6, p = s = 1,
+    d = 1) until the sample is dropped or replaced.
     """
 
     y: np.ndarray

@@ -80,11 +80,18 @@ SPECS = {
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_threaded_json_is_byte_identical(sample, monkeypatch, name):
+def test_threaded_json_is_byte_identical(sample, monkeypatch, thread_starts,
+                                        name):
     spec = SPECS[name]
-    serial = render_json(fit_hte(sample, spec, at=[[0.5]]))
+    # fresh copies: each fit runs its own pilot stage, so the threaded
+    # pilot and selection are compared with the serial ones too
+    serial = render_json(fit_hte(dataclasses.replace(sample), spec,
+                                 at=[[0.5]]))
+    assert thread_starts == []
     monkeypatch.setattr(estimands, "PARALLEL_MIN_SIDE_ROWS", 0)
-    assert render_json(fit_hte(sample, spec, at=[[0.5]])) == serial
+    threaded = fit_hte(dataclasses.replace(sample), spec, at=[[0.5]])
+    assert render_json(threaded) == serial
+    assert len(thread_starts) == 2 * _per_stage()
 
 
 def _error(sample, spec):
