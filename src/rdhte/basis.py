@@ -23,6 +23,7 @@ __all__ = [
     "column_powers",
     "scaling_diag",
     "extractor_vector",
+    "extractor_positions",
     "n_params",
 ]
 
@@ -135,13 +136,25 @@ def extractor_vector(nu: int, p: int, s: int, w, lead: float = 1.0) -> np.ndarra
     -------
     ndarray, shape (1 + p + d*(1+s),)
     """
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    pos = extractor_positions(nu, p, s, w.size)
+    fact = float(math.factorial(nu))
+    vec = np.zeros(n_params(p, s, w.size))
+    vec[pos[0]] = fact * lead
+    vec[pos[1:]] = fact * w
+    return vec
+
+
+def extractor_positions(nu: int, p: int, s: int, d: int) -> np.ndarray:
+    """Positions of the entries extractor_vector(nu, p, s, w) may set:
+    position nu of the main block, then position nu of each of the d
+    covariate blocks.
+
+    Raises
+    ------
+    NuOutOfRange
+        Unless 0 <= nu <= min(p, s).
+    """
     if not 0 <= nu <= min(p, s):
         raise NuOutOfRange(f"nu={nu} outside [0, min(p,s)={min(p, s)}]")
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    d = w.size
-    fact = float(math.factorial(nu))
-    vec = np.zeros(n_params(p, s, d))
-    vec[nu] = fact * lead
-    for ell in range(d):
-        vec[1 + p + ell * (1 + s) + nu] = fact * w[ell]
-    return vec
+    return np.array([nu] + [1 + p + ell * (1 + s) + nu for ell in range(d)])

@@ -19,6 +19,7 @@ monte_carlo and the CLI's CSV reader share lives here too
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field, fields
@@ -34,7 +35,7 @@ from .bandwidth import (
     mse_bandwidth,
     pilot_bandwidth,
 )
-from .basis import extractor_vector
+from .basis import extractor_positions, extractor_vector, n_params
 from .errors import DimensionMismatch, InvalidSetting, NonFinite
 from .fitting import fit_side
 from .inference import ContrastForms, SideStage, ci_pvalue, side_forms
@@ -69,8 +70,8 @@ class Selector:
     label: str = "contrast"
 
     def __post_init__(self):
-        vec = np.atleast_1d(np.asarray(self.vector, dtype=float))
-        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "vector", _as_vector("selector",
+                                                      self.vector))
         if self.nu is not None:
             object.__setattr__(self, "nu", _as_order("nu", self.nu))
         if not (isinstance(self.label, str) and self.label):
@@ -94,7 +95,13 @@ class Term(NamedTuple):
 
 @dataclass(frozen=True)
 class EstimandRecord:
-    """One reported estimand with plug-in and bias-corrected inference."""
+    """One reported estimand with plug-in and bias-corrected inference.
+
+    _make_record fills a new record's __dict__ in field order without
+    calling __init__, which would pay one frozen assignment a field; ==,
+    hash, repr, pickling, dataclasses.replace and asdict read the fields
+    as for any instance, and assigning a field raises FrozenInstanceError.
+    """
 
     label: str
     lead: float
@@ -133,6 +140,14 @@ class HteResult:
     jumps at the requested derivative order. points holds the Terms of the
     requested evaluation points; records, built with the result, hold the
     default report set and then one record per point.
+
+    __post_init__ builds the result's record context (_RecordContext) once,
+    on the calling thread, before the records: forms, each derivative
+    order's extractor positions, the level, eff_n, h_left, h_right and the
+    observed covariate bounds. Every record of the result, from the
+    default plan, at=, cate_at, contrast or a Monte Carlo target, reads
+    it, so a record pays only its extractor fill and its four
+    contractions. dataclasses.replace(result, ...) builds a new context.
     """
 
     sample: RdSample
@@ -146,6 +161,7 @@ class HteResult:
     records: tuple[EstimandRecord, ...] = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_context", _record_context(self))
         plan = _default_plan(self.sample.d, self.spec.nu, self.labels,
                              self.kinds)
         object.__setattr__(self, "records", tuple(
@@ -184,25 +200,81 @@ class HteResult:
         raise KeyError(label)
 
 
+class _RecordContext(NamedTuple):
+    """What every record of one result reads, built once per result by
+    _record_context: forms, the basis length k, per valid derivative order
+    nu the pair (nu!, extractor_positions(nu, p, s, d)), and level, eff_n,
+    h_left, h_right and the observed covariate bounds (lists, None
+    without covariates) as the records hold them."""
+
+    forms: ContrastForms
+    k: int
+    extractors: dict
+    level: float
+    eff_n: int
+    h_left: float
+    h_right: float
+    w_low: Optional[list]
+    w_high: Optional[list]
+
+
+def _record_context(result: HteResult) -> _RecordContext:
+    """The record context of result."""
+    spec, sample = result.spec, result.sample
+    p, s, d = spec.p, spec.s, sample.d
+    bounds = sample.w_range
+    low, high = (None, None) if bounds is None else (
+        bound.tolist() for bound in bounds
+    )
+    return _RecordContext(
+        forms=result.forms,
+        k=n_params(p, s, d),
+        extractors={
+            nu: (float(math.factorial(nu)), extractor_positions(nu, p, s, d))
+            for nu in range(min(p, s) + 1)
+        },
+        level=spec.level,
+        eff_n=result.eff_n,
+        h_left=result.h_left,
+        h_right=result.h_right,
+        w_low=low,
+        w_high=high,
+    )
+
+
 def _make_record(result: HteResult, term: Term) -> EstimandRecord:
-    """The record of term on result. Every record is built here, so equal
-    terms give equal records; a covariate point outside the observed
-    covariate range is flagged extrapolated."""
+    """The record of term on result. Every record is built here, from the
+    result's record context, so equal terms give equal records; a
+    covariate point outside the observed covariate range is flagged
+    extrapolated.
+
+    The extractor is extractor_vector(nu, p, s, w, lead=lead), filled at
+    the context's positions for nu; a nu outside [0, min(p, s)] raises
+    NuOutOfRange.
+    """
     label, lead, w, nu, at_point = term
-    spec = result.spec
-    evec = extractor_vector(nu, spec.p, spec.s, w, lead=lead)
-    forms = result.forms
+    forms, k, extractors, level, eff_n, h_left, h_right, low, high = (
+        result._context
+    )
+    if nu not in extractors:  # extractor_positions raises NuOutOfRange
+        extractor_positions(nu, result.spec.p, result.spec.s, w.size)
+    fact, pos = extractors[nu]
+    evec = np.zeros(k)
+    evec[pos[0]] = fact * lead
+    evec[pos[1:]] = fact * w
     point = float(evec @ forms.jump)
     var = float(evec @ forms.plugin @ evec)
     bias_term = float(evec @ forms.bias)
     rbc = point - bias_term
     rbc_var = float(evec @ forms.rbc @ evec)
     rbc_se = math.sqrt(max(rbc_var, 0.0))
-    lo, hi, z, p_val, zero = ci_pvalue(rbc, rbc_se, spec.level)
-    return EstimandRecord(
+    lo, hi, z, p_val, zero = ci_pvalue(rbc, rbc_se, level)
+    w_list = w.tolist()
+    rec = object.__new__(EstimandRecord)
+    rec.__dict__.update(
         label=label,
         lead=float(lead),
-        w=tuple(w.tolist()),
+        w=tuple(w_list),
         nu=nu,
         point=point,
         se=math.sqrt(max(var, 0.0)),
@@ -215,13 +287,16 @@ def _make_record(result: HteResult, term: Term) -> EstimandRecord:
         ci_high=hi,
         z=z,
         p_value=p_val,
-        level=spec.level,
+        level=level,
         zero_se=zero,
-        extrapolated=at_point and _is_extrapolated(result.sample, w),
-        eff_n=result.eff_n,
-        h_left=result.h_left,
-        h_right=result.h_right,
+        extrapolated=at_point and low is not None and any(
+            v < a or v > b for v, a, b in zip(w_list, low, high)
+        ),
+        eff_n=eff_n,
+        h_left=h_left,
+        h_right=h_right,
     )
+    return rec
 
 
 def _default_plan(d, nu, labels, kinds) -> list[Term]:
@@ -241,9 +316,30 @@ def _default_plan(d, nu, labels, kinds) -> list[Term]:
     return plan
 
 
+def _as_vector(what: str, value) -> np.ndarray:
+    """value as a new float array, a scalar as one entry, else
+    InvalidSetting naming it: text, None, complex numbers, mappings,
+    ragged nesting and any other entry that is not a real number are
+    refused, where numpy would raise an untyped error or read None as
+    nan."""
+    try:
+        arr = np.array(value)
+        if arr.dtype.kind == "O" and all(
+            isinstance(v, numbers.Real) for v in arr.flat
+        ):
+            arr = arr.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise InvalidSetting(f"{what} must be real numbers, got {value!r}")
+    if arr.dtype != np.float64:
+        arr = arr.astype(np.float64)
+    return np.atleast_1d(arr)
+
+
 def _point_term(d: int, nu: int, w) -> Term:
     """The checked term of a covariate evaluation point."""
-    w_arr = np.atleast_1d(np.array(w, dtype=float))
+    w_arr = _as_vector("evaluation point", w)
     if w_arr.shape != (d,):
         raise DimensionMismatch(
             f"evaluation point has shape {w_arr.shape}, expected {(d,)}"
@@ -268,16 +364,6 @@ def _selector_term(d: int, nu: int, selector: Selector) -> Term:
         raise NonFinite(-1, f"selector ({pretty})")
     nu = nu if selector.nu is None else selector.nu
     return Term(selector.label, float(vec[0]), vec[1:].copy(), nu, False)
-
-
-def _is_extrapolated(sample: RdSample, w: np.ndarray) -> bool:
-    """True iff some coordinate of w lies outside the observed [min, max]."""
-    if sample.w_range is None:
-        return False
-    lo, hi = (bound.tolist() for bound in sample.w_range)
-    return any(
-        v < a or v > b for v, a, b in zip(w.tolist(), lo, hi, strict=True)
-    )
 
 
 def _usable_cpus() -> int:
@@ -440,8 +526,9 @@ def fit_hte(
         Orders, kernel, bandwidth rule, variance kind, and level.
     at : sequence of covariate vectors, optional
         Extra CATE evaluation points, such as a list of tuples or an array
-        of shape (points, d); each must have length d. Points outside the
-        observed covariate range are flagged, not rejected.
+        of shape (points, d); each must have length d and hold real
+        numbers. Points outside the observed covariate range are flagged,
+        not rejected.
     labels : sequence of str, optional
         Display names of the covariate columns; defaults to w1..wd.
     kinds : sequence of str, optional
@@ -460,6 +547,8 @@ def fit_hte(
     """
     p, s, kernel, vce = spec.p, spec.s, spec.kernel, spec.vce
     d = sample.d
+    if at is None:
+        at = ()
     if labels is None:
         labels = tuple(f"w{ell + 1}" for ell in range(d))
     elif isinstance(labels, str):
@@ -521,6 +610,12 @@ def fit_hte(
         return SideStage.of(fit, bias, side_forms(sample, fit, bias, vce))
 
     left, right = _both_sides(main_stage, threaded)
+    try:
+        at_points = iter(at)
+    except TypeError:
+        raise InvalidSetting(
+            f"at must be a sequence of covariate points, got {at!r}"
+        ) from None
     return HteResult(
         sample=sample,
         spec=spec,
@@ -529,9 +624,7 @@ def fit_hte(
         selection=selection,
         labels=labels,
         kinds=kinds,
-        points=tuple(
-            _point_term(d, spec.nu, w) for w in (() if at is None else at)
-        ),
+        points=tuple(_point_term(d, spec.nu, w) for w in at_points),
     )
 
 
@@ -540,9 +633,13 @@ def cate_at(result: HteResult, w) -> EstimandRecord:
 
     The point estimate is the baseline jump plus the coefficient jumps
     contracted with w; variance, bias correction, and interval come from
-    the contrast forms stored on the result, so a call costs
-    O(k^2) whatever the sample size. Points outside the observed covariate
-    range are flagged as extrapolated; non-finite ones raise NonFinite.
+    the contrast forms in the result's record context (see HteResult),
+    built with the result, so a call costs its extractor fill and four
+    contractions, O(k^2) whatever the sample size, and builds nothing
+    else the result already holds. Points outside the observed covariate
+    range are flagged as extrapolated; non-finite ones raise NonFinite,
+    and a point that is not real numbers (text, None, complex, a mapping)
+    InvalidSetting.
     """
     term = _point_term(result.sample.d, result.spec.nu, w)
     return _make_record(result, term)
@@ -554,6 +651,7 @@ def contrast(result: HteResult, selector: Selector) -> EstimandRecord:
     The selector's first entry weights the baseline jump and the rest
     weight the covariate-coefficient jumps; a selector of zeros yields a
     zero point estimate with zero variance, a non-finite one NonFinite.
+    The record reads the result's record context, as cate_at's does.
     """
     term = _selector_term(result.sample.d, result.spec.nu, selector)
     return _make_record(result, term)

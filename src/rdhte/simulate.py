@@ -349,7 +349,8 @@ def monte_carlo(
     ------
     InvalidSetting
         If reps, n or seed is not an integer, reps or n is below 1, seed
-        is negative, or a truth is not a finite real number.
+        is negative, a truth is not a finite real number, or a target is
+        not real numbers, as in cate_at and Selector.
     DimensionMismatch, NonFinite
         If a target does not fit the covariate columns, as in cate_at and
         contrast.

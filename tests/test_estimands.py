@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -22,9 +23,29 @@ from rdhte.errors import (
     TooFewClusters,
     TooFewObservations,
 )
-from rdhte.estimands import Selector, cate_at, contrast, fit_hte
+from rdhte.estimands import (
+    EstimandRecord,
+    Selector,
+    _default_plan,
+    _point_term,
+    _selector_term,
+    cate_at,
+    contrast,
+    fit_hte,
+)
 from rdhte.fitting import fit_side
-from rdhte.model import Common, Fixed, FitSpec, Select, validate_sample
+from rdhte.inference import ContrastForms, ci_pvalue
+from rdhte.model import (
+    ColumnSpec,
+    Common,
+    CovariateSpec,
+    Fixed,
+    FitSpec,
+    Select,
+    expand_covariates,
+    validate_sample,
+)
+from rdhte.simulate import canonical_preset, monte_carlo
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +334,52 @@ def test_non_finite_points_and_selectors_are_rejected(bad):
         contrast(result, Selector(np.array([1.0, bad])))
     with pytest.raises(NonFinite, match=f"{bad:g}"):
         fit_hte(sample, FitSpec(bandwidth=Common(0.6)), at=[(bad,)])
+
+
+def _fitted(seed=41):
+    return fit_hte(random_instance(seed), FitSpec(bandwidth=Common(0.6)))
+
+
+def _point_error(value):
+    return f"evaluation point must be real numbers, got {value!r}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cate_at(_fitted(), "a"), _point_error("a")),
+    (lambda: cate_at(_fitted(), [1 + 2j]), _point_error([1 + 2j])),
+    (lambda: cate_at(_fitted(), {"a": 1}), _point_error({"a": 1})),
+    (lambda: cate_at(_fitted(), None), _point_error(None)),
+    (lambda: cate_at(_fitted(), [0.5, None]), _point_error([0.5, None])),
+    (lambda: cate_at(_fitted(), [[1.0], [1.0, 2.0]]),
+     _point_error([[1.0], [1.0, 2.0]])),
+    (lambda: fit_hte(random_instance(41), FitSpec(bandwidth=Common(0.6)),
+                     at=[["a"]]), _point_error(["a"])),
+    (lambda: fit_hte(random_instance(41), FitSpec(bandwidth=Common(0.6)),
+                     at=5), "at must be a sequence of covariate points, got 5"),
+    (lambda: monte_carlo(canonical_preset(), FitSpec(), reps=1, n=100,
+                         seed=1, targets=[("a", 0.5)]), _point_error("a")),
+    (lambda: Selector("ab"), "selector must be real numbers, got 'ab'"),
+    (lambda: Selector([1.0, 1j]),
+     "selector must be real numbers, got [1.0, 1j]"),
+], ids=["text", "complex", "mapping", "none", "none-entry", "ragged",
+        "at-text", "at-int", "mc-target", "selector-text",
+        "selector-complex"])
+def test_non_numeric_points_and_selectors_are_typed(call, message):
+    # numpy raised an untyped ValueError or TypeError here, or read None as
+    # nan and reported it as NonFinite
+    with pytest.raises(InvalidSetting) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_real_number_objects_are_points():
+    # entries numpy holds as objects are read when each is a real number
+    from fractions import Fraction
+
+    result = _fitted()
+    assert cate_at(result, [Fraction(1, 2)]) == cate_at(result, [0.5])
+    assert cate_at(result, np.float32(0.5)) == cate_at(result, [0.5])
+    assert cate_at(result, [True]) == cate_at(result, [1.0])
 
 
 def test_requested_points_become_records():
@@ -606,6 +673,116 @@ def test_selected_fit_equals_fixed_fit_at_its_bandwidths(mode, vce):
 
 
 # ---------------------------------------------------------------------------
+# the record builder against a restatement of the per-record path
+
+
+def _reference_record(result, term) -> EstimandRecord:
+    """The record of term as built without a record context: a fresh
+    extractor_vector, the same four contractions on result.forms, the
+    observed range read off the sample, and EstimandRecord(**fields)."""
+    label, lead, w, nu, at_point = term
+    spec = result.spec
+    evec = extractor_vector(nu, spec.p, spec.s, w, lead=lead)
+    forms = result.forms
+    point = float(evec @ forms.jump)
+    var = float(evec @ forms.plugin @ evec)
+    bias_term = float(evec @ forms.bias)
+    rbc = point - bias_term
+    rbc_var = float(evec @ forms.rbc @ evec)
+    rbc_se = math.sqrt(max(rbc_var, 0.0))
+    lo, hi, z, p_val, zero = ci_pvalue(rbc, rbc_se, spec.level)
+    extrapolated = False
+    if at_point and result.sample.w_range is not None:
+        low, high = (bound.tolist() for bound in result.sample.w_range)
+        extrapolated = any(
+            v < a or v > b
+            for v, a, b in zip(w.tolist(), low, high, strict=True)
+        )
+    return EstimandRecord(
+        label=label, lead=float(lead), w=tuple(w.tolist()), nu=nu,
+        point=point, se=math.sqrt(max(var, 0.0)), variance=var,
+        bias_estimate=bias_term, rbc_point=rbc, rbc_se=rbc_se,
+        rbc_variance=rbc_var, ci_low=lo, ci_high=hi, z=z, p_value=p_val,
+        level=spec.level, zero_se=zero, extrapolated=extrapolated,
+        eff_n=result.eff_n, h_left=result.h_left, h_right=result.h_right,
+    )
+
+
+def _layout_sample(d):
+    """d = 0: no covariate; d = 1: an indicator; d = 3: a uniform
+    covariate and a three-level categorical."""
+    if d < 3:
+        return random_instance(48, n=400, d=d)
+    rng = np.random.default_rng(48)
+    n = 400
+    x = rng.uniform(-1, 1, n)
+    raw = {"u": rng.uniform(0, 1, n),
+           "g": rng.choice(["a", "b", "c"], n).tolist()}
+    w, _, kinds = expand_covariates(raw, CovariateSpec((
+        ColumnSpec("u", "continuous"), ColumnSpec("g", "categorical"),
+    )))
+    assert kinds == ["continuous", "indicator", "indicator"]
+    y = x + w @ [0.4, -0.3, 0.2] + (x >= 0) * (0.5 + w @ [0.5, 0.25, -0.2])
+    return validate_sample(y + 0.3 * rng.standard_normal(n), x, 0.0, w)
+
+
+def _assert_same_record(rec, ref):
+    assert dataclasses.asdict(rec) == dataclasses.asdict(ref)
+    assert repr(rec) == repr(ref)
+    assert rec == ref and hash(rec) == hash(ref)
+    # the same fields in the same order, each of the same type
+    assert [(k, type(v)) for k, v in vars(rec).items()] == [
+        (k, type(v)) for k, v in vars(ref).items()
+    ]
+
+
+@pytest.mark.parametrize("p, s, nu", [(1, 1, 0), (2, 2, 1), (2, 1, 0)])
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_records_match_the_reference_builder(d, p, s, nu):
+    sample = _layout_sample(d)
+    spec = FitSpec(p=p, s=s, nu=nu, bandwidth=Common(0.7))
+    inside, outside = [0.5] * d, [0.5] * (d - 1) + [2.0] if d else []
+    result = fit_hte(sample, spec, at=[inside])
+    labels = tuple(f"w{ell + 1}" for ell in range(d))
+    plan = _default_plan(d, nu, labels, sample.w_kinds)
+    terms = plan + [_point_term(d, nu, inside)]
+    assert len(result.records) == len(terms)
+    for rec, term in zip(result.records, terms, strict=True):
+        _assert_same_record(rec, _reference_record(result, term))
+
+    other = (nu + 1) % (min(p, s) + 1)
+    checked = [
+        (cate_at(result, inside), _point_term(d, nu, inside)),
+        (cate_at(result, outside), _point_term(d, nu, outside)),
+    ]
+    for sel in (Selector(np.zeros(1 + d), label="null"),
+                Selector([1.0] + [0.5] * d, nu=other, label="other nu")):
+        checked.append((contrast(result, sel), _selector_term(d, nu, sel)))
+    for rec, term in checked:
+        _assert_same_record(rec, _reference_record(result, term))
+    assert checked[1][0].extrapolated == (d > 0)
+    assert checked[2][0].zero_se and checked[3][0].nu == other
+
+    too_high = Selector([1.0] * (1 + d), nu=min(p, s) + 1)
+    with pytest.raises(NuOutOfRange) as got:
+        contrast(result, too_high)
+    with pytest.raises(NuOutOfRange) as expected:
+        _reference_record(result, _selector_term(d, nu, too_high))
+    assert str(got.value) == str(expected.value)
+
+    rec = checked[1][0]
+    copy = pickle.loads(pickle.dumps(rec))
+    _assert_same_record(copy, rec)
+    moved = dataclasses.replace(rec, point=rec.point + 1.0)
+    assert moved.point == rec.point + 1.0
+    assert dataclasses.replace(moved, point=rec.point) == rec
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.point = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rec.label
+
+
+# ---------------------------------------------------------------------------
 # records contract the per-side forms stored on the result
 
 PER_RECORD_WORK = (
@@ -627,6 +804,15 @@ def test_records_cost_no_window_work(monkeypatch, vce):
         name: _count_calls(monkeypatch, "inference", name)
         for name in ("plugin_form", "rbc_form", "side_forms", "_bias_scales")
     }
+    contexts = _count_calls(monkeypatch, "estimands", "_record_context")
+    adds = []
+    add = ContrastForms.__add__
+
+    def counting_add(self, other):
+        adds.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(ContrastForms, "__add__", counting_add)
     # once per side, however many records the fit reports; each side's
     # share reads its bias scales once
     at = [(v,) for v in np.linspace(-1.0, 1.0, 25)]
@@ -646,6 +832,12 @@ def test_records_cost_no_window_work(monkeypatch, vce):
     # derivative order
     assert all(calls == [] for calls in work)
     assert all(len(c) == 2 for c in form_calls.values())
+    # and are summed once, into the one record context that every record
+    # of the result reads
+    assert (len(contexts), len(adds)) == (1, 1)
+    # a replaced result is another result, with its own context
+    cate_at(dataclasses.replace(result), [0.3])
+    assert (len(contexts), len(adds)) == (2, 2)
 
 
 def test_side_views_run_no_quantile(monkeypatch):
