@@ -35,7 +35,7 @@ from .bandwidth import (
     mse_bandwidth,
     pilot_bandwidth,
 )
-from .basis import extractor_positions, extractor_vector, n_params
+from .basis import extractor_positions, n_params
 from .errors import DimensionMismatch, InvalidSetting, NonFinite
 from .fitting import fit_side
 from .inference import ContrastForms, SideStage, ci_pvalue, side_forms
@@ -182,11 +182,8 @@ class HteResult:
 
     @cached_property
     def varsigma(self) -> np.ndarray:
-        spec = self.spec
-        return np.array([
-            extractor_vector(spec.nu, spec.p, spec.s, unit[1:], lead=unit[0])
-            for unit in np.eye(1 + self.sample.d)
-        ]) @ self.forms.jump
+        fact, pos = self._context.extractors[self.spec.nu]
+        return fact * self.forms.jump[pos]
 
     @cached_property
     def forms(self) -> ContrastForms:
@@ -490,6 +487,22 @@ def _read_only_stage(bias: BiasConstants) -> BiasConstants:
     return bias
 
 
+def _per_column(what: str, values, d: int, default) -> tuple:
+    """values (default if None) as a tuple of one entry per covariate
+    column: a lone text raises InvalidSetting, as it would otherwise be
+    read as one entry per character, and a length other than d raises
+    DimensionMismatch."""
+    if values is None:
+        return default
+    if isinstance(values, str):
+        raise InvalidSetting(f"{what} must be one text per column, "
+                             f"got {values!r}")
+    values = tuple(values)
+    if len(values) != d:
+        raise DimensionMismatch(f"expected {d} {what}, got {len(values)}")
+    return values
+
+
 def fit_hte(
     sample: RdSample,
     spec: FitSpec,
@@ -549,21 +562,10 @@ def fit_hte(
     d = sample.d
     if at is None:
         at = ()
-    if labels is None:
-        labels = tuple(f"w{ell + 1}" for ell in range(d))
-    elif isinstance(labels, str):
-        raise InvalidSetting(f"labels must be one text per column, "
-                             f"got {labels!r}")
-    else:
-        labels = tuple(labels)
-    if len(labels) != d:
-        raise DimensionMismatch(f"expected {d} labels, got {len(labels)}")
-    if kinds is None:
-        kinds = sample.w_kinds
-    else:
-        kinds = tuple(kinds)
-    if len(kinds) != d:
-        raise DimensionMismatch(f"expected {d} kinds, got {len(kinds)}")
+    labels = _per_column("labels", labels, d, tuple(
+        f"w{ell + 1}" for ell in range(d)
+    ))
+    kinds = _per_column("kinds", kinds, d, sample.w_kinds)
     for kind in kinds:
         if kind not in ("indicator", "continuous"):
             raise InvalidSetting(f"unknown covariate kind {kind!r}")

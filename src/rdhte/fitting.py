@@ -10,10 +10,11 @@ bias, variance, and bandwidth formulas. Each side fit factors the
 square-root-weighted design A = sqrt(K(u_i)/(n h)) r(u_i, W_i) once by
 Householder QR, A = QR, keeping R and R^-1 (numpy's raw mode skips
 forming Q). That one factorization gives
-  - the coefficients R^-1 (Q' sqrt(w) y), with Q' sqrt(w) y formed by
-    applying the k reflectors to the vector in O(m k), so they have the
-    accuracy of Householder least squares (Bjorck 1996, Numerical Methods
-    for Least Squares Problems, sec. 2.4), not of the normal equations;
+  - the coefficients R^-1 (Q' sqrt(w) y): sqrt(w) y is factored as a
+    last column after A, so the same reflectors rotate it and Q' sqrt(w) y
+    is the top of R's last column. The coefficients have the accuracy of
+    Householder least squares (Bjorck 1996, Numerical Methods for Least
+    Squares Problems, sec. 2.4), not of the normal equations;
   - the Gram's reciprocal condition number (sigma_min/sigma_max of R,
     squared);
   - the leverages as the squared row norms of A R^-1, which is Q;
@@ -201,20 +202,6 @@ def side_design(
     return SideDesign(rows, kv, idx)
 
 
-def _apply_qt(hh: np.ndarray, tau: np.ndarray, b: np.ndarray):
-    """Overwrite b with Q' b for the QR from numpy.linalg.qr(mode="raw").
-
-    Row j of hh holds reflector j's vector v_j below position j (v_j[j] = 1
-    implied), and Q' = H_{k-1} ... H_0 with H_j = I - tau_j v_j v_j'.
-    """
-    for j in range(tau.size):
-        v = hh[j, j + 1:]
-        scale = tau[j] * (b[j] + v @ b[j + 1:])
-        b[j] -= scale
-        b[j + 1:] -= scale * v
-    return b
-
-
 def fit_side(
     sample: RdSample,
     side: str,
@@ -245,12 +232,12 @@ def fit_side(
     -------
     SideFit
 
-    The weighted design is factored by one Householder QR (numpy's "raw"
-    mode, which skips forming Q). R gives the conditioning check and its
-    triangular inverse R^-1; the reflectors, applied to the weighted
-    outcome, give Q' sqrt(w) y, which R^-1 carries to the coefficients; and
-    the leverages are the squared row norms of A R^-1 (one matrix product
-    with a k x k inverse).
+    The weighted design, with the weighted outcome as a last column, is
+    factored by one Householder QR (numpy's "raw" mode, which skips
+    forming Q). R gives the conditioning check and its triangular inverse
+    R^-1; the top of the last column's R is Q' sqrt(w) y, which R^-1
+    carries to the coefficients; and the leverages are the squared row
+    norms of A R^-1 (one matrix product with a k x k inverse).
 
     Raises
     ------
@@ -266,27 +253,29 @@ def fit_side(
         raise SingularGram(side, 0.0)
 
     order = np.arange(k) if order is None else order
-    # gathered straight into a column-major a, so the reflectors come back
-    # as contiguous rows of hh, with no m x k temporary
-    a = np.take(rows, order, axis=1, out=np.empty_like(rows, order="F"),
-                mode="clip")
-    sqw = np.sqrt(kv / (n * h))
-    a *= sqw[:, None]
-    hh, tau = np.linalg.qr(a, mode="raw")
-    r = np.triu(hh[:, :k].T)
+    # gathered straight into a column-major m x (k + 1) matrix [A | y], so
+    # the reflectors come back as contiguous rows of hh, with no m x k
+    # temporary, and the QR rotates y with A
+    ay = np.empty((idx.size, k + 1), order="F")
+    a = ay[:, :k]
+    np.take(rows, order, axis=1, out=a, mode="clip")
+    y = sample.y[idx]
+    ay[:, k] = y
+    ay *= np.sqrt(kv / (n * h))[:, None]
+    hh, _ = np.linalg.qr(ay, mode="raw")
+    r = np.triu(hh[:k, :k].T)
     sv = np.linalg.svd(r, compute_uv=False)
     rcond = float(sv[-1] / sv[0]) ** 2 if sv[0] > 0 else 0.0
     if rcond < RCOND_MIN:
         raise SingularGram(side, rcond)
 
-    y = sample.y[idx]
-    # a copy, so the fit does not hold the m-vector it was rotated in
-    qty = _apply_qt(hh, tau, sqw * y)[:k].copy()
+    # a copy, so the fit does not hold the m x (k + 1) reflectors
+    qty = hh[k, :k].copy()
     # R is upper triangular, so the LU inside inv pivots on its diagonal
     # and reduces to back substitution
     r_inv = np.linalg.inv(r)
     # the reflectors are spent: A R^-1, which is Q, overwrites them
-    q = np.matmul(a, r_inv, out=hh.T)
+    q = np.matmul(a, r_inv, out=hh[:k].T)
     # back to basis order: the columns of R, the rows of R^-1
     back = np.argsort(order)
     r, r_inv = r[:, back], r_inv[back]

@@ -16,19 +16,20 @@ outcomes: sum_i omega_i y_i with weights omega_i that are linear in e.
 A sandwich variance sums the squares of omega_i u_hat_i (of their
 within-cluster sums for cluster variance), so e enters it only through a
 quadratic form e' Sigma e whose matrix does not depend on e. Each side's
-variances are therefore two small matrices, built once per fit:
+variances are therefore two k x k matrices, built once per fit:
 
-    plug-in  P = f Gram^-1 V Gram^-1    (k x k)
-    RBC      R = A' D A                 (2k x 2k)
+    plug-in  P = f Gram^-1 V Gram^-1
+    RBC      R = B' D B
 
-with f the cluster degrees-of-freedom factor (1 for HC kinds). Row i of A
-holds observation i's influence on theta and, through the higher-order
-pilot fit's top coefficients, on the bias contraction; D weights squared
-pilot-surface residuals by the selected HC weights of the pilot
-leverages (cluster: the rows of A are summed within clusters instead).
+with f the cluster degrees-of-freedom factor (1 for HC kinds). Row i of B
+holds observation i's influence on the bias-corrected coefficients: its
+influence on theta minus, through the higher-order pilot fit's top
+coefficients, its influence on the bias correction c o bias; D weights
+squared pilot-surface residuals by the selected HC weights of the pilot
+leverages (cluster: the rows of B are summed within clusters instead).
 A coefficient of power j scales as h^-j and its bias correction as
 c_j = h^(1+q-j) whatever order nu an extractor reads, so side_forms
-states both forms in raw-coefficient units, one k x k pair per side that
+states both forms in raw-coefficient units, one pair per side that
 serves every nu, and with them the side's share of the jump and the bias.
 A result's ContrastForms are the sum of its two sides' shares, made once
 per fit; each record is then four dot products, O(k^2) whatever the
@@ -227,20 +228,21 @@ def rbc_form(
     fit: SideFit,
     bias: BiasConstants,
     vce: str,
+    c: np.ndarray,
 ) -> np.ndarray:
     """Bias-corrected quadratic form of one side.
 
-    Returns the 2k x 2k matrix R = A' D A. Row i of A holds, for the i-th
-    observation of the larger of the main and pilot windows, the
-    main-fit influence on theta (first k columns) and the influence on the
-    bias contraction through the top coefficients of the pilot fit
-    bias.pilot_fit (last k columns); D holds the squared pilot-surface
-    residuals times the HC weights of the pilot leverages. For vce
-    "cluster" the rows of A, scaled by the residuals, are summed within
-    sample.cluster before the product and R carries the degrees-of-freedom
-    factor. The side's bias-corrected variance of an extractor e is
-    e~' R e~ with e~ = [e; -c o e] and c_j = h^(1+q-j) for the power j of
-    column j.
+    Returns the k x k matrix R = B' D B. Row i of B holds, for the i-th
+    observation of the larger of the main and pilot windows, its
+    influence on the main fit's theta minus its influence on c o bias,
+    the bias correction, which reads the top coefficients of the pilot
+    fit bias.pilot_fit; c holds one scale per coefficient. D holds the
+    squared pilot-surface residuals times the HC weights of the pilot
+    leverages. For vce "cluster" the rows of B, scaled by the residuals,
+    are summed within sample.cluster before the product and R carries the
+    degrees-of-freedom factor. The side's bias-corrected variance of an
+    extractor e is e' R e when c_j = h^(1+q-j) for the power j of column
+    j (side_forms), or c = h^(1+q-nu) for an extractor of order nu.
 
     Raises
     ------
@@ -249,7 +251,7 @@ def rbc_form(
     ValueError
         If the main and pilot windows do not nest.
     """
-    p, s, d, k = fit.p, fit.s, fit.d, fit.n_coef
+    p, s, d = fit.p, fit.s, fit.d
     pilot = bias.pilot_fit
     n, h, b = fit.n_total, fit.h, pilot.h
 
@@ -269,46 +271,34 @@ def rbc_form(
         u_b = (sample.x[rows] - sample.cutoff) / b
         rows_b = design_rows(u_b, sample.w[rows], pilot.p, pilot.s)
         resid = sample.y[rows] - rows_b @ pilot.theta_norm
-        del rows_b  # m x k_pilot; not needed while A is built
+        del rows_b  # m x k_pilot; not needed while B is built
         lev = np.zeros(rows.size)
         lev[pos] = pilot.leverages
 
     # a design row's influence on a fit's theta = S^-1 theta_norm is
-    # row' Gram^-1 S^-1; the bias reads the pilot's theta through the routes
+    # row' Gram^-1 S^-1; the bias reads the pilot's theta through the
+    # routes, and the scales -c make that minus the bias correction
     main_route = fit.solve_gram(np.diag(1.0 / scaling_diag(h, p, s, d)))
     pilot_unscale = 1.0 / scaling_diag(b, pilot.p, pilot.s, d)[:, None]
-    pilot_route = pilot.solve_gram(pilot_unscale * bias.routes)
-
-    a = np.zeros((rows.size, 2 * k))
-    for cols, src, route, bw in (
-        (a[:, :k], fit, main_route, h),
-        (a[:, k:], pilot, pilot_route, b),
-    ):
-        weight = (src.kvals / (n * bw))[:, None]
-        if src is outer:
-            np.matmul(src.design, route, out=cols)
-            cols *= weight
-        else:
-            cols[pos] = (src.design @ route) * weight
+    pilot_route = pilot.solve_gram(pilot_unscale * bias.routes) * -c
+    outer_route, inner_route = (
+        (pilot_route, main_route) if pilot_larger
+        else (main_route, pilot_route)
+    )
+    infl = outer.design @ outer_route
+    infl *= (outer.kvals / (n * outer.h))[:, None]
+    infl[pos] += (inner.design @ inner_route) * (
+        inner.kvals / (n * inner.h)
+    )[:, None]
 
     if vce == "cluster":
-        a *= resid[:, None]
-        sums = _cluster_sums(fit.side, sample.cluster, rows, a)
+        infl *= resid[:, None]
+        sums = _cluster_sums(fit.side, sample.cluster, rows, infl)
         return _df_factor(fit) * (sums.T @ sums)
     name = f"{pilot.side} side pilot fit"
     weights = _leverage_weights(vce, pilot, lev, name)
-    a *= (np.sqrt(weights) * resid)[:, None]
-    return a.T @ a
-
-
-def _rbc_block_sum(rbc: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """R11 - R12 C - C R21 + C R22 C with C = diag(c): the k x k form whose
-    contraction e' (.) e is that of [e; -c o e] against the 2k x 2k form R.
-    The cross term, as written, is exactly c_i (R12 + R21) where c_i = c_j."""
-    k = rbc.shape[0] // 2
-    r12, ci, cj = rbc[:k, k:], c[:, None], c[None, :]
-    cross = ci * (r12 + rbc[k:, :k]) + (cj - ci) * r12
-    return rbc[:k, :k] - cross + ci * cj * rbc[k:, k:]
+    infl *= (np.sqrt(weights) * resid)[:, None]
+    return infl.T @ infl
 
 
 def _bias_scales(fit: SideFit) -> np.ndarray:
@@ -369,8 +359,7 @@ def side_forms(
     """One side's share of the contrast, with the sample's cluster labels:
     jump theta and bias c o bias.bias, both negated on the left side;
     plugin, plugin_form's entry (i, j) over n h^(i+j+1) for the column
-    powers i and j; and rbc, rbc_form's matrix reduced at c, where
-    c = _bias_scales(fit).
+    powers i and j; and rbc, rbc_form's matrix at c = _bias_scales(fit).
 
     numpy's floating-point warnings are silenced while the share is built,
     so its finiteness checks give the verdict, also under warnings as
@@ -407,7 +396,7 @@ def side_forms(
         # in place, so plugin keeps plugin_form's memory layout and with it
         # the order in which a contraction e' plugin e sums
         plugin /= scale
-        rbc = _rbc_block_sum(rbc_form(sample, fit, bias, vce), c)
+        rbc = rbc_form(sample, fit, bias, vce, c)
         sign = -1.0 if fit.side == "left" else 1.0
         share = ContrastForms(
             jump=sign * fit.theta, bias=sign * (c * bias.bias),
@@ -480,16 +469,17 @@ def rbc_variance(
 ) -> float:
     """Variance of the bias-corrected contrast.
 
-    Each side contributes e~' R e~ with R its bias-corrected form (see
-    rbc_form) and e~ = [e; -h^(1+q-nu) e], with each side's pilot fit read
-    from its bias constants. Cluster aggregation, over sample.cluster,
-    stays within sides (the two windows are disjoint) and carries the
-    same degrees-of-freedom factor as the uncorrected cluster variance.
+    Each side contributes e' R e with R its bias-corrected form (see
+    rbc_form) at the uniform scale c = h^(1+q-nu), with each side's
+    pilot fit read from its bias constants. Cluster aggregation, over
+    sample.cluster, stays within sides (the two windows are disjoint) and
+    carries the same degrees-of-freedom factor as the uncorrected cluster
+    variance.
     """
     total = 0.0
     for fit, bias in ((left, bias_left), (right, bias_right)):
         c = np.full(fit.n_coef, fit.h ** (1 + min(fit.p, fit.s) - nu))
-        block = _rbc_block_sum(rbc_form(sample, fit, bias, vce), c)
+        block = rbc_form(sample, fit, bias, vce, c)
         total += float(extractor @ block @ extractor)
     return total
 

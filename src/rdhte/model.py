@@ -349,6 +349,18 @@ def label_codes(labels) -> tuple[list, np.ndarray]:
     return levels, codes
 
 
+def _checked_codes(column: str, labels) -> tuple:
+    """label_codes(labels), or (None, None) if the labels cannot be
+    ordered, after MissingLabel at the first missing label: None cannot be
+    ordered, so a failed sort may still be a missing label."""
+    try:
+        levels, codes = label_codes(labels)
+    except TypeError:
+        levels = codes = None
+    _check_labels(column, levels, labels)
+    return levels, codes
+
+
 def _check_finite(name: str, arr: np.ndarray) -> None:
     bad = ~np.isfinite(arr)
     if bad.any():
@@ -426,13 +438,8 @@ def validate_sample(
             raise LengthMismatch(
                 f"y has length {n}, cluster has length {len(cl_raw)}"
             )
-        # relabel to dense integer codes; preserves grouping only. None
-        # cannot be ordered, so a failed sort may still be a missing label
-        try:
-            levels, cl = label_codes(cl_raw)
-        except TypeError:
-            levels = None
-        _check_labels("cluster", levels, cl_raw)
+        # relabel to dense integer codes; preserves grouping only
+        levels, cl = _checked_codes("cluster", cl_raw)
         if levels is None:
             raise InputError("column 'cluster' mixes numbers and text")
     cutoff = _as_real("cutoff", cutoff)
@@ -496,11 +503,7 @@ def _expand_categorical(name: str, values, baseline: Optional[str]):
     if len(values) == 0:
         raise EmptySample(f"column {name!r} has no rows")
     # levels are the values' text; text values are coded as they are
-    try:
-        levels, codes = label_codes(values)
-    except TypeError:
-        levels = None
-    _check_labels(name, levels, values)
+    levels, codes = _checked_codes(name, values)
     if levels is None or not all(isinstance(lev, str) for lev in levels):
         if isinstance(values, CodedLabels):
             text = CodedLabels([str(v) for v in values.levels], values.codes)

@@ -1,6 +1,6 @@
 """SHA-256 fingerprint of rdhte's numbers over a grid of 720 fits.
 
-Usage: python tests/fingerprint.py SRC [--cold]
+Usage: python tests/fingerprint.py SRC [--cold] [--dump PATH]
 
 SRC is the ``src`` directory whose ``rdhte`` is imported. The script
 draws two seeded canonical-preset samples (n = 1500, 60 cluster labels)
@@ -26,8 +26,15 @@ holds no stored stage; the two outputs must be identical.
 To check that a change keeps every number bit for bit, run the script
 on the ``src`` of both trees and diff the two outputs. pytest does not
 collect it; it runs in about 2 s and needs only numpy.
+
+``--dump PATH`` also writes each fit's JSON document, the bytes its
+digest reads, to PATH: one line per fit, ``{"fit": <its grid cell>,
+"doc": <the document>}``. ``tests/fingerprint_moves.py`` reads two such
+files and prints how far each field moved, for a change whose digests
+differ.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -125,7 +132,12 @@ def fit_bytes(sample, spec, layout) -> bytes:
 
 
 def main() -> None:
-    cold = "--cold" in sys.argv[2:]
+    ap = argparse.ArgumentParser()
+    ap.add_argument("src")
+    ap.add_argument("--cold", action="store_true")
+    ap.add_argument("--dump", metavar="PATH")
+    args = ap.parse_args()
+    dump = open(args.dump, "w") if args.dump else None
     total = hashlib.sha256()
     for seed in SEEDS:
         for layout, sample in samples(seed).items():
@@ -137,15 +149,23 @@ def main() -> None:
                             spec = FitSpec(p=p, s=s, nu=nu, kernel=kernel,
                                            vce=vce, bandwidth=bandwidth)
                             data = fit_bytes(
-                                dataclasses.replace(sample) if cold
+                                dataclasses.replace(sample) if args.cold
                                 else sample,
                                 spec, layout,
                             )
                             group.update(data)
                             total.update(data)
+                            if dump:
+                                fit = (f"seed={seed} w={layout} vce={vce} "
+                                       f"bandwidth={bw_name} p={p} s={s} "
+                                       f"nu={nu} kernel={kernel}")
+                                dump.write(f'{{"fit": {json.dumps(fit)}, '
+                                           f'"doc": {data.decode()}}}\n')
                     print(f"seed={seed} w={layout} vce={vce} "
                           f"bandwidth={bw_name} {group.hexdigest()}")
     print(f"total {total.hexdigest()}")
+    if dump:
+        dump.close()
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Each takes a different route to a quantity the package computes: a
 single-point basis builder, a window found by scanning every row, a side
 fit's Gram summed over its rows, weighted least squares through the
-normal equations, a side fit through scipy's QR with an explicit Q, the
-long interacted regression whose blocks the two one-sided fits must
+normal equations, weighted least squares in exact rational arithmetic, a
+side fit through scipy's QR with an explicit Q, the long interacted
+regression whose blocks the two one-sided fits must
 reproduce, a CSV reader that takes every row through csv.reader, and
 within-cluster sums by np.add.at.
 """
@@ -12,6 +13,8 @@ within-cluster sums by np.add.at.
 from __future__ import annotations
 
 import csv
+import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -83,6 +86,79 @@ def oracle_wls(design: np.ndarray, weights: np.ndarray, y: np.ndarray):
     xtwx = wd.T @ wd
     xtwy = wd.T @ (y * sqw)
     return scipy.linalg.solve(xtwx, xtwy, assume_a="sym")
+
+
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers N_i and one exponent e with values_i = N_i / 2^e exactly:
+    every float is a dyadic rational."""
+    ratios = [v.as_integer_ratio() for v in np.ravel(values).tolist()]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (e - den.bit_length() + 1) for num, den in ratios], e
+
+
+def exact_wls(design: np.ndarray, weights: np.ndarray, y: np.ndarray):
+    """Weighted least squares of the float data as stored, solved exactly.
+
+    Each float is read as the dyadic rational it is, so the Gram
+    sum_i w_i r_i r_i', its inverse (Gauss-Jordan over fractions.Fraction),
+    the coefficients and the leverages w_i r_i' Gram^-1 r_i are exact;
+    each is rounded to the nearest float once, at the end. A common scale
+    of the weights drops out of both. Returns (beta, leverages).
+
+    Raises
+    ------
+    RankDeficient
+        If the Gram is singular.
+    """
+    m, k = design.shape
+    rows, e_r = _dyadic(design)
+    rows = [rows[i * k:(i + 1) * k] for i in range(m)]
+    kw, _ = _dyadic(weights)
+    ys, e_y = _dyadic(y)
+    # the Gram and the right-hand side in integers; with r = R / 2^e_r and
+    # y = Y / 2^e_y, beta = 2^(e_r - e_y) G^-1 b and the leverages are
+    # K_i R_i' G^-1 R_i
+    gram_int = [[0] * k for _ in range(k)]
+    rhs = [0] * k
+    for r_i, k_i, y_i in zip(rows, kw, ys):
+        for a in range(k):
+            kr = k_i * r_i[a]
+            rhs[a] += kr * y_i
+            row = gram_int[a]
+            for b in range(a, k):
+                row[b] += kr * r_i[b]
+    for a in range(k):
+        for b in range(a):
+            gram_int[a][b] = gram_int[b][a]
+
+    # Gauss-Jordan on [G | I]; G is symmetric positive definite unless
+    # singular, so no pivoting is needed
+    aug = [[Fraction(v) for v in row] + [Fraction(int(a == b))
+                                         for b in range(k)]
+           for a, row in enumerate(gram_int)]
+    for j in range(k):
+        if aug[j][j] == 0:
+            raise RankDeficient(f"exact Gram is singular at column {j}")
+        pivot = aug[j][j]
+        aug[j] = [v / pivot for v in aug[j]]
+        for a in range(k):
+            if a != j and aug[a][j]:
+                f = aug[a][j]
+                aug[a] = [v - f * w for v, w in zip(aug[a], aug[j])]
+    inv = [row[k:] for row in aug]
+
+    scale = Fraction(2) ** (e_r - e_y)
+    beta = [float(scale * sum(inv[a][b] * rhs[b] for b in range(k)))
+            for a in range(k)]
+    # G^-1 = N / D over integers, so each leverage is one integer ratio
+    den = math.lcm(*(v.denominator for row in inv for v in row))
+    num = [[int(v * den) for v in row] for row in inv]
+    lev = []
+    for r_i, k_i in zip(rows, kw):
+        quad = sum(r_a * sum(n_ab * r_b for n_ab, r_b in zip(n_a, r_i))
+                   for r_a, n_a in zip(r_i, num))
+        lev.append(float(Fraction(k_i * quad, den)))
+    return np.array(beta), np.array(lev)
 
 
 def householder_fit(sample: RdSample, side: str, h: float, p: int, s: int,

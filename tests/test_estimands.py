@@ -254,7 +254,7 @@ def test_label_and_kind_length_validation():
     "given",
     [{"kinds": ["foo"]}, {"kinds": ["Indicator"]}, {"kinds": [None]},
      {"labels": [5]}, {"labels": [None]}, {"labels": [b"w1"]},
-     {"labels": "w"}],
+     {"labels": "w"}, {"kinds": "indicator"}],
 )
 def test_label_and_kind_values_are_checked(given):
     sample = random_instance(37)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from conftest import random_instance
 from oracles import (
+    exact_wls,
     gram,
     householder_fit,
     long_short_max_relative_error,
     oracle_wls,
 )
 
+from rdhte.basis import design_rows
 from rdhte.errors import NonPositiveBandwidth, SingularGram
 from rdhte.fitting import fit_side, side_design
 from rdhte.model import validate_sample
@@ -192,16 +194,43 @@ def _near_collinear_sample(d: int, eps: float):
     return validate_sample(y, x, 0.0, w)
 
 
+#: c in the bound c kappa(R) u on a Householder fit's relative error
+NEAR_COLLINEAR_C = 4.0
+
+
 @pytest.mark.parametrize(
     "p, s, d, eps", [(1, 1, 1, 3e-5), (1, 1, 2, 3e-5), (2, 2, 3, 1.6e-4)]
 )
 def test_fit_matches_explicit_q_householder_near_collinear(p, s, d, eps):
     # a Gram this close to the rcond gate separates Householder least
     # squares from any route through R^-T A' (seminormal equations drift
-    # about 1e-9 here)
+    # about 1e-9 here). Householder least squares is backward stable, so
+    # the package's QR and scipy's explicit Q each land within c kappa(R) u
+    # of the exact coefficients of the window's float data (Bjorck 1996,
+    # sec. 2.4); the two need not agree more closely with each other
     sample = _near_collinear_sample(d, eps)
     fit = fit_side(sample, "right", 0.8, p, s, "triangular")
     assert 3e-12 < 1.0 / np.linalg.cond(gram(fit)) < 3e-11
+    exact, exact_lev = exact_wls(fit.design, fit.kvals, sample.y[fit.idx])
+    bound = NEAR_COLLINEAR_C * np.linalg.cond(fit.r) * np.finfo(float).eps / 2
     beta, lev = householder_fit(sample, "right", 0.8, p, s, "triangular")
-    assert _max_rel(fit.theta_norm, beta) <= 1e-12
+    assert _max_rel(fit.theta_norm, exact) <= bound
+    assert _max_rel(beta, exact) <= bound
     assert np.max(np.abs(fit.leverages - lev) / lev) <= 1e-8
+    assert np.max(np.abs(fit.leverages - exact_lev) / exact_lev) <= 1e-8
+
+
+def test_exact_wls_recovers_a_dyadic_surface_exactly():
+    # x on a 2^-6 grid, h = 1 and small integer coefficients: every design
+    # entry and outcome is exact, so the exact solve returns the
+    # coefficients bit for bit, and the leverages sum to k
+    rng = np.random.default_rng(47)
+    x = rng.integers(1, 64, size=40) / 64.0
+    w = rng.integers(-8, 9, size=(40, 1)) / 8.0
+    rows = design_rows(x, w, 2, 1)
+    coef = np.array([3.0, -2.0, 5.0, 1.0, -4.0])
+    kvals = 1.0 - x
+    beta, lev = exact_wls(rows, kvals, rows @ coef)
+    assert beta.tolist() == coef.tolist()
+    assert np.sum(lev) == pytest.approx(coef.size, rel=1e-14)
+    assert np.all((lev > 0) & (lev < 1))

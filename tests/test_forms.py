@@ -120,8 +120,7 @@ def test_side_forms_serve_mixed_orders(vce):
         h = fit.h
         raw = e / h**powers
         plugin = raw @ plugin_form(fit, vce, sample.cluster) @ raw
-        tilde = np.concatenate([e, -(h ** (3 - powers)) * e])
-        rbc = tilde @ rbc_form(sample, fit, bias, vce) @ tilde
+        rbc = e @ rbc_form(sample, fit, bias, vce, h ** (3 - powers)) @ e
         assert e @ forms.plugin @ e == pytest.approx(
             plugin / (fit.n_total * h), rel=TOL, abs=0
         )

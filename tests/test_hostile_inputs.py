@@ -100,8 +100,6 @@ SHARE_FAILURES = {
     1e120: r"a power of h = 3e\+119 overflows",
     1e-110: r"a power of h = 3e-111 underflows to 0",
     1e-120: r"a power of h = 3e-121 underflows to 0",
-    1e100: r"the rbc share is not finite",
-    1e-100: r"the rbc share is not finite",
 }
 
 
@@ -112,12 +110,39 @@ def test_side_share_out_of_float_range_raises_forms_degenerate(scale):
     draw = gen_sample(canonical_preset(), 4000, 0)
     sample = validate_sample(draw.y, scale * draw.x, 0.0, draw.w)
     spec = FitSpec(bandwidth=Common(0.3 * scale), vce="hc3")
-    # under the suite's warnings-as-errors filter: numpy's overflow in the
-    # RBC form at 1e+-100 must not escape ahead of the typed error
+    # under the suite's warnings-as-errors filter: numpy's overflow in a
+    # power of h must not escape ahead of the typed error
     with pytest.raises(
         FormsDegenerate, match=f"^left side: {SHARE_FAILURES[scale]}$"
     ):
         fit_hte(sample, spec)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_side_share_near_the_float_range_matches_unit_scale(scale):
+    # x and h scaled together, as above, but the powers of h the share
+    # needs stay floats: the fit in u = x/h is the unit-scale fit up to the
+    # rounding of u, and every nu = 0 record matches it. Under the suite's
+    # warnings-as-errors filter no overflow of the RBC form may escape
+    draw = gen_sample(canonical_preset(), 4000, 0)
+    base = fit_hte(validate_sample(draw.y, draw.x, 0.0, draw.w),
+                   FitSpec(bandwidth=Common(0.3), vce="hc3"))
+    moved = fit_hte(validate_sample(draw.y, scale * draw.x, 0.0, draw.w),
+                    FitSpec(bandwidth=Common(0.3 * scale), vce="hc3"))
+    assert len(base.records) == len(moved.records) == 3
+    for r0, r1 in zip(base.records, moved.records):
+        for fld in dataclasses.fields(r0):
+            v0, v1 = getattr(r0, fld.name), getattr(r1, fld.name)
+            if fld.name in ("h_left", "h_right"):
+                assert v1 == 0.3 * scale, fld.name
+            elif not isinstance(v0, float):
+                assert v1 == v0, fld.name
+            elif fld.name in RESCALE_POINT:
+                assert abs(v1 - v0) <= 1e-12 * r0.rbc_se, fld.name
+            elif fld.name in ("z", "p_value"):
+                assert abs(v1 - v0) <= 1e-12, fld.name
+            else:
+                assert v1 == pytest.approx(v0, rel=1e-12, abs=0), fld.name
 
 
 @pytest.mark.parametrize("bandwidth", [Common(0.5), Select()])
